@@ -7,7 +7,6 @@ with timing and feature importances.
 """
 
 from .datasets import (
-    LabeledRow,
     SynthSpec,
     derive_label,
     generate_synthetic,
@@ -40,7 +39,6 @@ __all__ = [
     "EvalReport",
     "FeatureVector",
     "FittedPipeline",
-    "LabeledRow",
     "PipelineSpec",
     "ScoredRow",
     "SynthSpec",

@@ -23,7 +23,7 @@ from .datasets import (
     sample_rows,
     train_test_split,
 )
-from .metrics import MetricError, curve_to_csv
+from .metrics import EvalReport, MetricError, curve_to_csv
 from .models import ModelError, feature_importances
 from .persist import ModelFileError, load_model, read_header, save_model
 from .selection import (
@@ -33,7 +33,7 @@ from .selection import (
     build_param_grid,
     cross_validate,
     default_grid,
-    evaluate_fitted,
+    evaluate_transformed,
 )
 from .stages import FittedPipeline, PipelineError, PipelineSpec, default_pipeline_spec
 from .table import DataTable, TableError, read_csv, schema_from_json, schema_to_json, write_csv
@@ -186,6 +186,18 @@ def _write_predictions(out_table: DataTable, path) -> None:
             fh.write(f'"{features[i].display()}",{preds[i]!r},{label}\n')
 
 
+def _score(fitted: FittedPipeline, table: DataTable, metadata: dict, predictions_path) -> EvalReport:
+    """One pipeline pass over `table`: the evaluation report, with the
+    predictions CSV written from the same output when a path is given. The
+    transformed table is released on return, before the report is
+    serialized, so peak memory stays at that of a single pass."""
+    out = fitted.transform(table)
+    report = evaluate_transformed(out, metadata=metadata)
+    if predictions_path:
+        _write_predictions(out, predictions_path)
+    return report
+
+
 def cmd_evaluate(args) -> int:
     model, header = load_model(args.model)
     fitted = _require_pipeline(model)
@@ -193,7 +205,7 @@ def cmd_evaluate(args) -> int:
     fp = table.fingerprint()
     in_sample = fp in (header.get("data_fingerprint"), header.get("source_fingerprint"))
     metadata = {"in_sample": in_sample, "family": fitted.family, "data_fingerprint": fp}
-    report = evaluate_fitted(fitted, table, metadata=metadata)
+    report = _score(fitted, table, metadata, args.predictions)
     c = report.counts
     _print_table(
         [
@@ -212,7 +224,6 @@ def cmd_evaluate(args) -> int:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
         print(f"wrote {args.out}")
     if args.predictions:
-        _write_predictions(fitted.transform(table), args.predictions)
         print(f"wrote {args.predictions}")
     if args.roc_csv:
         curve_to_csv(report.roc_points, args.roc_csv, ("fpr", "tpr"))

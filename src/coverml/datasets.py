@@ -5,34 +5,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .rng import derived_rng
 from .table import ColumnSpec, DataTable, TableError
-from .vectors import FeatureVector
 
 DEFAULT_LABEL_SOURCE = "IsCovered"
 DEFAULT_POSITIVE_VALUES = ("Covered",)
-
-
-@dataclass(frozen=True)
-class LabeledRow:
-    features: FeatureVector
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
-
-
-def rows_to_arrays(rows: Sequence[LabeledRow]) -> tuple[np.ndarray, np.ndarray]:
-    if not rows:
-        raise ValueError("no rows")
-    X = np.stack([r.features.to_dense() for r in rows])
-    y = np.asarray([r.label for r in rows], dtype=np.int64)
-    return X, y
 
 
 def derive_label(

@@ -1,16 +1,14 @@
-"""Pure-numpy split-scan kernels, used when the compiled extension is absent.
+"""Split-scan kernels for CART tree induction.
 
-Both backends must pick bit-identical splits: the arithmetic here mirrors the
-compiled loops operation for operation (np.cumsum accumulates sequentially,
-matching a running sum), and ties resolve to the lowest threshold because
-np.argmax returns the first maximum.
+Each kernel scans one pre-sorted feature column and returns the threshold
+with the largest impurity decrease. Ties resolve to the lowest threshold,
+the tie-break tree induction promises, because np.argmax returns the first
+maximum.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def _midpoints(x: np.ndarray, cut: np.ndarray) -> np.ndarray:

@@ -11,7 +11,14 @@ import numpy as np
 from ..rng import derived_rng
 from .base import ModelError, TrainedClassifier, check_training_data
 from .linear import sigmoid
-from .tree import TreeNode, build_tree, normalized_importance, tree_apply, tree_importance
+from .tree import (
+    TreeNode,
+    build_tree,
+    check_max_depth,
+    normalized_importance,
+    tree_apply,
+    tree_importance,
+)
 
 
 @dataclass(frozen=True)
@@ -27,8 +34,7 @@ class RandomForestParams:
     def __post_init__(self):
         if self.num_trees < 1:
             raise ValueError("num_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        check_max_depth(self.max_depth)
         if self.feature_subset_rule not in ("sqrt", "all"):
             raise ValueError("feature_subset_rule must be 'sqrt' or 'all'")
         if not 0.0 < self.threshold < 1.0:
@@ -124,8 +130,7 @@ class GbtParams:
             raise ValueError("num_iterations must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        check_max_depth(self.max_depth)
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie strictly inside (0, 1)")
 

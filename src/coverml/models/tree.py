@@ -6,6 +6,7 @@ by lower feature index, then lower threshold; zero-decrease splits are
 accepted so interaction-only structure (an XOR of two columns) is still
 reachable within the depth budget. Growth stops at max_depth, on a pure
 node, or when a node holds fewer than min_instances_per_node rows.
+max_depth lies in [1, MAX_DEPTH], the range Spark ML accepts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import numpy as np
 
 from .. import kernels
 from .base import TrainedClassifier, check_training_data
+
+MAX_DEPTH = 30
+
+
+def check_max_depth(max_depth: int) -> None:
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH}], got {max_depth}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +192,7 @@ class DecisionTreeParams:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        check_max_depth(self.max_depth)
         if self.min_instances_per_node < 1:
             raise ValueError("min_instances_per_node must be >= 1")
         if not 0.0 < self.threshold < 1.0:

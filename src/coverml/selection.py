@@ -286,9 +286,13 @@ class BenchmarkReport:
 
 
 def evaluate_fitted(fitted: FittedPipeline, table: DataTable, fit_minutes: float = 0.0, metadata=None) -> EvalReport:
-    """Transform a labeled table and build the full evaluation report from
-    rawScore, prediction, and trueLabel."""
-    out = fitted.transform(table)
+    """Transform a labeled table and build the full evaluation report."""
+    return evaluate_transformed(fitted.transform(table), fit_minutes=fit_minutes, metadata=metadata)
+
+
+def evaluate_transformed(out: DataTable, fit_minutes: float = 0.0, metadata=None) -> EvalReport:
+    """The full evaluation report from the rawScore, prediction, and
+    trueLabel columns of a fitted pipeline's output."""
     if out.row_count == 0:
         raise MetricError("no rows survived the pipeline transform")
     scores = np.asarray(out.column("rawScore"), dtype=np.float64)

@@ -235,7 +235,10 @@ class DataTable:
         for spec in schema:
             vals = doc["columns"][spec.name]
             if spec.kind == "vector":
-                vals = [None if v is None else FeatureVector.from_dict(v) for v in vals]
+                try:
+                    vals = [None if v is None else FeatureVector.from_dict(v) for v in vals]
+                except ValueError as exc:
+                    raise TableError(f"vector column {spec.name!r}: {exc}") from None
             columns[spec.name] = vals
         return cls(schema, columns)
 

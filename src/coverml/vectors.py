@@ -1,4 +1,4 @@
-"""Dense and sparse feature vectors."""
+"""Dense feature vectors."""
 
 from __future__ import annotations
 
@@ -6,15 +6,12 @@ import numpy as np
 
 
 class FeatureVector:
-    """Fixed-size real vector stored either dense or as (indices, values).
+    """Fixed-size dense real vector; NaN entries are rejected. Instances are
+    immutable."""
 
-    Sparse indices must be strictly ascending and below `size`; NaN entries
-    are rejected in both forms. Instances are immutable.
-    """
+    __slots__ = ("size", "values")
 
-    __slots__ = ("size", "values", "indices")
-
-    def __init__(self, size: int, values, indices=None):
+    def __init__(self, size: int, values):
         if size < 0:
             raise ValueError("vector size must be nonnegative")
         values = np.asarray(values, dtype=np.float64)
@@ -22,23 +19,11 @@ class FeatureVector:
             raise ValueError("values must be one-dimensional")
         if np.isnan(values).any():
             raise ValueError("feature vectors must not contain NaN")
-        if indices is None:
-            if values.shape[0] != size:
-                raise ValueError(f"dense vector has {values.shape[0]} values, declared size {size}")
-        else:
-            indices = np.asarray(indices, dtype=np.int64)
-            if indices.shape[0] != values.shape[0]:
-                raise ValueError("sparse indices and values must have equal length")
-            if indices.size:
-                if indices[0] < 0 or indices[-1] >= size:
-                    raise ValueError("sparse indices must lie in [0, size)")
-                if not (np.diff(indices) > 0).all():
-                    raise ValueError("sparse indices must be strictly ascending")
-            indices.setflags(write=False)
+        if values.shape[0] != size:
+            raise ValueError(f"dense vector has {values.shape[0]} values, declared size {size}")
         values.setflags(write=False)
         object.__setattr__(self, "size", int(size))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "indices", indices)
 
     def __setattr__(self, name, value):
         raise AttributeError("FeatureVector is immutable")
@@ -48,50 +33,26 @@ class FeatureVector:
         values = np.asarray(values, dtype=np.float64)
         return cls(values.shape[0], values)
 
-    @classmethod
-    def sparse(cls, size: int, indices, values) -> "FeatureVector":
-        return cls(size, values, indices)
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.indices is not None
-
     def to_dense(self) -> np.ndarray:
-        if self.indices is None:
-            return self.values.copy()
-        out = np.zeros(self.size, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
+        return self.values.copy()
 
     def display(self) -> str:
-        """Render as `[v0,v1,...]` (dense) or `(size,[i..],[v..])` (sparse)."""
-        if self.indices is None:
-            return "[" + ",".join(repr(v) for v in self.values.tolist()) + "]"
-        idx = ",".join(str(i) for i in self.indices.tolist())
-        vals = ",".join(repr(v) for v in self.values.tolist())
-        return f"({self.size},[{idx}],[{vals}])"
+        """Render as `[v0,v1,...]`."""
+        return "[" + ",".join(repr(v) for v in self.values.tolist()) + "]"
 
     def to_dict(self) -> dict:
-        if self.indices is None:
-            return {"size": self.size, "values": self.values.tolist()}
-        return {
-            "size": self.size,
-            "indices": self.indices.tolist(),
-            "values": self.values.tolist(),
-        }
+        return {"size": self.size, "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureVector":
-        return cls(d["size"], d["values"], d.get("indices"))
+        if set(d) != {"size", "values"}:
+            raise ValueError(f"a vector holds exactly size and values, got keys {sorted(d)}")
+        return cls(d["size"], d["values"])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeatureVector):
             return NotImplemented
-        if self.size != other.size or self.is_sparse != other.is_sparse:
-            return False
-        if self.is_sparse and not np.array_equal(self.indices, other.indices):
-            return False
-        return np.array_equal(self.values, other.values)
+        return self.size == other.size and np.array_equal(self.values, other.values)
 
     def __hash__(self):
         raise TypeError("FeatureVector is not hashable")

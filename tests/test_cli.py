@@ -5,6 +5,7 @@ import pytest
 
 from coverml.cli import main
 from coverml.datasets import SynthSpec, generate_synthetic
+from coverml.stages import FittedPipeline
 from coverml.table import DataTable
 
 
@@ -200,6 +201,26 @@ class TestTrain:
         assert code == 0
         assert (workdir / "m1.bin").read_bytes() == (workdir / "m2.bin").read_bytes()
 
+    def test_max_depth_beyond_limit_is_an_error_line(self, workdir, capsys):
+        grid = workdir / "deep.json"
+        grid.write_text(json.dumps({"axes": {"max_depth": [5000]}}))
+        code, _, err = run(
+            capsys,
+            "train",
+            "--data",
+            str(workdir / "data.tbl"),
+            "--model",
+            "dt",
+            "--grid",
+            str(grid),
+            "--out",
+            str(workdir / "deep.bin"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "max_depth" in err
+        assert "Traceback" not in err
+        assert not (workdir / "deep.bin").exists()
+
 
 class TestEvaluate:
     def test_metric_table_order_and_outputs(self, workdir, capsys):
@@ -231,6 +252,31 @@ class TestEvaluate:
         assert preds[0] == "features,prediction,trueLabel"
         assert len(preds) >= 2
         assert re.match(r'^"\[.*\]",(0\.0|1\.0),(0\.0|1\.0)$', preds[1])
+
+    def test_pipeline_runs_once_with_predictions(self, workdir, capsys, monkeypatch):
+        train_gbt(workdir, capsys)
+        calls = []
+        original = FittedPipeline.transform
+
+        def counting(self, table):
+            calls.append(table.row_count)
+            return original(self, table)
+
+        monkeypatch.setattr(FittedPipeline, "transform", counting)
+        code, _, err = run(
+            capsys,
+            "evaluate",
+            "--model",
+            str(workdir / "m.bin"),
+            "--data",
+            str(workdir / "test.tbl"),
+            "--out",
+            str(workdir / "report.json"),
+            "--predictions",
+            str(workdir / "preds.csv"),
+        )
+        assert code == 0, err
+        assert calls == [450]
 
     def test_in_sample_flagged(self, workdir, capsys):
         train_gbt(workdir, capsys)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverml.datasets import (
-    LabeledRow,
     SynthSpec,
     derive_label,
     generate_synthetic,
@@ -13,7 +12,6 @@ from coverml.datasets import (
     train_test_split,
 )
 from coverml.table import ColumnSpec, DataTable, TableError
-from coverml.vectors import FeatureVector
 
 
 def text_table(values, name="IsCovered"):
@@ -181,11 +179,3 @@ class TestXor:
         a = np.array([v == "A1" for v in xor_table.column("FeatureA")])
         # each informative column alone is uninformative about the label
         assert abs(labels[a].mean() - labels[~a].mean()) < 0.06
-
-
-class TestLabeledRow:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LabeledRow(FeatureVector.dense([1.0]), 2)
-        row = LabeledRow(FeatureVector.dense([1.0]), 1)
-        assert row.label == 1

@@ -71,6 +71,11 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForestParams(feature_subset_rule="log2")
 
+    def test_max_depth_upper_bound(self):
+        with pytest.raises(ValueError, match=r"\[1, 30\]"):
+            RandomForestParams(max_depth=31)
+        assert RandomForestParams(max_depth=30).max_depth == 30
+
 
 class TestGbt:
     def test_constant_features_keep_base_rate(self):
@@ -122,6 +127,11 @@ class TestGbt:
             GbtParams(num_iterations=0)
         with pytest.raises(ValueError):
             GbtParams(learning_rate=-0.5)
+
+    def test_max_depth_upper_bound(self):
+        with pytest.raises(ValueError, match=r"\[1, 30\]"):
+            GbtParams(max_depth=31)
+        assert GbtParams(max_depth=30).max_depth == 30
 
 
 class TestGoldenPrediction:

@@ -197,9 +197,3 @@ class TestPredictContract:
         model = LogisticModel(np.array([0.3]), -0.1, 0.5)
         fv = FeatureVector.dense([2.0])
         assert predict(model, fv) == predict(model, fv)
-
-    def test_sparse_input_accepted(self):
-        model = LogisticModel(np.array([1.0, 1.0, 1.0]), 0.0, 0.5)
-        dense = predict(model, FeatureVector.dense([1.0, 0.0, 2.0]))
-        sparse = predict(model, FeatureVector.sparse(3, [0, 2], [1.0, 2.0]))
-        assert dense == sparse

@@ -117,6 +117,16 @@ class TestDataTable:
         assert DataTable.from_json_bytes(data) == t
         assert data == t.to_json_bytes()
 
+    def test_sparse_vector_entry_rejected(self):
+        t = make_table(v=("vector", [FeatureVector.dense([1.0, 0.0, 2.0])]))
+        assert DataTable.from_json_bytes(t.to_json_bytes()) == t
+        sparse = t.to_json_bytes().replace(
+            b'{"size":3,"values":[1.0,0.0,2.0]}', b'{"size":3,"indices":[0,2],"values":[1.0,2.0]}'
+        )
+        assert sparse != t.to_json_bytes()
+        with pytest.raises(TableError, match="'v'"):
+            DataTable.from_json_bytes(sparse)
+
     def test_fingerprint_sensitive_to_values(self):
         t1 = make_table(a=("numeric", [1.0]))
         t2 = make_table(a=("numeric", [2.0]))

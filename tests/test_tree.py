@@ -115,6 +115,17 @@ class TestParamsAndErrors:
         with pytest.raises(ValueError):
             DecisionTreeParams(threshold=0.0)
 
+    def test_max_depth_upper_bound(self):
+        with pytest.raises(ValueError, match=r"\[1, 30\]"):
+            DecisionTreeParams(max_depth=31)
+        with pytest.raises(ValueError):
+            DecisionTreeParams(max_depth=5000)
+        # the deepest allowed tree grows on data that splits one row per level
+        X = np.arange(3000.0).reshape(-1, 1)
+        y = np.arange(3000) % 2
+        model = train_decision_tree(X, y, DecisionTreeParams(max_depth=30))
+        assert model.probabilities(X).shape == (3000,)
+
     def test_empty_data(self):
         with pytest.raises(ModelError):
             train_decision_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))

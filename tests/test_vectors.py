@@ -9,7 +9,6 @@ from coverml.vectors import FeatureVector
 def test_dense_roundtrip():
     v = FeatureVector.dense([1.0, 0.0, 0.5])
     assert v.size == 3
-    assert not v.is_sparse
     assert np.array_equal(v.to_dense(), [1.0, 0.0, 0.5])
 
 
@@ -18,35 +17,13 @@ def test_dense_size_must_match():
         FeatureVector(4, [1.0, 2.0])
 
 
-def test_nan_rejected_dense_and_sparse():
+def test_nan_rejected():
     with pytest.raises(ValueError):
         FeatureVector.dense([1.0, float("nan")])
-    with pytest.raises(ValueError):
-        FeatureVector.sparse(3, [0], [float("nan")])
-
-
-def test_sparse_indices_strictly_ascending():
-    with pytest.raises(ValueError):
-        FeatureVector.sparse(5, [0, 0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        FeatureVector.sparse(5, [2, 1], [1.0, 2.0])
-
-
-def test_sparse_indices_bounds():
-    with pytest.raises(ValueError):
-        FeatureVector.sparse(3, [0, 3], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        FeatureVector.sparse(3, [-1], [1.0])
-
-
-def test_sparse_to_dense_scatter():
-    v = FeatureVector.sparse(7, [0, 2, 4], [1.0, 2.0, 3.0])
-    assert np.array_equal(v.to_dense(), [1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0])
 
 
 def test_display_formats():
     assert FeatureVector.dense([1.0, 0.5]).display() == "[1.0,0.5]"
-    assert FeatureVector.sparse(7, [0, 2, 4], [1.0, 2.0, 3.0]).display() == "(7,[0,2,4],[1.0,2.0,3.0])"
 
 
 def test_immutable():
@@ -57,12 +34,10 @@ def test_immutable():
         v.values[0] = 5.0
 
 
-def test_equality_distinguishes_representation():
-    dense = FeatureVector.dense([1.0, 0.0])
-    sparse = FeatureVector.sparse(2, [0], [1.0])
-    assert dense != sparse
-    assert np.array_equal(dense.to_dense(), sparse.to_dense())
-    assert sparse == FeatureVector.sparse(2, [0], [1.0])
+def test_equality_compares_size_and_values():
+    assert FeatureVector.dense([1.0, 0.0]) == FeatureVector.dense([1.0, 0.0])
+    assert FeatureVector.dense([1.0, 0.0]) != FeatureVector.dense([1.0, 0.5])
+    assert FeatureVector.dense([1.0]) != FeatureVector.dense([1.0, 0.0])
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), max_size=20))
@@ -71,18 +46,6 @@ def test_dict_roundtrip_dense(values):
     assert FeatureVector.from_dict(v.to_dict()) == v
 
 
-@given(
-    st.integers(min_value=1, max_value=30).flatmap(
-        lambda size: st.tuples(
-            st.just(size),
-            st.lists(st.integers(min_value=0, max_value=size - 1), unique=True, max_size=size).map(sorted),
-        )
-    )
-)
-def test_dict_roundtrip_sparse(size_and_idx):
-    size, idx = size_and_idx
-    values = [float(i) + 0.5 for i in range(len(idx))]
-    v = FeatureVector.sparse(size, idx, values)
-    back = FeatureVector.from_dict(v.to_dict())
-    assert back == v
-    assert np.array_equal(back.to_dense(), v.to_dense())
+def test_from_dict_rejects_sparse_form():
+    with pytest.raises(ValueError, match="size and values"):
+        FeatureVector.from_dict({"size": 3, "indices": [0, 2], "values": [1.0, 2.0]})
