@@ -287,9 +287,7 @@ def cmd_importance(args) -> int:
 
 
 def cmd_header(args) -> int:
-    header = read_header(args.model)
-    header.pop("_body_offset", None)
-    print(json.dumps(header, indent=2))
+    print(json.dumps(read_header(args.model), indent=2))
     return 0
 
 

@@ -45,15 +45,29 @@ class TrainedClassifier:
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def probabilities(self, X: np.ndarray) -> np.ndarray | None:
-        """Class-1 probabilities, or None for margin-only families."""
+    def _probabilities_of(self, raw: np.ndarray) -> np.ndarray | None:
+        """Class-1 probabilities from raw scores, or None for margin-only
+        families."""
         return None
 
-    def predictions(self, X: np.ndarray) -> np.ndarray:
-        prob = self.probabilities(X)
+    def probabilities(self, X: np.ndarray) -> np.ndarray | None:
+        """Class-1 probabilities, or None for margin-only families."""
+        return self._probabilities_of(self.raw_scores(X))
+
+    def scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Raw scores and probabilities (or None) from one pass over the model."""
+        raw = self.raw_scores(X)
+        return raw, self._probabilities_of(raw)
+
+    def predictions_from_scores(self, raw: np.ndarray, prob: np.ndarray | None) -> np.ndarray:
+        """0/1 predictions: probability above the threshold, or a positive
+        margin for families without probabilities."""
         if prob is None:
-            return (self.raw_scores(X) > 0.0).astype(np.int64)
+            return (raw > 0.0).astype(np.int64)
         return (prob > self.threshold).astype(np.int64)
+
+    def predictions(self, X: np.ndarray) -> np.ndarray:
+        return self.predictions_from_scores(*self.scores(X))
 
     def _check_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -76,9 +90,6 @@ def predict(model: TrainedClassifier, features: FeatureVector) -> Prediction:
     dense = features.to_dense()
     if not np.isfinite(dense).all():
         raise ModelError("feature vector contains non-finite values")
-    X = dense.reshape(1, -1)
-    raw = float(model.raw_scores(X)[0])
-    prob_arr = model.probabilities(X)
-    prob = None if prob_arr is None else float(prob_arr[0])
-    pred = int(model.predictions(X)[0])
-    return Prediction(raw, prob, pred)
+    raw, prob = model.scores(dense.reshape(1, -1))
+    pred = int(model.predictions_from_scores(raw, prob)[0])
+    return Prediction(float(raw[0]), None if prob is None else float(prob[0]), pred)

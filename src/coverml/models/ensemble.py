@@ -52,14 +52,14 @@ class RandomForestModel(TrainedClassifier):
         self.threshold = threshold
 
     def raw_scores(self, X):
-        return self.probabilities(X)
-
-    def probabilities(self, X):
         X = self._check_matrix(X)
         acc = np.zeros(X.shape[0], dtype=np.float64)
         for root in self.trees:
             acc += tree_apply(root, X, "prob")
         return acc / len(self.trees)
+
+    def _probabilities_of(self, raw):
+        return raw
 
     def feature_importances(self) -> np.ndarray:
         acc = np.zeros(self.n_features, dtype=np.float64)
@@ -163,8 +163,8 @@ class GbtModel(TrainedClassifier):
             F += self.learning_rate * tree_apply(root, X, "value")
         return F
 
-    def probabilities(self, X):
-        return sigmoid(2.0 * self.raw_scores(X))
+    def _probabilities_of(self, raw):
+        return sigmoid(2.0 * raw)
 
     def feature_importances(self) -> np.ndarray:
         acc = np.zeros(self.n_features, dtype=np.float64)

@@ -75,8 +75,8 @@ class FMModel(TrainedClassifier):
     def raw_scores(self, X):
         return fm_raw_scores(self._check_matrix(X), self.w0, self.w, self.V)
 
-    def probabilities(self, X):
-        return sigmoid(self.raw_scores(X))
+    def _probabilities_of(self, raw):
+        return sigmoid(raw)
 
     def to_dict(self) -> dict:
         return {

@@ -96,8 +96,8 @@ class LogisticModel(TrainedClassifier):
     def raw_scores(self, X):
         return self._check_matrix(X) @ self.weights + self.intercept
 
-    def probabilities(self, X):
-        return sigmoid(self.raw_scores(X))
+    def _probabilities_of(self, raw):
+        return sigmoid(raw)
 
     def to_dict(self) -> dict:
         return {
@@ -180,9 +180,6 @@ class LinearSvmModel(TrainedClassifier):
 
     def raw_scores(self, X):
         return self._check_matrix(X) @ self.weights + self.intercept
-
-    def probabilities(self, X):
-        return None
 
     def to_dict(self) -> dict:
         return {"weights": self.weights.tolist(), "intercept": self.intercept}

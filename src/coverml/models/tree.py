@@ -208,10 +208,10 @@ class DecisionTreeModel(TrainedClassifier):
         self.threshold = threshold
 
     def raw_scores(self, X):
-        return self.probabilities(X)
-
-    def probabilities(self, X):
         return tree_apply(self.root, self._check_matrix(X), "prob")
+
+    def _probabilities_of(self, raw):
+        return raw
 
     def feature_importances(self) -> np.ndarray:
         return normalized_importance(tree_importance(self.root, self.n_features))

@@ -70,42 +70,64 @@ def save_model(
         fh.write(body)
 
 
-def read_header(path) -> dict:
-    """Header only: family and version are recoverable without the body."""
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != MAGIC:
+#: Header keys that every model file carries.
+REQUIRED_HEADER_KEYS = ("format_version", "kind", "family", "body_sha256", "body_len")
+
+
+def _read_header(fh, path) -> dict:
+    """The header of the open model file `fh`, leaving it at the body."""
+    prefix = fh.read(12)
+    if len(prefix) < 12 or prefix[:4] != MAGIC:
         raise ModelFileError(f"{path}: not a coverml model file")
-    version, header_len = struct.unpack("<II", data[4:12])
+    version, header_len = struct.unpack("<II", prefix[4:])
     if version != FORMAT_VERSION:
         raise VersionError(
             f"{path}: unsupported model format version {version} (supported: {FORMAT_VERSION})"
         )
-    if len(data) < 12 + header_len:
+    raw = fh.read(header_len)
+    if len(raw) < header_len:
         raise ModelFileError(f"{path}: truncated header")
     try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFileError(f"{path}: corrupt header: {exc}") from exc
-    header["_body_offset"] = 12 + header_len
+    if not isinstance(header, dict):
+        raise ModelFileError(f"{path}: corrupt header: not a JSON object")
+    missing = [key for key in REQUIRED_HEADER_KEYS if key not in header]
+    if missing:
+        raise ModelFileError(f"{path}: corrupt header: missing {', '.join(missing)}")
     return header
+
+
+def read_header(path) -> dict:
+    """Header only: family and version are recoverable without the body."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def load_model(path) -> tuple[object, dict]:
     """Load and verify; returns (model-or-pipeline, header metadata)."""
-    header = read_header(path)
-    data = Path(path).read_bytes()
-    offset = header.pop("_body_offset")
-    body = data[offset:]
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        body = fh.read()
     if len(body) != header["body_len"]:
         raise ModelFileError(
             f"{path}: body is {len(body)} bytes, header declares {header['body_len']}"
         )
     if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
         raise ChecksumError(f"{path}: body checksum mismatch; file is corrupt")
-    doc = json.loads(body.decode("utf-8"))
-    if doc["kind"] == "pipeline":
-        return FittedPipeline.from_dict(doc["payload"]), header
-    if doc["kind"] == "classifier":
-        payload = doc["payload"]
-        return models.classifier_from_dict(payload["family"], payload["model"]), header
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFileError(f"{path}: corrupt body: {exc}") from exc
+    if not isinstance(doc, dict) or not {"kind", "payload"} <= doc.keys():
+        raise ModelFileError(f"{path}: corrupt body: expected an object with kind and payload")
+    payload = doc["payload"]
+    try:
+        if doc["kind"] == "pipeline":
+            return FittedPipeline.from_dict(payload), header
+        if doc["kind"] == "classifier":
+            return models.classifier_from_dict(payload["family"], payload["model"]), header
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ModelFileError(f"{path}: corrupt {doc['kind']} payload: {exc!r}") from exc
     raise ModelFileError(f"{path}: unknown payload kind {doc['kind']!r}")

@@ -181,22 +181,28 @@ class VectorAssembler:
         return self
 
     def transform(self, table: DataTable) -> DataTable:
-        cols = [(name, table.spec(name).kind, table.column(name)) for name in self.input_cols]
-        vectors = []
-        for row in range(table.row_count):
-            parts: list[float] = []
-            for name, kind, col in cols:
-                v = col[row]
-                if v is None:
-                    raise PipelineError(f"null value in column {name!r} at row {row}")
-                if kind == "vector":
-                    parts.extend(v.to_dense().tolist())
-                elif kind == "boolean":
-                    parts.append(1.0 if v else 0.0)
-                else:
-                    parts.append(float(v))
-            vectors.append(FeatureVector.dense(parts))
-        return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), vectors)
+        out = ColumnSpec(self.output_col, "vector", nullable=False)
+        if table.row_count == 0:
+            return table.with_column(out, [])
+        blocks = []
+        first_null: list[tuple[int, int, str]] = []
+        for pos, name in enumerate(self.input_cols):
+            col = table.column(name)
+            if table.spec(name).kind == "vector":
+                nulls = np.fromiter((v is None for v in col), dtype=bool, count=len(col))
+                block = None if nulls.any() else table.feature_matrix(name)
+            else:
+                # Checked scalars are finite, so NaN marks exactly the nulls.
+                block = np.array(col, dtype=np.float64)
+                nulls = np.isnan(block)
+            if nulls.any():
+                first_null.append((int(np.argmax(nulls)), pos, name))
+            blocks.append(block)
+        if first_null:
+            row, _, name = min(first_null)
+            raise PipelineError(f"null value in column {name!r} at row {row}")
+        matrix = np.column_stack(blocks) if blocks else np.zeros((table.row_count, 0))
+        return table.with_column(out, FeatureVector.rows_of(matrix))
 
     def to_dict(self) -> dict:
         return {"type": "assemble", "inputs": list(self.input_cols), "output": self.output_col}
@@ -271,25 +277,27 @@ class VectorIndexModel:
         keep_mask = np.ones(matrix.shape[0], dtype=bool)
         for dim, mapping in self.category_maps.items():
             col = matrix[:, dim]
-            for row in range(col.shape[0]):
-                idx = mapping.get(float(col[row]))
-                if idx is None:
-                    if self.handle_invalid == "keep":
-                        out[row, dim] = float(len(mapping))
-                    elif self.handle_invalid == "skip":
-                        keep_mask[row] = False
-                    else:
-                        raise PipelineError(
-                            f"unseen value {col[row]!r} in dimension {dim} of {self.input_col!r} at row {row}"
-                        )
-                else:
-                    out[row, dim] = float(idx)
+            keys = np.array(sorted(mapping), dtype=np.float64)
+            codes = np.array([mapping[k] for k in keys.tolist()] + [len(mapping)], dtype=np.float64)
+            at = np.searchsorted(keys, col)
+            # The NaN pad equals nothing, so values above every key are unseen.
+            seen = np.append(keys, np.nan)[at] == col
+            out[:, dim] = np.where(seen, codes[at], float(len(mapping)))
+            if seen.all():
+                continue
+            if self.handle_invalid == "skip":
+                keep_mask &= seen
+            elif self.handle_invalid == "error":
+                row = int(np.argmin(seen))
+                raise PipelineError(
+                    f"unseen value {col[row]!r} in dimension {dim} of {self.input_col!r} at row {row}"
+                )
         if not keep_mask.all():
-            kept = np.nonzero(keep_mask)[0].tolist()
-            table = table.select_rows(kept)
+            table = table.select_rows(np.flatnonzero(keep_mask).tolist())
             out = out[keep_mask]
-        vectors = [FeatureVector.dense(out[i]) for i in range(out.shape[0])]
-        return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), vectors)
+        return table.with_column(
+            ColumnSpec(self.output_col, "vector", nullable=False), FeatureVector.rows_of(out)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -373,8 +381,9 @@ class MinMaxModel:
         safe_span = np.where(constant, 1.0, span)
         scaled = (matrix - mins) / safe_span * (self.hi - self.lo) + self.lo
         scaled[:, constant] = (self.hi + self.lo) / 2.0
-        vectors = [FeatureVector.dense(scaled[i]) for i in range(scaled.shape[0])]
-        return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), vectors)
+        return table.with_column(
+            ColumnSpec(self.output_col, "vector", nullable=False), FeatureVector.rows_of(scaled)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -511,15 +520,12 @@ class FittedPipeline:
             X = table.feature_matrix(self.features_col)
         else:
             X = np.zeros((0, self.classifier.n_features))
-        raw = self.classifier.raw_scores(X)
-        prob = self.classifier.probabilities(X)
-        pred = self.classifier.predictions(X)
-        table = table.with_column(
-            ColumnSpec("rawScore", "numeric", nullable=False), [float(v) for v in raw]
-        )
+        raw, prob = self.classifier.scores(X)
+        pred = self.classifier.predictions_from_scores(raw, prob)
+        table = table.with_column(ColumnSpec("rawScore", "numeric", nullable=False), raw.tolist())
         if prob is not None:
             table = table.with_column(
-                ColumnSpec("probability", "numeric", nullable=False), [float(v) for v in prob]
+                ColumnSpec("probability", "numeric", nullable=False), prob.tolist()
             )
         table = table.with_column(
             ColumnSpec("prediction", "numeric", nullable=False), [float(v) for v in pred]

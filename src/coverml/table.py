@@ -103,12 +103,26 @@ def _check_value(spec: ColumnSpec, value, row: int):
     raise AssertionError(kind)
 
 
+def _checked_column(spec: ColumnSpec, values: Sequence, n: int | None) -> tuple:
+    """`values` as a stored column: every value checked against `spec`, and
+    the length against `n` when a row count is already fixed."""
+    col = tuple(values)
+    if n is not None and len(col) != n:
+        raise TableError(f"column {spec.name!r} has {len(col)} values, expected {n}")
+    return tuple(_check_value(spec, v, i) for i, v in enumerate(col))
+
+
 class DataTable:
     """Immutable columnar table with a typed schema.
 
     Columns are stored as tuples; every mutation-style operation returns a
     new table. Values must conform to the declared column kind; empty-string
     categories are disallowed so CSV round-trips stay value-identical.
+
+    Values are checked once, where they enter: the constructor, `read_csv`
+    and `from_json_bytes` check every cell. Derived tables reuse the checked
+    columns of their source; `with_column` and `replace_column` check only
+    the column they add, and `select_rows` checks nothing.
     """
 
     __slots__ = ("schema", "_columns", "row_count")
@@ -120,17 +134,24 @@ class DataTable:
         n = None
         stored = {}
         for spec in schema:
-            col = tuple(columns[spec.name])
-            if n is None:
-                n = len(col)
-            elif len(col) != n:
-                raise TableError(
-                    f"column {spec.name!r} has {len(col)} values, expected {n}"
-                )
-            stored[spec.name] = tuple(_check_value(spec, v, i) for i, v in enumerate(col))
+            stored[spec.name] = _checked_column(spec, columns[spec.name], n)
+            n = len(stored[spec.name])
+        self._init(schema, stored, 0 if n is None else n)
+
+    def _init(self, schema: tuple[ColumnSpec, ...], columns: dict[str, tuple], row_count: int):
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "_columns", stored)
-        object.__setattr__(self, "row_count", 0 if n is None else n)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "row_count", row_count)
+
+    @classmethod
+    def _trusted(
+        cls, schema: tuple[ColumnSpec, ...], columns: dict[str, tuple], row_count: int
+    ) -> "DataTable":
+        """A table over columns that already hold checked values of `schema`,
+        all `row_count` long; nothing is checked again."""
+        table = object.__new__(cls)
+        table._init(schema, columns, row_count)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("DataTable is immutable")
@@ -167,22 +188,18 @@ class DataTable:
     def with_column(self, spec: ColumnSpec, values: Sequence) -> "DataTable":
         if self.has_column(spec.name):
             raise TableError(f"column {spec.name!r} already exists")
-        cols = dict(self._columns)
-        cols[spec.name] = values
-        return DataTable(self.schema + (spec,), cols)
+        schema = validate_schema(self.schema + (spec,))
+        col = _checked_column(spec, values, self.row_count if self.schema else None)
+        return DataTable._trusted(schema, {**self._columns, spec.name: col}, len(col))
 
     def replace_column(self, name: str, values: Sequence) -> "DataTable":
-        self.spec(name)
-        cols = dict(self._columns)
-        cols[name] = values
-        return DataTable(self.schema, cols)
+        col = _checked_column(self.spec(name), values, self.row_count)
+        return DataTable._trusted(self.schema, {**self._columns, name: col}, self.row_count)
 
     def select_rows(self, indices: Iterable[int]) -> "DataTable":
         idx = list(indices)
-        cols = {
-            name: [col[i] for i in idx] for name, col in self._columns.items()
-        }
-        return DataTable(self.schema, cols)
+        cols = {name: tuple([col[i] for i in idx]) for name, col in self._columns.items()}
+        return DataTable._trusted(self.schema, cols, len(idx) if cols else 0)
 
     # -- numeric views -----------------------------------------------------
 
@@ -197,7 +214,7 @@ class DataTable:
         sizes = {v.size for v in col}
         if len(sizes) != 1:
             raise TableError(f"vector column {name!r} has varying sizes {sorted(sizes)}")
-        return np.stack([v.to_dense() for v in col])
+        return np.stack([v.values for v in col])
 
     def label_array(self) -> np.ndarray:
         name = self.label_column()

@@ -33,6 +33,26 @@ class FeatureVector:
         values = np.asarray(values, dtype=np.float64)
         return cls(values.shape[0], values)
 
+    @classmethod
+    def rows_of(cls, matrix) -> list["FeatureVector"]:
+        """One vector per row of a 2-D matrix. The NaN check runs once for the
+        whole matrix, and each vector's values are a read-only view of its row
+        in a private copy of the matrix."""
+        matrix = np.array(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError("matrix must be two-dimensional")
+        if np.isnan(matrix).any():
+            raise ValueError("feature vectors must not contain NaN")
+        matrix.setflags(write=False)
+        size = matrix.shape[1]
+        vectors = []
+        for row in matrix:
+            v = object.__new__(cls)
+            object.__setattr__(v, "size", size)
+            object.__setattr__(v, "values", row)
+            vectors.append(v)
+        return vectors
+
     def to_dense(self) -> np.ndarray:
         return self.values.copy()
 

@@ -1,10 +1,12 @@
 import json
 import re
+import struct
 
 import pytest
 
 from coverml.cli import main
 from coverml.datasets import SynthSpec, generate_synthetic
+from coverml.persist import read_header
 from coverml.stages import FittedPipeline
 from coverml.table import DataTable
 
@@ -290,6 +292,40 @@ class TestEvaluate:
         )
         assert code == 0
         assert "in-sample" in out
+
+
+def rewrite_header(path, header_bytes):
+    """The model file at `path` with its JSON header replaced."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[8:12])
+    body = data[12 + header_len :]
+    path.write_bytes(data[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + body)
+
+
+class TestMalformedModelFile:
+    def test_header_without_body_len(self, workdir, capsys):
+        train_gbt(workdir, capsys)
+        model = workdir / "m.bin"
+        header = read_header(model)
+        del header["body_len"]
+        rewrite_header(model, json.dumps(header).encode())
+        code, _, err = run(
+            capsys, "evaluate", "--model", str(model), "--data", str(workdir / "test.tbl")
+        )
+        assert code == 1
+        assert err.startswith("error:") and "body_len" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["evaluate", "header"])
+    def test_header_not_an_object(self, workdir, capsys, verb):
+        train_gbt(workdir, capsys)
+        model = workdir / "m.bin"
+        rewrite_header(model, b"[1]")
+        extra = ("--data", str(workdir / "test.tbl")) if verb == "evaluate" else ()
+        code, _, err = run(capsys, verb, "--model", str(model), *extra)
+        assert code == 1
+        assert err.startswith("error:") and "not a JSON object" in err
+        assert "Traceback" not in err
 
 
 class TestBenchmark:

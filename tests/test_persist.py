@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from coverml.datasets import derive_label, generate_synthetic, SynthSpec
 from coverml.persist import (
     FORMAT_VERSION,
     MAGIC,
+    REQUIRED_HEADER_KEYS,
     ChecksumError,
     ModelFileError,
     VersionError,
@@ -116,6 +119,59 @@ class TestCorruption:
         assert header["family"] == "dt"
         assert header["format_version"] == FORMAT_VERSION
         assert path.read_bytes()[:4] == MAGIC
+
+    def write_container(self, path, header, body: bytes):
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(
+            MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + body
+        )
+
+    @pytest.mark.parametrize("header", [[1], "text", None])
+    def test_header_not_an_object(self, tmp_path, header):
+        path = tmp_path / "m.bin"
+        self.write_container(path, header, b"{}")
+        for reader in (read_header, load_model):
+            with pytest.raises(ModelFileError, match="not a JSON object"):
+                reader(path)
+
+    @pytest.mark.parametrize("key", REQUIRED_HEADER_KEYS)
+    def test_header_missing_required_key(self, tmp_path, key):
+        path = self.save_one(tmp_path)
+        header = read_header(path)
+        body = path.read_bytes()[-header["body_len"] :]
+        del header[key]
+        self.write_container(path, header, body)
+        for reader in (read_header, load_model):
+            with pytest.raises(ModelFileError, match=key):
+                reader(path)
+
+    def write_body(self, path, doc):
+        body = json.dumps(doc).encode()
+        header = dict.fromkeys(REQUIRED_HEADER_KEYS)
+        header.update(body_len=len(body), body_sha256=hashlib.sha256(body).hexdigest())
+        self.write_container(path, header, body)
+
+    @pytest.mark.parametrize("doc", [{"payload": {}}, {"kind": "pipeline"}, [1]])
+    def test_body_without_kind_and_payload(self, tmp_path, doc):
+        path = tmp_path / "m.bin"
+        self.write_body(path, doc)
+        with pytest.raises(ModelFileError, match="kind and payload"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "pipeline", "payload": {"features_column": "features"}},
+            {"kind": "pipeline", "payload": [1]},
+            {"kind": "classifier", "payload": {"model": {}}},
+            {"kind": "classifier", "payload": {"family": "lr", "model": {"weights": [1.0]}}},
+        ],
+    )
+    def test_payload_missing_fields(self, tmp_path, doc):
+        path = tmp_path / "m.bin"
+        self.write_body(path, doc)
+        with pytest.raises(ModelFileError, match="payload"):
+            load_model(path)
 
     def test_unpersistable_object_rejected(self, tmp_path):
         with pytest.raises(ModelFileError):

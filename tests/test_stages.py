@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverml import models
 from coverml.stages import (
+    INVALID_POLICIES,
     FittedPipeline,
     MeanImputer,
     MinMaxScaler,
@@ -182,6 +184,142 @@ class TestVectorIndexer:
             model.transform(bad)
 
 
+# Per-row references: the loops that VectorAssembler and VectorIndexModel
+# ran before they became array operations.
+
+
+def assemble_rows(table, input_cols):
+    out = []
+    for row in range(table.row_count):
+        parts = []
+        for name in input_cols:
+            v = table.column(name)[row]
+            kind = table.spec(name).kind
+            if v is None:
+                raise PipelineError(f"null value in column {name!r} at row {row}")
+            if kind == "vector":
+                parts.extend(v.to_dense().tolist())
+            elif kind == "boolean":
+                parts.append(1.0 if v else 0.0)
+            else:
+                parts.append(float(v))
+        out.append(FeatureVector.dense(parts).display())
+    return out
+
+
+def index_rows(model, rows):
+    out = [list(r) for r in rows]
+    kept = [True] * len(rows)
+    for dim, mapping in model.category_maps.items():
+        for row, values in enumerate(rows):
+            idx = mapping.get(float(values[dim]))
+            if idx is not None:
+                out[row][dim] = float(idx)
+            elif model.handle_invalid == "keep":
+                out[row][dim] = float(len(mapping))
+            elif model.handle_invalid == "skip":
+                kept[row] = False
+            else:
+                raise PipelineError(
+                    f"unseen value {np.float64(values[dim])!r} in dimension {dim} "
+                    f"of {model.input_col!r} at row {row}"
+                )
+    return [float(i) for i in range(len(rows)) if kept[i]], [
+        FeatureVector.dense(r).display() for r, k in zip(out, kept) if k
+    ]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except PipelineError as exc:
+        return str(exc)
+
+
+POOL = (-0.0, 0.0, 1.0, 2.5, -3.0, 7.0)
+
+
+class TestArrayStagesMatchRowLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8), with_nulls=st.booleans())
+    def test_assembler(self, data, n, with_nulls):
+        def column(values):
+            values = st.none() | values if with_nulls else values
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        vec = st.lists(st.sampled_from(POOL), min_size=2, max_size=2).map(FeatureVector.dense)
+        t = table_of(
+            x=("numeric", column(st.sampled_from(POOL))),
+            b=("boolean", column(st.booleans())),
+            y=("label", data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+            v=("vector", column(vec)),
+        )
+        order = data.draw(st.permutations(["x", "b", "y", "v"]))
+        inputs = tuple(order[: data.draw(st.integers(1, 4))])
+
+        def assembled():
+            out = VectorAssembler(inputs, "f").transform(t)
+            return [fv.display() for fv in out.column("f")]
+
+        assert outcome(assembled) == outcome(lambda: assemble_rows(t, inputs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        size=st.integers(1, 3),
+        max_categories=st.integers(1, 6),
+        policy=st.sampled_from(INVALID_POLICIES),
+    )
+    def test_vector_indexer(self, data, size, max_categories, policy):
+        def rows(pool, min_size):
+            row = st.lists(st.sampled_from(pool), min_size=size, max_size=size)
+            return data.draw(st.lists(row, min_size=min_size, max_size=10))
+
+        fit_pool = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4))
+        fit = table_of(v=("vector", [FeatureVector.dense(r) for r in rows(fit_pool, 1)]))
+        model = VectorIndexer("v", "o", max_categories, policy).fit(fit)
+        # Codes in any order, as a hand-edited model file may hold them.
+        maps = {}
+        for dim, mapping in model.category_maps.items():
+            codes = data.draw(st.permutations(list(mapping.values())))
+            maps[dim] = dict(zip(mapping, codes))
+        model = type(model)(model.input_col, model.output_col, model.size, maps, policy)
+
+        test_rows = rows(POOL, 0)
+        t = table_of(
+            v=("vector", [FeatureVector.dense(r) for r in test_rows]),
+            id=("numeric", [float(i) for i in range(len(test_rows))]),
+        )
+
+        def indexed():
+            out = model.transform(t)
+            return list(out.column("id")), [fv.display() for fv in out.column("o")]
+
+        assert outcome(indexed) == outcome(lambda: index_rows(model, test_rows))
+
+    def test_negative_zero_matches_zero_category(self):
+        t = table_of(v=("vector", [FeatureVector.dense([0.0]), FeatureVector.dense([1.0])]))
+        model = VectorIndexer("v", "o", 4, "error").fit(t)
+        out = model.transform(table_of(v=("vector", [FeatureVector.dense([-0.0])])))
+        assert out.column("o")[0].display() == "[0.0]"
+
+    def test_first_null_in_row_order_is_named(self):
+        t = table_of(a=("numeric", [1.0, 2.0, None]), b=("numeric", [1.0, None, None]))
+        with pytest.raises(PipelineError, match="'b' at row 1"):
+            VectorAssembler(("a", "b"), "f").transform(t)
+        with pytest.raises(PipelineError, match="'b' at row 1"):
+            VectorAssembler(("b", "a"), "f").transform(t)
+
+    def test_first_unseen_value_is_named(self):
+        model = VectorIndexer("v", "o", 4, "error").fit(
+            table_of(v=("vector", [FeatureVector.dense([0.0, 0.0])]))
+        )
+        rows = [[0.0, 0.0], [0.0, 5.0], [4.0, 0.0], [3.0, 0.0]]
+        t = table_of(v=("vector", [FeatureVector.dense(r) for r in rows]))
+        with pytest.raises(PipelineError, match=r"value (np\.float64\()?4\.0\)? in dimension 0 of 'v' at row 2"):
+            model.transform(t)
+
+
 class TestMinMax:
     def test_three_point_rescale(self):
         t = table_of(v=("vector", [FeatureVector.dense([x]) for x in (10.0, 20.0, 30.0)]))
@@ -328,6 +466,31 @@ class TestPipeline:
         out = fitted.transform(t)
         assert not out.has_column("probability")
         assert out.has_column("rawScore")
+
+    @pytest.mark.parametrize("family", models.FAMILY_ORDER)
+    def test_transform_scores_once(self, family, monkeypatch):
+        t = ten_row_fixture()
+        params = models.default_params(family)
+        fitted = fit_pipeline(default_pipeline_spec(t), t, classifier=(family, params))
+        model = fitted.classifier
+        calls = []
+        original = type(model).raw_scores
+
+        def counting(self, X):
+            calls.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(type(model), "raw_scores", counting)
+        out = fitted.transform(t)
+        assert calls == [t.row_count]
+        X = out.feature_matrix("features")
+        assert out.column("rawScore") == tuple(model.raw_scores(X).tolist())
+        prob = model.probabilities(X)
+        if prob is None:
+            assert not out.has_column("probability")
+        else:
+            assert out.column("probability") == tuple(prob.tolist())
+        assert out.column("prediction") == tuple(model.predictions(X).astype(float).tolist())
 
     def test_fitting_twice_gives_identical_transformers(self):
         t = ten_row_fixture()

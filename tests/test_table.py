@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverml.table as table_module
 from coverml.table import (
     ColumnSpec,
     CsvFormatError,
@@ -131,6 +132,99 @@ class TestDataTable:
         t1 = make_table(a=("numeric", [1.0]))
         t2 = make_table(a=("numeric", [2.0]))
         assert t1.fingerprint() != t2.fingerprint()
+
+
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """Names the column of every per-cell check a table operation makes."""
+    calls = []
+    original = table_module._check_value
+
+    def counting(spec, value, row):
+        calls.append(spec.name)
+        return original(spec, value, row)
+
+    monkeypatch.setattr(table_module, "_check_value", counting)
+    return calls
+
+
+def sample_table():
+    return DataTable(
+        [
+            ColumnSpec("a", "numeric", nullable=False),
+            ColumnSpec("s", "categorical_text"),
+            ColumnSpec("y", "label", nullable=False),
+        ],
+        {"a": [1.0, 2, -0.0], "s": ["x", None, "y"], "y": [0, 1, 1]},
+    )
+
+
+class TestValidateOnce:
+    def test_entry_points_check_every_cell(self, check_calls, tmp_path):
+        t = sample_table()
+        assert len(check_calls) == 9
+        check_calls.clear()
+        assert DataTable.from_json_bytes(t.to_json_bytes()) == t
+        assert len(check_calls) == 9
+        write_csv(t, tmp_path / "t.csv")
+        check_calls.clear()
+        assert read_csv(tmp_path / "t.csv", t.schema) == t
+        assert len(check_calls) == 9
+
+    def test_select_rows_checks_nothing(self, check_calls):
+        t = sample_table()
+        check_calls.clear()
+        out = t.select_rows([2, 0, 2])
+        assert check_calls == []
+        assert out.row_count == 3
+        assert out.column("s") == ("y", "x", "y")
+        assert out == DataTable(t.schema, {n: out.column(n) for n in t.column_names})
+
+    def test_select_rows_out_of_range(self):
+        with pytest.raises(IndexError):
+            sample_table().select_rows([0, 3])
+
+    def test_with_column_checks_only_the_new_column(self, check_calls):
+        t = sample_table()
+        check_calls.clear()
+        out = t.with_column(ColumnSpec("n", "numeric"), [1, None, 2.5])
+        assert check_calls == ["n"] * t.row_count
+        assert out.column("n") == (1.0, None, 2.5)
+        assert isinstance(out.column("n")[0], float)
+        rebuilt = DataTable(out.schema, {n: out.column(n) for n in out.column_names})
+        assert out == rebuilt and out.fingerprint() == rebuilt.fingerprint()
+
+    def test_replace_column_checks_only_that_column(self, check_calls):
+        t = sample_table()
+        check_calls.clear()
+        out = t.replace_column("a", [4.0, 5.0, 6.0])
+        assert check_calls == ["a"] * t.row_count
+        assert out.column("a") == (4.0, 5.0, 6.0) and out.column("s") == t.column("s")
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("a", [math.nan, 1.0, 2.0]),
+            ("a", ["x", 1.0, 2.0]),
+            ("a", [None, 1.0, 2.0]),
+            ("a", [1.0, 2.0]),
+            ("y", [2, 0, 1]),
+        ],
+    )
+    def test_derived_columns_reject_bad_values(self, name, values):
+        t = sample_table()
+        with pytest.raises(TableError):
+            t.replace_column(name, values)
+        spec = ColumnSpec(name + "2", t.spec(name).kind, nullable=False)
+        with pytest.raises(TableError):
+            t.with_column(spec, values)
+
+    def test_with_column_rejects_duplicate_and_second_label(self):
+        t = sample_table()
+        with pytest.raises(TableError, match="already exists"):
+            t.with_column(ColumnSpec("s", "categorical_text"), ["a", "b", "c"])
+        with pytest.raises(TableError, match="label"):
+            t.with_column(ColumnSpec("y2", "label"), [0, 1, 0])
 
 
 SCHEMA = [
