@@ -74,14 +74,12 @@ def params_from_dict(family: str, d: dict):
     return cls(**d)
 
 
-def train(family: str, X, y, params=None, n_threads: int = 1) -> TrainedClassifier:
+def train(family: str, X, y, params=None) -> TrainedClassifier:
     cls, _, trainer = _FAMILIES[check_family(family)]
     if params is None:
         params = cls()
     if not isinstance(params, cls):
         raise ModelError(f"params for family {family!r} must be {cls.__name__}")
-    if family == "rf":
-        return trainer(X, y, params, n_threads=n_threads)
     return trainer(X, y, params)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +78,11 @@ class RandomForestModel(TrainedClassifier):
         return cls([TreeNode.from_dict(t) for t in d["trees"]], d["n_features"], d["threshold"])
 
 
-def train_random_forest(
-    X, y, params: RandomForestParams = RandomForestParams(), n_threads: int = 1
-) -> RandomForestModel:
+def train_random_forest(X, y, params: RandomForestParams = RandomForestParams()) -> RandomForestModel:
     """Bootstrap-aggregated CART trees with per-split feature subsets.
 
     Each tree's generator is derived from (seed, tree index), so the forest
-    is identical across runs and worker counts.
+    is identical across runs.
     """
     X, y = check_training_data(X, y)
     n, d = X.shape
@@ -108,11 +105,7 @@ def train_random_forest(
             rng=rng,
         )
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trees = list(pool.map(fit_one, range(params.num_trees)))
-    else:
-        trees = [fit_one(t) for t in range(params.num_trees)]
+    trees = [fit_one(t) for t in range(params.num_trees)]
     return RandomForestModel(trees, d, params.threshold)
 
 

@@ -92,6 +92,14 @@ def build_tree(
 ) -> TreeNode:
     """Grow one CART tree; `task` is "gini" (y in {0,1}) or "sse" (real y).
 
+    Every column is argsorted once, stably, into a `d × n` order matrix
+    (the presorted attribute lists of SLIQ and SPRINT). A split partitions
+    each node's order matrix into its children with one boolean mask; the
+    filter is stable, so each child keeps, per feature, the order a stable
+    argsort of its own rows would give (ties in row order). Each node scores
+    all its candidate features in one kernel call, which breaks ties by the
+    lowest feature, then the lowest threshold.
+
     When `n_subset_features` is set, each split considers a fresh random
     subset of that many features drawn from `rng` (depth-first order, so the
     tree is a pure function of the generator's seed).
@@ -101,52 +109,62 @@ def build_tree(
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     kernel = kernels.best_split_gini if task == "gini" else kernels.best_split_sse
-    X = np.ascontiguousarray(X, dtype=np.float64)
     yf = np.ascontiguousarray(y, dtype=np.float64)
-    n, d = X.shape
+    n, d = np.shape(X)
     if n_subset_features is not None and rng is None:
         raise ValueError("feature subsetting requires an rng")
+    # Feature-major values: X_flat[f * n + r] is row r's value of feature f.
+    X_flat = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T).reshape(-1)
+    col_start = (np.arange(d) * n)[:, None]
+    goes_left = np.empty(n, dtype=bool)
 
-    def stats(idx: np.ndarray) -> dict:
+    def stats(target: np.ndarray) -> dict:
         if task == "gini":
-            c1 = int(yf[idx].sum())
-            counts = (idx.size - c1, c1)
-            return {"class_counts": counts, "prob": c1 / idx.size}
-        return {"value": float(yf[idx].mean())}
+            c1 = int(target.sum())
+            counts = (target.size - c1, c1)
+            return {"class_counts": counts, "prob": c1 / target.size}
+        return {"value": float(target.mean())}
 
-    def is_pure(idx: np.ndarray) -> bool:
-        col = yf[idx]
-        return bool((col == col[0]).all())
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        leaf = TreeNode(n_samples=idx.size, **stats(idx))
-        if depth >= max_depth or idx.size < min_instances or is_pure(idx):
-            return leaf
+    def grow(idx: np.ndarray, order: np.ndarray, depth: int) -> TreeNode:
+        # idx holds the node's rows ascending; row f of the (d, m) `order`
+        # holds the same rows sorted by feature f.
+        target = yf[idx]
+        node = {"n_samples": idx.size, **stats(target)}
+        if depth >= max_depth or idx.size < min_instances or (target == target[0]).all():
+            return TreeNode(**node)
         if n_subset_features is None or n_subset_features >= d:
-            feats = range(d)
+            feats, rows, starts = None, order, col_start
         else:
             feats = np.sort(rng.choice(d, size=n_subset_features, replace=False))
-        best_f, best_thr, best_dec = -1, 0.0, float("-inf")
-        target = np.ascontiguousarray(yf[idx])
-        for f in feats:
-            x = np.ascontiguousarray(X[idx, f])
-            order = np.argsort(x, kind="stable")
-            thr, dec = kernel(np.ascontiguousarray(x[order]), np.ascontiguousarray(target[order]))
-            if dec > best_dec:
-                best_f, best_thr, best_dec = int(f), thr, dec
-        if best_f < 0:
-            return leaf
-        mask = X[idx, best_f] <= best_thr
-        return replace(
-            leaf,
-            feature=best_f,
-            threshold=best_thr,
-            decrease=best_dec,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
+            rows, starts = order[feats], col_start[feats]
+        pos, thr, dec = kernel(X_flat.take(rows + starts).T, yf.take(rows).T)
+        if pos < 0:
+            return TreeNode(**node)
+        f = pos if feats is None else int(feats[pos])
+        mask = X_flat.take(idx + f * n) <= thr
+        goes_left[idx] = mask
+        left = goes_left.take(order)
+        # Popped one at a time, so a child's order matrix is referenced only
+        # while that child grows.
+        children = [order[~left].reshape(d, -1), order[left].reshape(d, -1)]
+        del order, rows, left
+        return TreeNode(
+            **node,
+            feature=f,
+            threshold=thr,
+            decrease=dec,
+            left=grow(idx[mask], children.pop(), depth + 1),
+            right=grow(idx[~mask], children.pop(), depth + 1),
         )
 
-    return grow(np.arange(n), 0)
+    return grow(np.arange(n), _presort(X_flat.reshape(d, n)), 0)
+
+
+def _presort(columns: np.ndarray) -> np.ndarray:
+    """Stable argsort of every row of a (d, n) matrix, as compact indices."""
+    n = columns.shape[1]
+    index_type = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    return np.argsort(columns, axis=1, kind="stable").astype(index_type)
 
 
 def tree_apply(root: TreeNode, X: np.ndarray, field: str) -> np.ndarray:

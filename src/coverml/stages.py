@@ -577,7 +577,6 @@ def fit_pipeline(
     spec: PipelineSpec,
     table: DataTable,
     classifier: tuple[str, object] | None = None,
-    n_threads: int = 1,
 ) -> FittedPipeline:
     """Fit every estimator on the cumulatively transformed table; when a
     (family, params) pair is given, finish by training that classifier on the
@@ -599,5 +598,5 @@ def fit_pipeline(
         family, params = classifier
         X = table.feature_matrix(spec.features_col)
         y = table.label_array()
-        trained = models.train(family, X, y, params, n_threads=n_threads)
+        trained = models.train(family, X, y, params)
     return FittedPipeline(tuple(fitted), spec.features_col, trained, feature_names)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -550,3 +551,39 @@ class TestSynthXor:
         t = DataTable.from_json_bytes((tmp_path / "s.tbl").read_bytes())
         assert t.row_count == 123
         assert t == generate_synthetic(spec)
+
+
+class TestTreeModelBytes:
+    """sha256 of tree-family model files, recorded before split finding moved
+    to presorted columns and one kernel call per node; any change to a split,
+    threshold or decrease changes these."""
+
+    GRIDS = {
+        "dt": {"max_depth": [10]},
+        "rf": {"num_trees": [8], "max_depth": [8]},
+        "gbt": {"num_iterations": [5]},
+    }
+    DIGESTS = {
+        "dt": "21bad03913bb180e4722a722854bc82aad9a099c9bebb627baa02fa451f95708",
+        "rf": "c4876006b8649204b4805305a5376b6c196a8d8bc81d9cdabfc4497074074e48",
+        "gbt": "82890323eed3029a9558a4073fd06e8125f6697daccb2142983f8722e6d09563",
+    }
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("pinned")
+        assert main(["synth", "--rows", "600", "--seed", "1", "--out", str(d / "raw.tbl"),
+                     "--csv-out", str(d / "raw.csv"), "--schema-out", str(d / "schema.json")]) == 0
+        assert main(["ingest", "--input", str(d / "raw.csv"), "--schema", str(d / "schema.json"),
+                     "--derive-label", "--out", str(d / "data.tbl")]) == 0
+        return d
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_model_file_digest(self, data, family, capsys):
+        grid = data / f"grid_{family}.json"
+        grid.write_text(json.dumps({"axes": self.GRIDS[family]}))
+        out = data / f"{family}.bin"
+        code, _, err = run(capsys, "train", "--data", str(data / "data.tbl"), "--model", family,
+                           "--grid", str(grid), "--seed", "1", "--out", str(out))
+        assert code == 0, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[family]

@@ -34,13 +34,6 @@ class TestRandomForest:
         assert np.array_equal(rf.probabilities(X), dt.probabilities(X))
         assert np.array_equal(rf.predictions(X), dt.predictions(X))
 
-    def test_seed_determinism_across_threads(self):
-        X, y = separable(150, seed=2)
-        params = RandomForestParams(num_trees=12, seed=9)
-        serial = train_random_forest(X, y, params, n_threads=1)
-        threaded = train_random_forest(X, y, params, n_threads=4)
-        assert serial.to_dict() == threaded.to_dict()
-
     def test_different_seed_changes_forest(self):
         X, y = separable(150, seed=2)
         a = train_random_forest(X, y, RandomForestParams(num_trees=5, seed=1))

@@ -5,6 +5,8 @@ from coverml import kernels
 
 from helpers import gini
 
+NO_SPLIT = (-1, float("nan"), float("-inf"))
+
 
 def brute_gini(x, y):
     """Direct formula evaluation at every boundary of a sorted feature."""
@@ -28,6 +30,11 @@ def brute_gini(x, y):
     return best
 
 
+def one_feature(x):
+    """A node of len(x) rows and one candidate feature."""
+    return np.asarray(x, dtype=np.float64)[:, None]
+
+
 def sorted_case(rng, n, tie_heavy):
     x = rng.random(n)
     if tie_heavy:
@@ -37,34 +44,63 @@ def sorted_case(rng, n, tie_heavy):
     return x, y
 
 
+def node_case(rng, m, k, tie_heavy, real_target):
+    """One node as the tree builder lays it out: (m, k) sorted values and the
+    targets in each column's order, ties kept in row order."""
+    X = rng.random((m, k))
+    if tie_heavy:
+        X = np.round(X, 1)
+    y = rng.normal(size=m) if real_target else rng.integers(0, 2, size=m).astype(np.float64)
+    order = np.argsort(X, axis=0, kind="stable")
+    return np.take_along_axis(X, order, axis=0), y[order]
+
+
 def same_split(a, b):
-    """Bitwise-equal splits; the no-split sentinel (nan, -inf) compares equal."""
-    if np.isneginf(a[1]) and np.isneginf(b[1]):
-        return np.isnan(a[0]) and np.isnan(b[0])
+    """Bitwise-equal splits; the no-split sentinel (-1, nan, -inf) compares equal."""
+    if np.isneginf(a[2]) and np.isneginf(b[2]):
+        return a[0] == b[0] == -1 and np.isnan(a[1]) and np.isnan(b[1])
     return a == b
+
+
+def per_column_best(kernel, xs, ys):
+    """The split the multi-feature contract promises, from one call per
+    column: the largest decrease, ties to the lowest column."""
+    best = NO_SPLIT
+    for j in range(xs.shape[1]):
+        pos, thr, dec = kernel(xs[:, j : j + 1], ys[:, j : j + 1])
+        assert pos in (0, -1)
+        if dec > best[2]:
+            best = (j, thr, dec)
+    return best
 
 
 def test_constant_feature_has_no_split():
     x = np.full(5, 2.0)
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    thr, dec = kernels.best_split_gini(x, y)
-    assert dec == float("-inf") and np.isnan(thr)
-    thr, dec = kernels.best_split_sse(x, y)
-    assert dec == float("-inf") and np.isnan(thr)
+    for kernel in (kernels.best_split_gini, kernels.best_split_sse):
+        assert same_split(kernel(one_feature(x), one_feature(y)), NO_SPLIT)
+        assert same_split(kernel(np.tile(x[:, None], 3), np.tile(y[:, None], 3)), NO_SPLIT)
+        assert same_split(kernel(one_feature([7.0]), one_feature([1.0])), NO_SPLIT)
 
 
 def test_gini_matches_brute_force():
     rng = np.random.default_rng(0)
     for trial in range(200):
         x, y = sorted_case(rng, int(rng.integers(2, 40)), trial % 2 == 0)
-        assert same_split(kernels.best_split_gini(x, y), brute_gini(x.tolist(), y.tolist()))
+        pos, thr, dec = kernels.best_split_gini(one_feature(x), one_feature(y))
+        assert pos == (-1 if np.isneginf(dec) else 0)
+        expected = brute_gini(x.tolist(), y.tolist())
+        if np.isneginf(expected[1]):
+            assert np.isneginf(dec) and np.isnan(thr)
+        else:
+            assert (thr, dec) == expected
 
 
 def test_sse_picks_variance_reducing_threshold():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    y = np.array([5.0, 5.0, -5.0, -5.0])
-    thr, dec = kernels.best_split_sse(x, y)
-    assert thr == 1.5
+    x = one_feature([0.0, 1.0, 2.0, 3.0])
+    y = one_feature([5.0, 5.0, -5.0, -5.0])
+    pos, thr, dec = kernels.best_split_sse(x, y)
+    assert (pos, thr) == (0, 1.5)
     assert dec == pytest.approx(25.0)
 
 
@@ -95,15 +131,102 @@ def test_sse_matches_brute_force():
         x, _ = sorted_case(rng, int(rng.integers(2, 40)), trial % 2 == 0)
         y = rng.normal(size=x.shape[0])
         candidates = brute_sse(x.tolist(), y.tolist())
-        thr, dec = kernels.best_split_sse(x, y)
+        pos, thr, dec = kernels.best_split_sse(one_feature(x), one_feature(y))
         if not candidates:
-            assert np.isneginf(dec) and np.isnan(thr)
+            assert same_split((pos, thr, dec), NO_SPLIT)
             continue
         decs = sorted(d for _, d in candidates)
         if len(decs) > 1 and decs[-1] - decs[-2] < 1e-9:
             continue  # near-tie: the winner depends on rounding
         best_thr, best_dec = max(candidates, key=lambda c: c[1])
-        assert thr == best_thr
+        assert pos == 0 and thr == best_thr
         assert dec == pytest.approx(best_dec, rel=1e-9, abs=1e-12)
         checked += 1
     assert checked > 150
+
+
+@pytest.mark.parametrize("task", ["gini", "sse"])
+def test_multi_feature_matches_per_column_calls(task):
+    """Scoring k columns in one call gives, bit for bit, the best of k
+    one-column calls, ties to the lowest column."""
+    kernel = kernels.best_split_gini if task == "gini" else kernels.best_split_sse
+    rng = np.random.default_rng(2)
+    for trial in range(300):
+        m, k = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+        xs, ys = node_case(rng, m, k, trial % 2 == 0, task == "sse")
+        if trial % 5 == 0:
+            xs[:, int(rng.integers(0, k))] = 0.25  # a constant column
+        assert same_split(kernel(xs, ys), per_column_best(kernel, xs, ys))
+
+
+def test_gini_multi_feature_matches_brute_force():
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        m, k = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+        xs, ys = node_case(rng, m, k, trial % 2 == 0, real_target=False)
+        expected = NO_SPLIT
+        for j in range(k):
+            thr, dec = brute_gini(xs[:, j].tolist(), ys[:, j].tolist())
+            if dec > expected[2]:
+                expected = (j, thr, dec)
+        assert same_split(kernels.best_split_gini(xs, ys), expected)
+
+
+def test_sse_multi_feature_matches_brute_force():
+    rng = np.random.default_rng(4)
+    checked = 0
+    for trial in range(200):
+        m, k = int(rng.integers(2, 30)), int(rng.integers(2, 6))
+        xs, ys = node_case(rng, m, k, trial % 2 == 0, real_target=True)
+        candidates = [
+            (dec, j, thr)
+            for j in range(k)
+            for thr, dec in brute_sse(xs[:, j].tolist(), ys[:, j].tolist())
+        ]
+        pos, thr, dec = kernels.best_split_sse(xs, ys)
+        if not candidates:
+            assert same_split((pos, thr, dec), NO_SPLIT)
+            continue
+        decs = sorted(c[0] for c in candidates)
+        if len(decs) > 1 and decs[-1] - decs[-2] < 1e-9:
+            continue  # near-tie: the winner depends on rounding
+        best_dec, best_j, best_thr = max(candidates)
+        assert (pos, thr) == (best_j, best_thr)
+        assert dec == pytest.approx(best_dec, rel=1e-9, abs=1e-12)
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("kernel", [kernels.best_split_gini, kernels.best_split_sse])
+def test_equal_columns_tie_to_the_lowest_feature(kernel):
+    rng = np.random.default_rng(5)
+    xs, ys = node_case(rng, 25, 1, tie_heavy=True, real_target=kernel is kernels.best_split_sse)
+    single = kernel(xs, ys)
+    constant = np.zeros_like(xs)
+    pos, thr, dec = kernel(np.hstack([constant, xs, xs, xs]), np.hstack([ys, ys, ys, ys]))
+    assert (pos, thr, dec) == (1, single[1], single[2])
+
+
+@pytest.mark.parametrize("kernel", [kernels.best_split_gini, kernels.best_split_sse])
+def test_tie_break_feature_before_threshold(kernel):
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    # Mirror-image targets: cut 2.5 of the first column and cut 0.5 of the
+    # second give the same decrease; the lower feature wins although its
+    # threshold is higher.
+    high, low = np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])
+    xs = np.column_stack([x, x])
+    pos, thr, _ = kernel(xs, np.column_stack([high, low]))
+    assert (pos, thr) == (0, 2.5)
+    pos, thr, _ = kernel(xs, np.column_stack([low, high]))
+    assert (pos, thr) == (0, 0.5)
+    # Within one column, symmetric targets tie at 0.5 and 2.5: the lower wins.
+    pos, thr, _ = kernel(one_feature(x), one_feature([1.0, 0.0, 0.0, 1.0]))
+    assert (pos, thr) == (0, 0.5)
+
+
+def test_midpoint_never_rounds_up_to_the_right_value():
+    lo = 1.0
+    hi = np.nextafter(lo, 2.0)
+    pos, thr, _ = kernels.best_split_gini(one_feature([lo, hi]), one_feature([0.0, 1.0]))
+    assert (pos, thr) == (0, lo)
+

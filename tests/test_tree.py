@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from coverml import kernels
 from coverml.models.base import ModelError
 from coverml.models.tree import (
     DecisionTreeModel,
@@ -106,6 +109,160 @@ class TestInduction:
         root = build_tree(X, y, max_depth=1, task="sse")
         assert root.threshold == 1.5
         assert root.left.value == 1.0 and root.right.value == -3.0
+
+
+def scan_one_feature(x, y, task):
+    """The per-feature split scan that presorted induction replaced: one
+    sorted column in, (threshold, decrease) out, ties to the lowest threshold."""
+    n = x.shape[0]
+    cut = np.nonzero(x[:-1] != x[1:])[0]
+    if cut.size == 0:
+        return float("nan"), float("-inf")
+    total = float(n)
+    nl = (cut + 1).astype(np.float64)
+    nr = total - nl
+    if task == "gini":
+        csum = np.cumsum(y)
+        c1 = csum[-1]
+        p1 = c1 / total
+        p0 = (total - c1) / total
+        g_parent = 1.0 - p1 * p1 - p0 * p0
+        cl = csum[cut]
+        cr = c1 - cl
+        pl1 = cl / nl
+        pl0 = (nl - cl) / nl
+        gl = 1.0 - pl1 * pl1 - pl0 * pl0
+        pr1 = cr / nr
+        pr0 = (nr - cr) / nr
+        gr = 1.0 - pr1 * pr1 - pr0 * pr0
+        dec = g_parent - (nl / total) * gl - (nr / total) * gr
+    else:
+        s = np.cumsum(y)
+        ss = np.cumsum(y * y)
+        m = s[-1] / total
+        imp = ss[-1] / total - m * m
+        ml = s[cut] / nl
+        il = ss[cut] / nl - ml * ml
+        mr = (s[-1] - s[cut]) / nr
+        ir = (ss[-1] - ss[cut]) / nr - mr * mr
+        dec = imp - (nl / total) * il - (nr / total) * ir
+    best = int(np.argmax(dec))
+    mid = 0.5 * (x[cut] + x[cut + 1])
+    mid = np.where(mid == x[cut + 1], x[cut], mid)
+    return float(mid[best]), float(dec[best])
+
+
+def reference_build_tree(X, y, *, max_depth, min_instances=1, task="gini", n_subset_features=None, rng=None):
+    """Per-node induction: a stable argsort and a scan for every candidate
+    feature of every node, the lowest feature kept on ties."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    yf = np.ascontiguousarray(y, dtype=np.float64)
+    d = X.shape[1]
+
+    def grow(idx, depth):
+        if task == "gini":
+            c1 = int(yf[idx].sum())
+            leaf = TreeNode(n_samples=idx.size, class_counts=(idx.size - c1, c1), prob=c1 / idx.size)
+        else:
+            leaf = TreeNode(n_samples=idx.size, value=float(yf[idx].mean()))
+        target = yf[idx]
+        if depth >= max_depth or idx.size < min_instances or (target == target[0]).all():
+            return leaf
+        if n_subset_features is None or n_subset_features >= d:
+            feats = range(d)
+        else:
+            feats = np.sort(rng.choice(d, size=n_subset_features, replace=False))
+        best_f, best_thr, best_dec = -1, 0.0, float("-inf")
+        for f in feats:
+            x = X[idx, f]
+            order = np.argsort(x, kind="stable")
+            thr, dec = scan_one_feature(x[order], target[order], task)
+            if dec > best_dec:
+                best_f, best_thr, best_dec = int(f), thr, dec
+        if best_f < 0:
+            return leaf
+        mask = X[idx, best_f] <= best_thr
+        return replace(
+            leaf,
+            feature=best_f,
+            threshold=best_thr,
+            decrease=best_dec,
+            left=grow(idx[mask], depth + 1),
+            right=grow(idx[~mask], depth + 1),
+        )
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def parity_case(rng, kind):
+    n, d = int(rng.integers(1, 160)), int(rng.integers(1, 7))
+    X = rng.random((n, d))
+    if kind == "ties":
+        X = np.round(X, 1)
+    elif kind == "constant":
+        X[:, rng.integers(0, d)] = 3.0
+    elif kind == "bootstrap":
+        X = X[rng.integers(0, n, size=n)]
+    elif kind == "signed-zero":
+        X = np.round(3.0 * X) - 1.0
+        X[X == 0.0] = -0.0
+        X[rng.random((n, d)) < 0.3] = 0.0
+    elif kind == "deep":
+        X[:, 0] = np.arange(n)
+    return X
+
+
+class TestPresortedParity:
+    """build_tree against per-node argsort + scan: the same TreeNodes, bit for bit."""
+
+    @pytest.mark.parametrize("task", ["gini", "sse"])
+    @pytest.mark.parametrize("kind", ["plain", "ties", "constant", "bootstrap", "signed-zero", "deep"])
+    def test_same_tree_as_per_node_sorting(self, task, kind):
+        rng = np.random.default_rng(["gini", "sse"].index(task) * 100 + len(kind))
+        for trial in range(25):
+            X = parity_case(rng, kind)
+            n, d = X.shape
+            if task == "gini":
+                y = (np.arange(n) % 2) if kind == "deep" else rng.integers(0, 2, size=n)
+            else:
+                y = rng.normal(size=n)
+                if trial % 2:
+                    y = np.round(y)
+            subset = int(rng.integers(1, d + 1)) if trial % 3 == 0 else None
+            seed = int(rng.integers(0, 2**31))
+            kwargs = dict(
+                max_depth=30 if kind == "deep" else int(rng.integers(1, 31)),
+                min_instances=int(rng.integers(1, 4)),
+                task=task,
+                n_subset_features=subset,
+            )
+            got = build_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+            want = reference_build_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+            assert got == want
+            assert repr(got.to_dict()) == repr(want.to_dict())  # -0.0 differs from 0.0 here
+
+
+    @pytest.mark.parametrize("subset", [None, 2])
+    def test_one_kernel_call_per_scored_node(self, monkeypatch, subset):
+        calls = []
+
+        def recording(x, y):
+            calls.append(x.shape)
+            return gini_kernel(x, y)
+
+        gini_kernel = kernels.best_split_gini
+        monkeypatch.setattr(kernels, "best_split_gini", recording)
+        rng = np.random.default_rng(7)
+        X = rng.random((300, 5))
+        y = rng.integers(0, 2, size=300)
+        root = build_tree(X, y, max_depth=6, n_subset_features=subset, rng=np.random.default_rng(1))
+
+        def internal(node):
+            return [] if node.is_leaf else [node.n_samples, *internal(node.left), *internal(node.right)]
+
+        # len(x) is the node's row count; the columns are its candidate features
+        assert [rows for rows, _ in calls] == internal(root)
+        assert {k for _, k in calls} == {subset or 5}
 
 
 class TestParamsAndErrors:
