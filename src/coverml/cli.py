@@ -138,8 +138,12 @@ def _resolve_grid(family: str, grid_path) -> list:
     if not grid_path:
         return default_grid(family)
     doc = json.loads(_read_text(grid_path, "grid"))
-    axes = doc.get("axes", doc if isinstance(doc, dict) else {})
+    if not isinstance(doc, dict):
+        raise SelectionError(f"grid file must hold a JSON object, got {doc!r}")
+    axes = doc.get("axes", doc)
     base_over = doc.get("base", {}) if "axes" in doc else {}
+    if not isinstance(base_over, dict):
+        raise SelectionError(f"grid base must be an object of field -> value, got {base_over!r}")
     base = models.params_from_dict(family, base_over) if base_over else models.default_params(family)
     return build_param_grid(base, axes)
 
@@ -253,6 +257,8 @@ def cmd_benchmark(args) -> int:
     grids = None
     if args.grids:
         doc = json.loads(_read_text(args.grids, "grids"))
+        if not isinstance(doc, dict):
+            raise SelectionError(f"grids file must hold a JSON object of family -> axes, got {doc!r}")
         grids = {
             fam: build_param_grid(models.default_params(fam), axes) for fam, axes in doc.items()
         }

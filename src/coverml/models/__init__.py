@@ -65,12 +65,27 @@ def params_to_dict(params) -> dict:
     return dataclasses.asdict(params)
 
 
+#: The Python type each annotated params field accepts. A bool is an int to
+#: Python but is accepted only by a bool field.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def check_param_types(cls: type, values: dict) -> None:
+    """Reject a value whose type does not match the params field it sets."""
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        kind = declared[name]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
+            raise ModelError(f"{cls.__name__} field {name!r} takes {kind}, got {value!r}")
+
+
 def params_from_dict(family: str, d: dict):
     cls = params_type(family)
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = set(d) - valid
     if unknown:
         raise ModelError(f"unknown {family} parameter(s): {sorted(unknown)}")
+    check_param_types(cls, d)
     return cls(**d)
 
 
@@ -107,6 +122,7 @@ __all__ = [
     "TrainedClassifier",
     "TreeNode",
     "check_family",
+    "check_param_types",
     "classifier_from_dict",
     "default_params",
     "feature_importances",

@@ -41,6 +41,9 @@ class TrainedClassifier:
     family: str = "?"
     n_features: int
     threshold: float | None
+    #: The parameter along which one fit holds every smaller fit (see
+    #: `truncate`), or None when the family has no such axis.
+    nested_axis: str | None = None
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -76,6 +79,12 @@ class TrainedClassifier:
                 f"feature dimension mismatch: model expects {self.n_features}, got {X.shape}"
             )
         return X
+
+    def truncate(self, k: int) -> "TrainedClassifier":
+        """The model a fit with `nested_axis` set to k gives, cut from this
+        model, which was fit on the same data with a value of at least k and
+        the same parameters otherwise."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError

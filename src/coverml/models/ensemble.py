@@ -44,6 +44,7 @@ class RandomForestModel(TrainedClassifier):
     """Averages per-tree class-1 probabilities; rawScore is that mean."""
 
     family = "rf"
+    nested_axis = "num_trees"
 
     def __init__(self, trees: list[TreeNode], n_features: int, threshold: float):
         self.trees = list(trees)
@@ -59,6 +60,11 @@ class RandomForestModel(TrainedClassifier):
 
     def _probabilities_of(self, raw):
         return raw
+
+    def truncate(self, k: int) -> "RandomForestModel":
+        """The first k trees. Each tree draws from its own generator, so they
+        are the forest a fit with num_trees=k grows."""
+        return RandomForestModel(self.trees[:k], self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:
         acc = np.zeros(self.n_features, dtype=np.float64)
@@ -132,6 +138,7 @@ class GbtModel(TrainedClassifier):
     """Additive score F = F0 + lr * sum(tree outputs); probability sigmoid(2F)."""
 
     family = "gbt"
+    nested_axis = "num_iterations"
 
     def __init__(
         self,
@@ -158,6 +165,19 @@ class GbtModel(TrainedClassifier):
 
     def _probabilities_of(self, raw):
         return sigmoid(2.0 * raw)
+
+    def truncate(self, k: int) -> "GbtModel":
+        """The first k stages and their losses. A stage fits the residuals
+        of the stages before it only, so they are what a fit with
+        num_iterations=k builds."""
+        return GbtModel(
+            self.base_score,
+            self.learning_rate,
+            self.trees[:k],
+            self.n_features,
+            self.threshold,
+            self.train_losses[: k + 1],
+        )
 
     def feature_importances(self) -> np.ndarray:
         acc = np.zeros(self.n_features, dtype=np.float64)

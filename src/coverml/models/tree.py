@@ -184,6 +184,16 @@ def tree_apply(root: TreeNode, X: np.ndarray, field: str) -> np.ndarray:
     return out
 
 
+def cut_tree(node: TreeNode, depth: int) -> TreeNode:
+    """The tree under `node` with every node `depth` levels below it made a
+    leaf, which keeps that node's statistics."""
+    if node.is_leaf:
+        return node
+    if depth == 0:
+        return TreeNode(node.n_samples, class_counts=node.class_counts, prob=node.prob, value=node.value)
+    return replace(node, left=cut_tree(node.left, depth - 1), right=cut_tree(node.right, depth - 1))
+
+
 def tree_importance(root: TreeNode, n_features: int) -> np.ndarray:
     """Unnormalized importance: sum of n_samples * impurity decrease per feature."""
     imp = np.zeros(n_features, dtype=np.float64)
@@ -219,6 +229,7 @@ class DecisionTreeParams:
 
 class DecisionTreeModel(TrainedClassifier):
     family = "dt"
+    nested_axis = "max_depth"
 
     def __init__(self, root: TreeNode, n_features: int, threshold: float):
         self.root = root
@@ -230,6 +241,11 @@ class DecisionTreeModel(TrainedClassifier):
 
     def _probabilities_of(self, raw):
         return raw
+
+    def truncate(self, k: int) -> "DecisionTreeModel":
+        """The tree cut at depth k. Growth above depth k does not read
+        max_depth, so this is the tree a fit with max_depth=k grows."""
+        return DecisionTreeModel(cut_tree(self.root, k), self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:
         return normalized_importance(tree_importance(self.root, self.n_features))

@@ -9,6 +9,13 @@ Default per-family grids (all overridable through grid JSON):
     gbt  num_iterations [10, 20]
     svm  reg_param      [0.01, 0.5]
 
+Cross-validation prepares each fold once: the preparation stages are fit
+on the fold's training rows, and its training and validation rows are
+transformed once for every cell. Along a nested capacity axis (dt
+max_depth, rf num_trees, gbt num_iterations) one model per fold serves every
+value: smaller values score a truncation of the largest fit, which equals a
+fresh fit with that value.
+
 Reported fit_minutes cover the full cross-validation sweep including the
 final refit, not a single model fit.
 """
@@ -26,7 +33,7 @@ import numpy as np
 from . import models
 from .metrics import EvalReport, MetricError, evaluate_scores, pr_curve, roc_curve, timed_fit
 from .rng import derived_rng
-from .stages import FittedPipeline, PipelineError, PipelineSpec, fit_pipeline
+from .stages import FittedPipeline, PipelineError, PipelineSpec, fit_pipeline, fit_stages
 from .table import DataTable, TableError
 
 DEFAULT_GRID_AXES: dict[str, dict[str, list]] = {
@@ -49,14 +56,22 @@ def build_param_grid(base, axes: dict[str, list]) -> list:
     """Cartesian product of axis values over a base parameter set.
 
     Axes expand in declaration order with values in listed order, so the
-    grid order is deterministic; empty axes give [base].
+    grid order is deterministic; empty axes give [base]. Axes arrive from
+    grid files, so their shape and value types are checked here.
     """
+    if not isinstance(axes, dict):
+        raise SelectionError(f"grid axes must be an object of field -> list of values, got {axes!r}")
     valid = {f.name for f in dataclasses.fields(base)}
     unknown = [a for a in axes if a not in valid]
     if unknown:
         raise SelectionError(
             f"unknown grid axis {unknown[0]!r} for {type(base).__name__}; valid fields: {sorted(valid)}"
         )
+    for name, values in axes.items():
+        if not isinstance(values, (list, tuple)):
+            raise SelectionError(f"grid axis {name!r} takes a list of values, got {values!r}")
+        for value in values:
+            models.check_param_types(type(base), {name: value})
     if not axes:
         return [base]
     names = list(axes)
@@ -79,6 +94,10 @@ class CVConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        for name in ("folds", "seed", "parallelism"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SelectionError(f"{name} must be an integer, got {value!r}")
         if self.folds < 2:
             raise SelectionError("folds must be >= 2")
         if self.metric not in EVALUATOR_METRICS:
@@ -92,6 +111,8 @@ class CVConfig:
     @classmethod
     def from_json(cls, text: str) -> "CVConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SelectionError(f"CV config must be a JSON object, got {doc!r}")
         valid = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - valid
         if unknown:
@@ -137,18 +158,72 @@ def _score_metric(metric: str, scores, labels) -> float:
     return pr_curve(scores, labels)[1]
 
 
-def _fit_and_score(spec, family, params, table, train_idx, val_idx, metric, fold_no):
-    train_table = table.select_rows(train_idx.tolist())
+#: Failures that end one cell on one fold; any other exception ends the call.
+_CELL_ERRORS = (MetricError, PipelineError, models.ModelError, TableError)
+
+
+def _prepare_fold(spec: PipelineSpec, table: DataTable, val_idx: np.ndarray, fold_no: int):
+    """Fit the preparation stages on a fold's training rows and transform its
+    validation rows, once for every cell.
+
+    Returns the training matrix and labels, and the validation matrix and
+    labels or, when validation cannot be scored, the error text. A cell
+    reports that error only if its training succeeds, as when the whole
+    pipeline ran per cell and scored validation rows after training.
+    """
+    train_table = table.select_rows(np.setdiff1d(np.arange(table.row_count), val_idx).tolist())
     labels = train_table.label_array()
     if labels.min() == labels.max():
         raise MetricError(f"fold {fold_no}: training portion contains a single class")
-    fitted = fit_pipeline(spec, train_table, classifier=(family, params))
-    out = fitted.transform(table.select_rows(val_idx.tolist()))
-    if out.row_count == 0:
-        raise MetricError(f"fold {fold_no}: no validation rows survived the pipeline")
-    scores = np.asarray(out.column("rawScore"), dtype=np.float64)
-    val_labels = np.asarray(out.column("trueLabel"), dtype=np.float64).astype(np.int64)
-    return _score_metric(metric, scores, val_labels)
+    prepared, train_out = fit_stages(spec, train_table)
+    X = train_out.feature_matrix(spec.features_col)
+    y = train_out.label_array()
+    try:
+        val_out = prepared.transform(table.select_rows(val_idx.tolist()))
+        if val_out.row_count == 0:
+            raise MetricError(f"fold {fold_no}: no validation rows survived the pipeline")
+        validation = (val_out.feature_matrix(spec.features_col), val_out.label_array())
+    except _CELL_ERRORS as exc:
+        validation = str(exc)
+    return X, y, validation
+
+
+def _validation_metric(model, X_val: np.ndarray, y_val: np.ndarray, metric: str) -> float:
+    raw = model.raw_scores(X_val)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        # The error a rawScore table column of these scores raises.
+        row = int(bad[0])
+        raise TableError(f"column 'rawScore' expects finite numbers, got {float(raw[row])!r} at row {row}")
+    return _score_metric(metric, raw, y_val)
+
+
+def _nest_groups(family: str, grid: list) -> list[tuple[object, list[tuple[int, int | None]]]]:
+    """The grid as (params to train, [(cell index, k)]) groups, one model
+    per group and fold.
+
+    Cells whose parameters differ only in the family's nested axis
+    (`TrainedClassifier.nested_axis`) share the fit of the largest value in
+    the group; a cell with a smaller value k scores `truncate(k)` of it and
+    the others (k None) score the fit itself. Duplicated cells share a fit.
+    """
+    cls = models.params_type(family)
+    axis = models.model_type(family).nested_axis
+    groups: dict[object, list[tuple[int, object, int | None]]] = {}
+    for ci, params in enumerate(grid):
+        if isinstance(params, cls):
+            rest = dataclasses.asdict(params)
+            k = rest.pop(axis, None)
+            # repr, unlike ==, tells 0.0 from -0.0 and 1 from True.
+            key = repr(rest)
+        else:
+            k, key = None, ci  # models.train reports the mismatch
+        groups.setdefault(key, []).append((ci, params, k))
+    out = []
+    for members in groups.values():
+        _, params, top = max(members, key=lambda m: m[2] or 0)  # k is None or >= 1
+        out.append((params, [(ci, None if k == top else k) for ci, _, k in members]))
+    return out
 
 
 def cross_validate(
@@ -158,7 +233,15 @@ def cross_validate(
     table: DataTable,
     config: CVConfig = CVConfig(),
 ) -> CVResult:
-    """Grid search over seeded k-folds; the whole pipeline is refit per fold.
+    """Grid search over seeded k-folds, preparing each fold once.
+
+    Each fold fits the preparation stages on its training rows and
+    transforms its training and validation rows once; every cell trains on
+    those matrices. Cells that differ only in the family's nested axis
+    (dt `max_depth`, rf `num_trees`, gbt `num_iterations`) share one model
+    per fold, trained with the group's largest value and truncated for the
+    others, which gives the same model as a fresh fit. Folds run on
+    `config.parallelism` threads.
 
     Cell score is the arithmetic mean of the held-out fold metrics; the best
     cell is the max mean with ties broken by earliest grid order, and the
@@ -174,44 +257,49 @@ def cross_validate(
         raise TableError("cross-validation data has no label column")
 
     def run() -> tuple[tuple[CVCell, ...], int, FittedPipeline]:
-        folds = make_folds(table.row_count, config.folds, config.seed)
-        all_idx = np.arange(table.row_count)
-        tasks = []
-        for ci, params in enumerate(grid):
-            for fi, val_idx in enumerate(folds):
-                train_idx = np.setdiff1d(all_idx, val_idx)
-                tasks.append((ci, fi, params, train_idx, val_idx))
+        groups = _nest_groups(family, grid)
 
-        def run_task(task):
-            ci, fi, params, train_idx, val_idx = task
+        def run_fold(fold_no: int, val_idx: np.ndarray) -> list:
+            """Each cell's metric on this fold, or its error text."""
             try:
-                return ci, fi, _fit_and_score(
-                    spec, family, params, table, train_idx, val_idx, config.metric, fi
-                ), None
-            except (MetricError, PipelineError, models.ModelError, TableError) as exc:
-                return ci, fi, None, str(exc)
+                X, y, validation = _prepare_fold(spec, table, val_idx, fold_no)
+            except _CELL_ERRORS as exc:
+                return [str(exc)] * len(grid)
+            outcomes: list = [None] * len(grid)
+            for params, members in groups:
+                try:
+                    model = models.train(family, X, y, params)
+                except _CELL_ERRORS as exc:
+                    for ci, _ in members:
+                        outcomes[ci] = str(exc)
+                    continue
+                for ci, k in members:
+                    if isinstance(validation, str):
+                        outcomes[ci] = validation
+                        continue
+                    try:
+                        outcomes[ci] = _validation_metric(
+                            model if k is None else model.truncate(k), *validation, config.metric
+                        )
+                    except _CELL_ERRORS as exc:
+                        outcomes[ci] = str(exc)
+            return outcomes
 
+        folds = make_folds(table.row_count, config.folds, config.seed)
         if config.parallelism > 1:
             with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                outcomes = list(pool.map(run_task, tasks))
+                per_fold = list(pool.map(run_fold, range(len(folds)), folds))
         else:
-            outcomes = [run_task(t) for t in tasks]
-
-        per_cell: dict[int, dict[int, float]] = {ci: {} for ci in range(len(grid))}
-        errors: dict[int, list[str]] = {ci: [] for ci in range(len(grid))}
-        for ci, fi, value, err in outcomes:
-            if err is None:
-                per_cell[ci][fi] = value
-            else:
-                errors[ci].append(err)
+            per_fold = [run_fold(fi, val_idx) for fi, val_idx in enumerate(folds)]
 
         cells = []
         for ci, params in enumerate(grid):
-            if errors[ci]:
-                cells.append(CVCell(params, None, None, "; ".join(errors[ci])))
+            outcomes = [fold[ci] for fold in per_fold]
+            errors = [o for o in outcomes if isinstance(o, str)]
+            if errors:
+                cells.append(CVCell(params, None, None, "; ".join(errors)))
             else:
-                fold_metrics = tuple(per_cell[ci][fi] for fi in range(config.folds))
-                cells.append(CVCell(params, fold_metrics, float(np.mean(fold_metrics))))
+                cells.append(CVCell(params, tuple(outcomes), float(np.mean(outcomes))))
 
         best_index = -1
         for ci, cell in enumerate(cells):

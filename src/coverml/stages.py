@@ -9,7 +9,7 @@ be terminated by a classifier trained on the assembled feature column.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -573,14 +573,10 @@ class FittedPipeline:
         )
 
 
-def fit_pipeline(
-    spec: PipelineSpec,
-    table: DataTable,
-    classifier: tuple[str, object] | None = None,
-) -> FittedPipeline:
-    """Fit every estimator on the cumulatively transformed table; when a
-    (family, params) pair is given, finish by training that classifier on the
-    assembled features against the table's label column."""
+def fit_stages(spec: PipelineSpec, table: DataTable) -> tuple[FittedPipeline, DataTable]:
+    """Fit every estimator on the cumulatively transformed table: the fitted
+    stages (no classifier) and the fit table as they transform it, so a caller
+    that trains on it need not transform the fit table a second time."""
     names: dict[str, tuple[str, ...]] = {}
     fitted = []
     for i, stage in enumerate(spec.stages):
@@ -591,12 +587,21 @@ def fit_pipeline(
             raise PipelineError(f"stage {i} ({type(stage).__name__}) failed: {exc}") from exc
         _stage_outputs(model, names)
         fitted.append(model)
+    return FittedPipeline(tuple(fitted), spec.features_col, None, names.get(spec.features_col)), table
 
-    feature_names = names.get(spec.features_col)
-    trained = None
-    if classifier is not None:
-        family, params = classifier
-        X = table.feature_matrix(spec.features_col)
-        y = table.label_array()
-        trained = models.train(family, X, y, params)
-    return FittedPipeline(tuple(fitted), spec.features_col, trained, feature_names)
+
+def fit_pipeline(
+    spec: PipelineSpec,
+    table: DataTable,
+    classifier: tuple[str, object] | None = None,
+) -> FittedPipeline:
+    """Fit every estimator on the cumulatively transformed table; when a
+    (family, params) pair is given, finish by training that classifier on the
+    assembled features against the table's label column."""
+    prepared, table = fit_stages(spec, table)
+    if classifier is None:
+        return prepared
+    family, params = classifier
+    X = table.feature_matrix(spec.features_col)
+    trained = models.train(family, X, table.label_array(), params)
+    return replace(prepared, classifier=trained)

@@ -476,6 +476,37 @@ class TestCvConfigAndExclude:
         assert code == 0, err
         assert "best_auc_pr:" in out
 
+    @pytest.mark.parametrize("doc", [{"folds": "3"}, {"folds": 2.5}, {"parallelism": True}, [3]])
+    def test_malformed_cv_config_is_an_error_line(self, workdir, capsys, doc):
+        cv = workdir / "cv.json"
+        cv.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "train", "--data", str(workdir / "data.tbl"), "--model", "lr",
+                           "--cv-config", str(cv), "--out", str(workdir / "bad.bin"))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (workdir / "bad.bin").exists()
+
+    @pytest.mark.parametrize(
+        "family, doc",
+        [
+            ("lr", [1]),
+            ("lr", {"axes": {"reg_param": 0.1}}),
+            ("lr", {"axes": [0.1]}),
+            ("rf", {"axes": {"num_trees": ["10"]}}),
+            ("rf", {"axes": {"num_trees": [2.5]}}),
+            ("dt", {"base": {"max_depth": None}, "axes": {}}),
+            ("dt", {"base": [3], "axes": {}}),
+        ],
+    )
+    def test_malformed_grid_is_an_error_line(self, workdir, capsys, family, doc):
+        grid = workdir / "bad_grid.json"
+        grid.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "train", "--data", str(workdir / "data.tbl"), "--model", family,
+                           "--grid", str(grid), "--out", str(workdir / "bad.bin"))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (workdir / "bad.bin").exists()
+
     def test_exclude_keeps_custom_label_source_out_of_features(self, workdir, capsys):
         from coverml.persist import load_model
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,38 @@ class TestGbt:
         with pytest.raises(ValueError, match=r"\[1, 30\]"):
             GbtParams(max_depth=31)
         assert GbtParams(max_depth=30).max_depth == 30
+
+
+class TestPrefixes:
+    """The first k trees of a forest or boosted sequence are the model a fit
+    with num_trees=k or num_iterations=k gives, which lets cross-validation
+    score every such cell from the largest fit."""
+
+    @staticmethod
+    def noisy(seed):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.random((150, 4)), 2)
+        y = (X[:, 0] + X[:, 1] + 0.5 * rng.normal(size=150) > 1.0).astype(int)
+        return X, y
+
+    @pytest.mark.parametrize("bootstrap, rule", [(True, "sqrt"), (False, "sqrt"), (True, "all")])
+    def test_forest_prefix_equals_fresh_forest(self, bootstrap, rule):
+        X, y = self.noisy(3)
+        base = RandomForestParams(max_depth=4, bootstrap=bootstrap, feature_subset_rule=rule, seed=5)
+        forest = train_random_forest(X, y, replace(base, num_trees=6))
+        for k in range(1, 7):
+            fresh = train_random_forest(X, y, replace(base, num_trees=k))
+            assert repr(forest.truncate(k).to_dict()) == repr(fresh.to_dict())
+
+    @pytest.mark.parametrize("learning_rate", [0.1, 0.7])
+    def test_boosting_prefix_equals_fresh_sequence(self, learning_rate):
+        X, y = self.noisy(4)
+        base = GbtParams(max_depth=3, learning_rate=learning_rate)
+        model = train_gbt(X, y, replace(base, num_iterations=6))
+        for k in range(1, 7):
+            fresh = train_gbt(X, y, replace(base, num_iterations=k))
+            assert repr(model.truncate(k).to_dict()) == repr(fresh.to_dict())
+            assert np.array_equal(model.truncate(k).raw_scores(X), fresh.raw_scores(X))
 
 
 class TestGoldenPrediction:

@@ -265,6 +265,23 @@ class TestPresortedParity:
         assert {k for _, k in calls} == {subset or 5}
 
 
+class TestDepthCut:
+    """A tree cut at depth k is the tree a fit with max_depth=k grows, which
+    lets cross-validation score every max_depth cell from the deepest fit."""
+
+    @pytest.mark.parametrize("kind", ["plain", "ties", "constant", "bootstrap", "signed-zero"])
+    def test_cut_equals_fresh_fit(self, kind):
+        rng = np.random.default_rng(40 + len(kind))
+        for _ in range(12):
+            X = parity_case(rng, kind)
+            y = rng.integers(0, 2, size=X.shape[0])
+            min_instances = int(rng.integers(1, 4))
+            deep = train_decision_tree(X, y, DecisionTreeParams(max_depth=8, min_instances_per_node=min_instances))
+            for k in range(1, 9):
+                fresh = train_decision_tree(X, y, DecisionTreeParams(max_depth=k, min_instances_per_node=min_instances))
+                assert repr(deep.truncate(k).to_dict()) == repr(fresh.to_dict())
+
+
 class TestParamsAndErrors:
     def test_param_validation(self):
         with pytest.raises(ValueError):
