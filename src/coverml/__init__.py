@@ -17,8 +17,7 @@ from .datasets import (
 from .metrics import (
     ConfusionCounts,
     EvalReport,
-    ScoredRow,
-    confusion,
+    confusion_from_arrays,
     pr_curve,
     roc_curve,
     scalar_metrics,
@@ -27,7 +26,6 @@ from .metrics import (
 from .selection import CVConfig, benchmark, build_param_grid, cross_validate
 from .stages import FittedPipeline, PipelineSpec, default_pipeline_spec, fit_pipeline
 from .table import ColumnSpec, DataTable, read_csv, write_csv
-from .vectors import FeatureVector
 
 __version__ = "0.1.0"
 
@@ -37,15 +35,13 @@ __all__ = [
     "CVConfig",
     "DataTable",
     "EvalReport",
-    "FeatureVector",
     "FittedPipeline",
     "PipelineSpec",
-    "ScoredRow",
     "SynthSpec",
     "__version__",
     "benchmark",
     "build_param_grid",
-    "confusion",
+    "confusion_from_arrays",
     "cross_validate",
     "default_pipeline_spec",
     "derive_label",

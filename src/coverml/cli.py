@@ -180,26 +180,35 @@ def _require_pipeline(model) -> FittedPipeline:
 
 
 def _write_predictions(out_table: DataTable, path) -> None:
-    features = out_table.column("features")
+    features = out_table.feature_matrix("features")
     preds = out_table.column("prediction")
     labels = out_table.column("trueLabel") if out_table.has_column("trueLabel") else None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("features,prediction,trueLabel\n")
-        for i in range(out_table.row_count):
+        for i, row in enumerate(features):
             label = "" if labels is None else repr(labels[i])
-            fh.write(f'"{features[i].display()}",{preds[i]!r},{label}\n')
+            values = ",".join(repr(v) for v in row.tolist())
+            fh.write(f'"[{values}]",{preds[i]!r},{label}\n')
 
 
-def _score(fitted: FittedPipeline, table: DataTable, metadata: dict, predictions_path) -> EvalReport:
-    """One pipeline pass over `table`: the evaluation report, with the
-    predictions CSV written from the same output when a path is given. The
-    transformed table is released on return, before the report is
-    serialized, so peak memory stays at that of a single pass."""
+def _note_dropped(rows_in: int, rows_out: int) -> None:
+    if rows_out < rows_in:
+        print(f"note: {rows_in - rows_out} of {rows_in} rows were dropped by the pipeline")
+
+
+def _score(
+    fitted: FittedPipeline, table: DataTable, metadata: dict, predictions_path
+) -> tuple[EvalReport, int]:
+    """One pipeline pass over `table`: the evaluation report and the number
+    of rows that came out, with the predictions CSV written from the same
+    output when a path is given. The transformed table is released on
+    return, before the report is serialized, so peak memory stays at that of
+    a single pass."""
     out = fitted.transform(table)
     report = evaluate_transformed(out, metadata=metadata)
     if predictions_path:
         _write_predictions(out, predictions_path)
-    return report
+    return report, out.row_count
 
 
 def cmd_evaluate(args) -> int:
@@ -209,7 +218,7 @@ def cmd_evaluate(args) -> int:
     fp = table.fingerprint()
     in_sample = fp in (header.get("data_fingerprint"), header.get("source_fingerprint"))
     metadata = {"in_sample": in_sample, "family": fitted.family, "data_fingerprint": fp}
-    report = _score(fitted, table, metadata, args.predictions)
+    report, rows_out = _score(fitted, table, metadata, args.predictions)
     c = report.counts
     _print_table(
         [
@@ -224,6 +233,7 @@ def cmd_evaluate(args) -> int:
     )
     if in_sample:
         print("note: evaluated in-sample (data matches the model's training data)")
+    _note_dropped(table.row_count, rows_out)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
         print(f"wrote {args.out}")
@@ -242,7 +252,9 @@ def cmd_predict(args) -> int:
     model, _ = load_model(args.model)
     fitted = _require_pipeline(model)
     table = _load_table(args.data)
-    _write_predictions(fitted.transform(table), args.out)
+    out = fitted.transform(table)
+    _write_predictions(out, args.out)
+    _note_dropped(table.row_count, out.row_count)
     print(f"wrote {args.out}")
     return 0
 
@@ -358,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default=DEFAULT_LABEL_SOURCE,
                    help="comma-separated columns kept out of the derived default pipeline")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility (>= 1); folds run in order, so it changes neither speed nor results")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -389,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default=DEFAULT_LABEL_SOURCE,
                    help="comma-separated columns kept out of the derived default pipeline")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility (>= 1); folds run in order, so it changes neither speed nor results")
     p.add_argument("--out-json")
     p.add_argument("--out-text")
     p.set_defaults(func=cmd_benchmark)

@@ -5,24 +5,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 
 class MetricError(ValueError):
     """Degenerate input for a metric (empty, or single-class where both are needed)."""
-
-
-@dataclass(frozen=True)
-class ScoredRow:
-    score: float
-    true_label: int
-    prediction: int
-
-    def __post_init__(self):
-        if self.true_label not in (0, 1) or self.prediction not in (0, 1):
-            raise ValueError("true_label and prediction must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -39,15 +28,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(rows: Iterable[ScoredRow]) -> ConfusionCounts:
-    rows = list(rows)
-    if not rows:
-        raise MetricError("cannot build a confusion matrix from no rows")
-    pred = np.array([r.prediction for r in rows])
-    lab = np.array([r.true_label for r in rows])
-    return confusion_from_arrays(pred, lab)
 
 
 def confusion_from_arrays(predictions: np.ndarray, labels: np.ndarray) -> ConfusionCounts:
@@ -87,15 +67,14 @@ def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return tp, fp
 
 
-def roc_curve(rows_or_scores, labels=None) -> tuple[list[tuple[float, float]], float]:
+def roc_curve(scores, labels) -> tuple[list[tuple[float, float]], float]:
     """(FPR, TPR) points from (0,0) to (1,1) and the trapezoid area.
 
-    Accepts ScoredRow sequences or (scores, labels) arrays. Ties collapse to
-    one threshold step so the area equals the pairwise concordance
-    probability with half-credit for tied pairs. Single-class input is an
-    error: the area is undefined.
+    Ties collapse to one threshold step so the area equals the pairwise
+    concordance probability with half-credit for tied pairs. Single-class
+    input is an error: the area is undefined.
     """
-    scores, labels = _coerce_scores(rows_or_scores, labels)
+    scores, labels = _coerce_scores(scores, labels)
     P = int(labels.sum())
     N = labels.size - P
     if P == 0 or N == 0:
@@ -107,13 +86,13 @@ def roc_curve(rows_or_scores, labels=None) -> tuple[list[tuple[float, float]], f
     return list(zip(fpr.tolist(), tpr.tolist())), auc
 
 
-def pr_curve(rows_or_scores, labels=None) -> tuple[list[tuple[float, float]], float]:
+def pr_curve(scores, labels) -> tuple[list[tuple[float, float]], float]:
     """(recall, precision) points and the average-precision area.
 
     The area is the step-wise sum (R_i - R_{i-1}) * P_i over descending-score
     threshold steps; no linear interpolation.
     """
-    scores, labels = _coerce_scores(rows_or_scores, labels)
+    scores, labels = _coerce_scores(scores, labels)
     P = int(labels.sum())
     if P == 0:
         raise MetricError("PR needs at least one positive label")
@@ -125,15 +104,8 @@ def pr_curve(rows_or_scores, labels=None) -> tuple[list[tuple[float, float]], fl
     return points, auc
 
 
-def _coerce_scores(rows_or_scores, labels):
-    if labels is None:
-        rows: Sequence[ScoredRow] = list(rows_or_scores)
-        if not rows:
-            raise MetricError("no rows")
-        scores = np.array([r.score for r in rows], dtype=np.float64)
-        labels = np.array([r.true_label for r in rows], dtype=np.int64)
-        return scores, labels
-    scores = np.asarray(rows_or_scores, dtype=np.float64)
+def _coerce_scores(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.size == 0:
         raise MetricError("no rows")

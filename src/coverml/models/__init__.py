@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from .base import ModelError, Prediction, TrainedClassifier, predict
+from .base import ModelError, TrainedClassifier
 from .ensemble import (
     GbtModel,
     GbtParams,
@@ -116,7 +116,6 @@ __all__ = [
     "LogisticModel",
     "LogisticParams",
     "ModelError",
-    "Prediction",
     "RandomForestModel",
     "RandomForestParams",
     "TrainedClassifier",
@@ -130,7 +129,6 @@ __all__ = [
     "params_from_dict",
     "params_to_dict",
     "params_type",
-    "predict",
     "train",
     "train_decision_tree",
     "train_fm",

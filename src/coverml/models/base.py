@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-
-from ..vectors import FeatureVector
-
-
-class Prediction(NamedTuple):
-    raw_score: float
-    probability: float | None
-    prediction: int
 
 
 class ModelError(ValueError):
@@ -89,16 +79,3 @@ class TrainedClassifier:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-
-def predict(model: TrainedClassifier, features: FeatureVector) -> Prediction:
-    """Score one row: (rawScore, probability or None, 0/1 prediction)."""
-    if features.size != model.n_features:
-        raise ModelError(
-            f"feature dimension mismatch: model expects {model.n_features}, got {features.size}"
-        )
-    dense = features.to_dense()
-    if not np.isfinite(dense).all():
-        raise ModelError("feature vector contains non-finite values")
-    raw, prob = model.scores(dense.reshape(1, -1))
-    pred = int(model.predictions_from_scores(raw, prob)[0])
-    return Prediction(float(raw[0]), None if prob is None else float(prob[0]), pred)

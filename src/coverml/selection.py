@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +90,8 @@ class CVConfig:
     folds: int = 3
     metric: str = "auc_roc"
     seed: int = 1
+    #: Kept for existing configs and validated (>= 1); folds run one after
+    #: another, so it changes neither speed nor results.
     parallelism: int = 1
 
     def __post_init__(self):
@@ -240,8 +241,9 @@ def cross_validate(
     those matrices. Cells that differ only in the family's nested axis
     (dt `max_depth`, rf `num_trees`, gbt `num_iterations`) share one model
     per fold, trained with the group's largest value and truncated for the
-    others, which gives the same model as a fresh fit. Folds run on
-    `config.parallelism` threads.
+    others, which gives the same model as a fresh fit. Folds run one after
+    another: `config.parallelism` is validated but changes neither speed nor
+    results.
 
     Cell score is the arithmetic mean of the held-out fold metrics; the best
     cell is the max mean with ties broken by earliest grid order, and the
@@ -286,11 +288,7 @@ def cross_validate(
             return outcomes
 
         folds = make_folds(table.row_count, config.folds, config.seed)
-        if config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                per_fold = list(pool.map(run_fold, range(len(folds)), folds))
-        else:
-            per_fold = [run_fold(fi, val_idx) for fi, val_idx in enumerate(folds)]
+        per_fold = [run_fold(fi, val_idx) for fi, val_idx in enumerate(folds)]
 
         cells = []
         for ci, params in enumerate(grid):

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import models
 from .table import ColumnSpec, DataTable, TableError
-from .vectors import FeatureVector
 
 MISSING_TOKEN = "__MISSING__"
 INVALID_POLICIES = ("keep", "skip", "error")
@@ -187,14 +186,12 @@ class VectorAssembler:
         blocks = []
         first_null: list[tuple[int, int, str]] = []
         for pos, name in enumerate(self.input_cols):
-            col = table.column(name)
             if table.spec(name).kind == "vector":
-                nulls = np.fromiter((v is None for v in col), dtype=bool, count=len(col))
-                block = None if nulls.any() else table.feature_matrix(name)
-            else:
-                # Checked scalars are finite, so NaN marks exactly the nulls.
-                block = np.array(col, dtype=np.float64)
-                nulls = np.isnan(block)
+                blocks.append(table.feature_matrix(name))
+                continue
+            # Checked scalars are finite, so NaN marks exactly the nulls.
+            block = np.array(table.column(name), dtype=np.float64)
+            nulls = np.isnan(block)
             if nulls.any():
                 first_null.append((int(np.argmax(nulls)), pos, name))
             blocks.append(block)
@@ -202,7 +199,7 @@ class VectorAssembler:
             row, _, name = min(first_null)
             raise PipelineError(f"null value in column {name!r} at row {row}")
         matrix = np.column_stack(blocks) if blocks else np.zeros((table.row_count, 0))
-        return table.with_column(out, FeatureVector.rows_of(matrix))
+        return table.with_column(out, matrix)
 
     def to_dict(self) -> dict:
         return {"type": "assemble", "inputs": list(self.input_cols), "output": self.output_col}
@@ -295,9 +292,7 @@ class VectorIndexModel:
         if not keep_mask.all():
             table = table.select_rows(np.flatnonzero(keep_mask).tolist())
             out = out[keep_mask]
-        return table.with_column(
-            ColumnSpec(self.output_col, "vector", nullable=False), FeatureVector.rows_of(out)
-        )
+        return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), out)
 
     def to_dict(self) -> dict:
         return {
@@ -381,9 +376,7 @@ class MinMaxModel:
         safe_span = np.where(constant, 1.0, span)
         scaled = (matrix - mins) / safe_span * (self.hi - self.lo) + self.lo
         scaled[:, constant] = (self.hi + self.lo) / 2.0
-        return table.with_column(
-            ColumnSpec(self.output_col, "vector", nullable=False), FeatureVector.rows_of(scaled)
-        )
+        return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), scaled)
 
     def to_dict(self) -> dict:
         return {

@@ -12,8 +12,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .vectors import FeatureVector
-
 #: Column kinds accepted in external schemas. "vector" additionally exists as
 #: an engine-internal kind for assembled feature columns and cannot be
 #: ingested from CSV.
@@ -96,28 +94,68 @@ def _check_value(spec: ColumnSpec, value, row: int):
         if isinstance(value, bool) or value not in (0, 1):
             raise TableError(f"label column {spec.name!r} expects 0 or 1, got {value!r} at row {row}")
         return int(value)
-    if kind == "vector":
-        if not isinstance(value, FeatureVector):
-            raise TableError(f"column {spec.name!r} expects a FeatureVector at row {row}")
-        return value
     raise AssertionError(kind)
 
 
-def _checked_column(spec: ColumnSpec, values: Sequence, n: int | None) -> tuple:
-    """`values` as a stored column: every value checked against `spec`, and
-    the length against `n` when a row count is already fixed."""
-    col = tuple(values)
+def _checked_matrix(name: str, values) -> np.ndarray:
+    """A vector column as a private read-only (n, size) float64 matrix, from
+    a 2-D array or a sequence of equal-length rows. A null, ragged or
+    non-numeric row and NaN are rejected, naming the column and the row."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    try:
+        matrix = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise _bad_row(name, values) from None
+    if matrix.shape == (0,):
+        matrix = matrix.reshape(0, 0)
+    if matrix.ndim != 2:
+        raise _bad_row(name, values)
+    nan_rows = np.flatnonzero(np.isnan(matrix).any(axis=1))
+    if nan_rows.size:
+        raise TableError(f"vector column {name!r} holds NaN at row {int(nan_rows[0])}")
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _bad_row(name: str, rows) -> TableError:
+    """The error for the first of `rows` that is not a row of numbers as wide
+    as the rows before it."""
+    width = None
+    for i, row in enumerate(rows):
+        try:
+            values = np.array(row, dtype=np.float64)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 1:
+            return TableError(f"vector column {name!r} expects a row of numbers at row {i}, got {row!r}")
+        if width is not None and values.size != width:
+            return TableError(f"vector column {name!r} has a row of size {values.size} at row {i}, expected {width}")
+        width = values.size
+    return TableError(f"vector column {name!r} must be 2-dimensional")
+
+
+def _checked_column(spec: ColumnSpec, values, n: int | None):
+    """`values` as a stored column: a tuple of values checked against `spec`,
+    or a checked matrix for a vector column, with the length checked against
+    `n` when a row count is already fixed."""
+    col = _checked_matrix(spec.name, values) if spec.kind == "vector" else tuple(values)
     if n is not None and len(col) != n:
         raise TableError(f"column {spec.name!r} has {len(col)} values, expected {n}")
+    if spec.kind == "vector":
+        return col
     return tuple(_check_value(spec, v, i) for i, v in enumerate(col))
 
 
 class DataTable:
     """Immutable columnar table with a typed schema.
 
-    Columns are stored as tuples; every mutation-style operation returns a
-    new table. Values must conform to the declared column kind; empty-string
-    categories are disallowed so CSV round-trips stay value-identical.
+    Scalar columns are stored as tuples and vector columns as read-only
+    (n, size) float64 matrices; every mutation-style operation returns a new
+    table. Values must conform to the declared column kind; empty-string
+    categories are disallowed so CSV round-trips stay value-identical. A
+    vector column is given as a 2-D array or as equal-length rows, holds no
+    null and no NaN, and is read through `feature_matrix`.
 
     Values are checked once, where they enter: the constructor, `read_csv`
     and `from_json_bytes` check every cell. Derived tables reuse the checked
@@ -138,14 +176,14 @@ class DataTable:
             n = len(stored[spec.name])
         self._init(schema, stored, 0 if n is None else n)
 
-    def _init(self, schema: tuple[ColumnSpec, ...], columns: dict[str, tuple], row_count: int):
+    def _init(self, schema: tuple[ColumnSpec, ...], columns: dict, row_count: int):
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "row_count", row_count)
 
     @classmethod
     def _trusted(
-        cls, schema: tuple[ColumnSpec, ...], columns: dict[str, tuple], row_count: int
+        cls, schema: tuple[ColumnSpec, ...], columns: dict, row_count: int
     ) -> "DataTable":
         """A table over columns that already hold checked values of `schema`,
         all `row_count` long; nothing is checked again."""
@@ -159,10 +197,10 @@ class DataTable:
     # -- lookup ------------------------------------------------------------
 
     def column(self, name: str) -> tuple:
-        try:
-            return self._columns[name]
-        except KeyError:
-            raise TableError(f"unknown column {name!r}") from None
+        """The values of a scalar column."""
+        if self.spec(name).kind == "vector":
+            raise TableError(f"column {name!r} is a vector column; read it with feature_matrix")
+        return self._columns[name]
 
     def spec(self, name: str) -> ColumnSpec:
         for s in self.schema:
@@ -198,23 +236,23 @@ class DataTable:
 
     def select_rows(self, indices: Iterable[int]) -> "DataTable":
         idx = list(indices)
-        cols = {name: tuple([col[i] for i in idx]) for name, col in self._columns.items()}
+        rows = np.asarray(idx, dtype=np.intp)
+        cols = {}
+        for name, col in self._columns.items():
+            if isinstance(col, np.ndarray):
+                cols[name] = col[rows]
+                cols[name].setflags(write=False)
+            else:
+                cols[name] = tuple([col[i] for i in idx])
         return DataTable._trusted(self.schema, cols, len(idx) if cols else 0)
 
     # -- numeric views -----------------------------------------------------
 
     def feature_matrix(self, name: str) -> np.ndarray:
-        """Stack a vector column into an (n, size) float array."""
-        spec = self.spec(name)
-        if spec.kind != "vector":
+        """A vector column's read-only (n, size) float64 matrix."""
+        if self.spec(name).kind != "vector":
             raise TableError(f"column {name!r} is not a vector column")
-        col = self._columns[name]
-        if not col:
-            return np.zeros((0, 0), dtype=np.float64)
-        sizes = {v.size for v in col}
-        if len(sizes) != 1:
-            raise TableError(f"vector column {name!r} has varying sizes {sorted(sizes)}")
-        return np.stack([v.values for v in col])
+        return self._columns[name]
 
     def label_array(self) -> np.ndarray:
         name = self.label_column()
@@ -225,18 +263,17 @@ class DataTable:
     # -- serialization -----------------------------------------------------
 
     def to_json_bytes(self) -> bytes:
-        def encode(spec: ColumnSpec, v):
-            if spec.kind == "vector" and v is not None:
-                return v.to_dict()
-            return v
+        def encode(col) -> list:
+            if isinstance(col, np.ndarray):
+                size = col.shape[1]
+                return [{"size": size, "values": row} for row in col.tolist()]
+            return list(col)
 
         doc = {
             "format": "coverml-table",
             "version": 1,
             "schema": [s.to_dict() for s in self.schema],
-            "columns": {
-                s.name: [encode(s, v) for v in self._columns[s.name]] for s in self.schema
-            },
+            "columns": {s.name: encode(self._columns[s.name]) for s in self.schema},
         }
         return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
@@ -252,10 +289,7 @@ class DataTable:
         for spec in schema:
             vals = doc["columns"][spec.name]
             if spec.kind == "vector":
-                try:
-                    vals = [None if v is None else FeatureVector.from_dict(v) for v in vals]
-                except ValueError as exc:
-                    raise TableError(f"vector column {spec.name!r}: {exc}") from None
+                vals = [_vector_entry(spec.name, v, i) for i, v in enumerate(vals)]
             columns[spec.name] = vals
         return cls(schema, columns)
 
@@ -264,19 +298,42 @@ class DataTable:
 
     def null_counts(self) -> dict[str, int]:
         return {
-            name: sum(1 for v in col if v is None) for name, col in self._columns.items()
+            name: 0 if isinstance(col, np.ndarray) else sum(1 for v in col if v is None)
+            for name, col in self._columns.items()
         }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataTable):
             return NotImplemented
-        return self.schema == other.schema and self._columns == other._columns
+        if self.schema != other.schema or self.row_count != other.row_count:
+            return False
+        for name, col in self._columns.items():
+            if isinstance(col, np.ndarray):
+                # A .tbl file cannot record the width of a 0-row vector column.
+                if col.shape[0] and not np.array_equal(col, other._columns[name]):
+                    return False
+            elif col != other._columns[name]:
+                return False
+        return True
 
     def __hash__(self):
         raise TypeError("DataTable is not hashable")
 
     def __repr__(self) -> str:
         return f"DataTable({self.row_count} rows x {len(self.schema)} columns)"
+
+
+def _vector_entry(name: str, entry, row: int) -> list:
+    """The values of one `.tbl` vector entry, `{"size": d, "values": [...]}`
+    with d values."""
+    if (
+        not isinstance(entry, dict)
+        or set(entry) != {"size", "values"}
+        or not isinstance(entry["values"], list)
+        or entry["size"] != len(entry["values"])
+    ):
+        raise TableError(f"vector column {name!r} expects an entry of size and values at row {row}, got {entry!r}")
+    return entry["values"]
 
 
 # -- CSV ---------------------------------------------------------------------

@@ -9,7 +9,7 @@ from coverml.cli import main
 from coverml.datasets import SynthSpec, generate_synthetic
 from coverml.persist import read_header
 from coverml.stages import FittedPipeline
-from coverml.table import DataTable
+from coverml.table import ColumnSpec, DataTable
 
 
 def run(capsys, *argv):
@@ -224,6 +224,25 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (workdir / "deep.bin").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_scale_is_an_error_line(self, tmp_path, capsys):
+        n = 90
+        table = DataTable(
+            [ColumnSpec("x", "numeric"), ColumnSpec("label", "label", nullable=False)],
+            {"x": [1e308 if i % 2 else -1e308 for i in range(n)], "label": [(i // 2) % 2 for i in range(n)]},
+        )
+        (tmp_path / "wide.tbl").write_bytes(table.to_json_bytes())
+        (tmp_path / "pipeline.json").write_text(json.dumps({"stages": [
+            {"type": "assemble", "inputs": ["x"], "output": "raw"},
+            {"type": "minmax", "input": "raw", "output": "features"},
+        ]}))
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "wide.tbl"), "--model", "lr",
+                           "--pipeline", str(tmp_path / "pipeline.json"), "--out", str(tmp_path / "m.bin"))
+        assert code == 1
+        assert err.startswith("error: ") and "stage 1 (MinMaxScaler) failed" in err
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     def test_metric_table_order_and_outputs(self, workdir, capsys):
@@ -293,6 +312,47 @@ class TestEvaluate:
         )
         assert code == 0
         assert "in-sample" in out
+
+
+def with_unseen_issuers(workdir, rows):
+    """test.tbl with an IssuerId no training row has at `rows`, which the
+    default pipeline's `VectorIndexer(skip)` drops."""
+    test = DataTable.from_json_bytes((workdir / "test.tbl").read_bytes())
+    issuers = list(test.column("IssuerId"))
+    for i in rows:
+        issuers[i] = "ISS99"
+    (workdir / "unseen.tbl").write_bytes(test.replace_column("IssuerId", issuers).to_json_bytes())
+    return workdir / "unseen.tbl"
+
+
+class TestDroppedRowsNote:
+    NOTE = "note: 3 of 450 rows were dropped by the pipeline"
+
+    def test_evaluate_counts_dropped_rows(self, workdir, capsys):
+        train_gbt(workdir, capsys)
+        data = with_unseen_issuers(workdir, [0, 5, 10])
+        code, out, err = run(capsys, "evaluate", "--model", str(workdir / "m.bin"), "--data", str(data),
+                             "--predictions", str(workdir / "preds.csv"))
+        assert code == 0, err
+        assert self.NOTE in out.splitlines()
+        assert len((workdir / "preds.csv").read_text().splitlines()) == 1 + 447
+
+    def test_predict_counts_dropped_rows(self, workdir, capsys):
+        train_gbt(workdir, capsys)
+        data = with_unseen_issuers(workdir, [0, 5, 10])
+        code, out, err = run(capsys, "predict", "--model", str(workdir / "m.bin"), "--data", str(data),
+                             "--out", str(workdir / "p.csv"))
+        assert code == 0, err
+        assert self.NOTE in out.splitlines()
+
+    @pytest.mark.parametrize("verb, out_flag", [("evaluate", "--predictions"), ("predict", "--out")])
+    def test_clean_batch_has_no_note(self, workdir, capsys, verb, out_flag):
+        train_gbt(workdir, capsys)
+        code, out, err = run(capsys, verb, "--model", str(workdir / "m.bin"), "--data",
+                             str(workdir / "test.tbl"), out_flag, str(workdir / "p.csv"))
+        assert code == 0, err
+        assert "dropped" not in out
+        assert len((workdir / "p.csv").read_text().splitlines()) == 1 + 450
 
 
 def rewrite_header(path, header_bytes):
@@ -618,3 +678,69 @@ class TestTreeModelBytes:
                            "--grid", str(grid), "--seed", "1", "--out", str(out))
         assert code == 0, err
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[family]
+
+
+def vector_rich_tables():
+    """A training table and a batch for the default pipeline whose transform
+    holds vector columns with -0.0 entries and unseen-bucket values: 30
+    states (more than `max_categories`, so the state dimension stays
+    continuous and the unseen bucket passes through), a numeric column with
+    signed zeros, and batch rows with an unseen state (kept) and an unseen
+    issuer (dropped by `VectorIndexer(skip)`)."""
+    from coverml.datasets import derive_label
+    from coverml.table import ColumnSpec
+
+    cards = {"IssuerId": 4, "StateCode": 30}
+    table = derive_label(generate_synthetic(SynthSpec(row_count=240, seed=3, weak_cardinalities=cards)))
+    amounts = [(-0.0 if i % 7 == 0 else (i % 11) * 0.25 - 1.0) for i in range(table.row_count)]
+    table = table.with_column(ColumnSpec("Amount", "numeric", nullable=False), amounts)
+    train, batch = table.select_rows(range(160)), table.select_rows(range(160, 240))
+    states = list(batch.column("StateCode"))
+    issuers = list(batch.column("IssuerId"))
+    for i in range(0, 80, 9):
+        states[i] = "ST99"
+    for i in range(4, 80, 13):
+        issuers[i] = "ISS99"
+    batch = batch.replace_column("StateCode", states).replace_column("IssuerId", issuers)
+    return train, batch
+
+
+class TestOutputBytes:
+    """sha256 of the report and predictions CSV that `evaluate` writes for an
+    lr model, and of the `.tbl` bytes of a default-pipeline transform,
+    recorded before vector columns were stored as matrices; vector rendering
+    and `.tbl` encoding must not change them."""
+
+    DIGESTS = {
+        "report.json": "91da495693ff10d1995b7b5f7144eba3e2ca36374211e31635444fc553494ea0",
+        "preds.csv": "ba9bcf52643e5b0e01a2fcf1e5fa0edd3edd921ccf29d3c26a5135deb2a45446",
+        "transformed.tbl": "9f0c7a052b07553d6e1d548b9f4096b15ff949207aa715bcb0785b0d34c6f283",
+    }
+
+    @pytest.fixture(scope="class")
+    def evaluated(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("pinned_lr")
+        assert main(["synth", "--rows", "600", "--seed", "1", "--out", str(d / "raw.tbl"),
+                     "--csv-out", str(d / "raw.csv"), "--schema-out", str(d / "schema.json")]) == 0
+        assert main(["ingest", "--input", str(d / "raw.csv"), "--schema", str(d / "schema.json"),
+                     "--derive-label", "--out", str(d / "data.tbl")]) == 0
+        assert main(["train", "--data", str(d / "data.tbl"), "--model", "lr", "--seed", "1",
+                     "--test-out", str(d / "test.tbl"), "--out", str(d / "lr.bin")]) == 0
+        assert main(["evaluate", "--model", str(d / "lr.bin"), "--data", str(d / "test.tbl"),
+                     "--out", str(d / "report.json"), "--predictions", str(d / "preds.csv")]) == 0
+        return d
+
+    @pytest.mark.parametrize("name", ["report.json", "preds.csv"])
+    def test_evaluate_output_digest(self, evaluated, name):
+        assert hashlib.sha256((evaluated / name).read_bytes()).hexdigest() == self.DIGESTS[name]
+
+    def test_transformed_table_digest(self):
+        from coverml.stages import default_pipeline_spec, fit_pipeline
+
+        train, batch = vector_rich_tables()
+        spec = default_pipeline_spec(train, exclude=("IsCovered",))
+        out = fit_pipeline(spec, train, classifier=("lr", None)).transform(batch)
+        data = out.to_json_bytes()
+        assert b"-0.0" in data
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS["transformed.tbl"]
+        assert out.fingerprint() == self.DIGESTS["transformed.tbl"]

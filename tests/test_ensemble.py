@@ -164,17 +164,14 @@ class TestPrefixes:
 class TestGoldenPrediction:
     def test_frozen_triple_reproduced(self):
         """Golden values from the first verified run of this exact fixture."""
-        from coverml.models import predict
-        from coverml.vectors import FeatureVector
-
         rng = np.random.default_rng(123)
         X = rng.random((200, 5))
         y = ((X[:, 0] + 0.5 * X[:, 3]) > 0.75).astype(int)
         model = train_gbt(X, y, GbtParams(num_iterations=8, seed=1))
-        triple = predict(model, FeatureVector.dense([0.9, 0.1, 0.5, 0.8, 0.2]))
-        assert triple.raw_score == 0.5848683502642308
-        assert triple.probability == 0.7630974198122307
-        assert triple.prediction == 1
+        raw, prob = model.scores(np.array([[0.9, 0.1, 0.5, 0.8, 0.2]]))
+        assert raw.tolist() == [0.5848683502642308]
+        assert prob.tolist() == [0.7630974198122307]
+        assert model.predictions_from_scores(raw, prob).tolist() == [1]
 
 
 class TestImportances:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coverml.models.base import ModelError, predict
+from coverml.models.base import ModelError
 from coverml.models.linear import (
     LinearSvmModel,
     LinearSvmParams,
@@ -15,7 +15,6 @@ from coverml.models.linear import (
     train_linear_svm,
     train_logistic,
 )
-from coverml.vectors import FeatureVector
 
 from helpers import grad_check
 
@@ -127,8 +126,8 @@ class TestLinearSvm:
     def test_probabilities_absent(self):
         model = LinearSvmModel(np.zeros(2), 0.0)
         assert model.probabilities(np.zeros((1, 2))) is None
-        triple = predict(model, FeatureVector.dense([0.0, 0.0]))
-        assert triple.probability is None and triple.prediction == 0
+        raw, prob = model.scores(np.zeros((1, 2)))
+        assert prob is None and model.predictions_from_scores(raw, prob).tolist() == [0]
 
     def test_separable_pair_classified(self):
         X = np.array([[-2.0], [2.0]])
@@ -186,14 +185,11 @@ class TestPredictContract:
     def test_dimension_mismatch(self):
         model = LogisticModel(np.zeros(2), 0.0, 0.5)
         with pytest.raises(ModelError):
-            predict(model, FeatureVector.dense([1.0]))
-
-    def test_nonfinite_rejected(self):
-        model = LogisticModel(np.zeros(1), 0.0, 0.5)
-        with pytest.raises(ModelError):
-            predict(model, FeatureVector.dense([np.inf]))
+            model.scores(np.array([[1.0]]))
 
     def test_pure_function(self):
         model = LogisticModel(np.array([0.3]), -0.1, 0.5)
-        fv = FeatureVector.dense([2.0])
-        assert predict(model, fv) == predict(model, fv)
+        X = np.array([[2.0]])
+        (raw1, prob1), (raw2, prob2) = model.scores(X), model.scores(X)
+        assert raw1.tolist() == raw2.tolist() and prob1.tolist() == prob2.tolist()
+        assert model.predictions(X).tolist() == model.predictions(X).tolist()

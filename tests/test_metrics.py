@@ -10,8 +10,6 @@ from coverml.metrics import (
     ConfusionCounts,
     EvalReport,
     MetricError,
-    ScoredRow,
-    confusion,
     confusion_from_arrays,
     curve_to_csv,
     evaluate_scores,
@@ -26,33 +24,26 @@ from helpers import concordance_auc
 REFERENCE_COUNTS = ConfusionCounts(tp=11699, fp=2713, tn=0, fn=3)
 
 
-def rows_from(scores, labels, threshold=0.5):
-    return [ScoredRow(s, l, 1 if s > threshold else 0) for s, l in zip(scores, labels)]
-
-
 class TestConfusion:
     def test_reference_counts_fixture(self):
-        rows = (
-            [ScoredRow(0.9, 1, 1)] * 11699
-            + [ScoredRow(0.9, 0, 1)] * 2713
-            + [ScoredRow(0.1, 1, 0)] * 3
-        )
-        assert confusion(rows) == REFERENCE_COUNTS
+        predictions = np.array([1] * 11699 + [1] * 2713 + [0] * 3)
+        labels = np.array([1] * 11699 + [0] * 2713 + [1] * 3)
+        assert confusion_from_arrays(predictions, labels) == REFERENCE_COUNTS
         assert REFERENCE_COUNTS.total == 14415
 
     def test_all_correct_balanced(self):
-        rows = [ScoredRow(0.9, 1, 1), ScoredRow(0.8, 1, 1), ScoredRow(0.1, 0, 0), ScoredRow(0.2, 0, 0)]
-        c = confusion(rows)
+        c = confusion_from_arrays(np.array([1, 1, 0, 0]), np.array([1, 1, 0, 0]))
         assert (c.tp, c.fp, c.tn, c.fn) == (2, 0, 2, 0)
 
     def test_order_invariance(self):
-        rows = rows_from([0.9, 0.2, 0.7, 0.4], [1, 0, 0, 1])
-        shuffled = [rows[2], rows[0], rows[3], rows[1]]
-        assert confusion(rows) == confusion(shuffled)
+        predictions = np.array([1, 0, 1, 0])
+        labels = np.array([1, 0, 0, 1])
+        shuffled = [2, 0, 3, 1]
+        assert confusion_from_arrays(predictions, labels) == confusion_from_arrays(
+            predictions[shuffled], labels[shuffled]
+        )
 
     def test_empty_errors(self):
-        with pytest.raises(MetricError):
-            confusion([])
         with pytest.raises(MetricError):
             confusion_from_arrays(np.array([]), np.array([]))
 
@@ -121,11 +112,6 @@ class TestRoc:
         fpr = [p[0] for p in points]
         tpr = [p[1] for p in points]
         assert fpr == sorted(fpr) and tpr == sorted(tpr)
-
-    def test_scored_row_interface(self):
-        rows = [ScoredRow(0.9, 1, 1), ScoredRow(0.1, 0, 0)]
-        _, auc = roc_curve(rows)
-        assert auc == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

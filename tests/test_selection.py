@@ -209,6 +209,15 @@ class TestCrossValidate:
         with pytest.raises(SelectionError, match="single class|no validation|one positive|one negative"):
             cross_validate(spec, "lr", [LogisticParams()], table, CVConfig(folds=3, seed=1))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_scale_is_a_stage_error(self):
+        # x spans +-1e308, so the min-max span overflows to inf and scaling
+        # gives NaN: every fold records a stage error; none escapes the sweep.
+        table, spec = overflowing_minmax()
+        with pytest.raises(SelectionError, match=r"stage 1 \(MinMaxScaler\) failed"):
+            cross_validate(spec, "lr", [LogisticParams()], table, CVConfig(folds=3, seed=1))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(SelectionError):
             cross_validate(simple_spec(), "lr", [], small_table(), CVConfig())
@@ -242,6 +251,18 @@ class TestCrossValidate:
     def test_fit_minutes_positive(self):
         result = cross_validate(simple_spec(), "lr", [LogisticParams()], small_table(), CVConfig())
         assert result.fit_minutes > 0
+
+
+def overflowing_minmax(n=60):
+    """A numeric column spanning more than the float64 range, assembled and
+    min-max scaled."""
+    x = [1e308 if i % 2 else -1e308 for i in range(n)]
+    table = DataTable(
+        [ColumnSpec("x", "numeric"), ColumnSpec("label", "label", nullable=False)],
+        {"x": x, "label": [(i // 2) % 2 for i in range(n)]},
+    )
+    spec = PipelineSpec((VectorAssembler(("x",), "raw"), MinMaxScaler("raw", "features")), "features")
+    return table, spec
 
 
 def reference_cross_validate(spec, family, grid, table, config):

@@ -18,7 +18,11 @@ from coverml.stages import (
     fit_pipeline,
 )
 from coverml.table import ColumnSpec, DataTable
-from coverml.vectors import FeatureVector
+
+
+def display(row):
+    """A vector row as the predictions CSV renders it."""
+    return "[" + ",".join(repr(v) for v in row) + "]"
 
 
 def table_of(**cols):
@@ -100,22 +104,22 @@ class TestVectorAssembler:
     def test_concatenation_order(self):
         t = table_of(
             a=("numeric", [1.0]),
-            v=("vector", [FeatureVector.dense([2.0, 3.0])]),
+            v=("vector", [[2.0, 3.0]]),
             b=("numeric", [4.0]),
         )
         out = VectorAssembler(("a", "v", "b"), "f").fit(t).transform(t)
-        assert out.column("f")[0] == FeatureVector.dense([1.0, 2.0, 3.0, 4.0])
+        assert out.feature_matrix("f").tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
     def test_single_scalar(self):
         t = table_of(a=("numeric", [7.5]))
         out = VectorAssembler(("a",), "f").fit(t).transform(t)
-        assert out.column("f")[0].size == 1
+        assert out.feature_matrix("f").shape == (1, 1)
 
     def test_seven_scalars_make_size_seven(self):
         cols = {f"c{i}": ("numeric", [float(i)]) for i in range(7)}
         t = table_of(**cols)
         out = VectorAssembler(tuple(cols), "features").fit(t).transform(t)
-        assert out.column("features")[0].size == 7
+        assert out.feature_matrix("features").shape == (1, 7)
 
     def test_null_input_names_column_and_row(self):
         t = table_of(a=("numeric", [1.0, None]))
@@ -125,8 +129,7 @@ class TestVectorAssembler:
     def test_boolean_and_label_coerce(self):
         t = table_of(b=("boolean", [True, False]), y=("label", [1, 0]))
         out = VectorAssembler(("b", "y"), "f").fit(t).transform(t)
-        assert out.column("f")[0] == FeatureVector.dense([1.0, 1.0])
-        assert out.column("f")[1] == FeatureVector.dense([0.0, 0.0])
+        assert out.feature_matrix("f").tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_categorical_input_rejected(self):
         t = table_of(s=("categorical_text", ["x"]))
@@ -135,15 +138,14 @@ class TestVectorAssembler:
 
     def test_output_size_is_sum_of_input_sizes(self):
         rng = np.random.default_rng(0)
-        vectors = [FeatureVector.dense(rng.random(3)) for _ in range(5)]
-        t = table_of(v=("vector", vectors), x=("numeric", rng.random(5).tolist()))
+        t = table_of(v=("vector", rng.random((5, 3))), x=("numeric", rng.random(5).tolist()))
         out = VectorAssembler(("v", "x"), "f").fit(t).transform(t)
-        assert all(fv.size == 4 for fv in out.column("f"))
+        assert out.feature_matrix("f").shape == (5, 4)
 
 
 class TestVectorIndexer:
     def fit_on(self, rows, max_categories=4, policy="skip"):
-        t = table_of(v=("vector", [FeatureVector.dense(r) for r in rows]))
+        t = table_of(v=("vector", [r for r in rows]))
         model = VectorIndexer("v", "o", max_categories, policy).fit(t)
         return model, t
 
@@ -151,35 +153,35 @@ class TestVectorIndexer:
         model, t = self.fit_on([[0.0], [1.0], [5.0]])
         assert model.category_maps[0] == {0.0: 0, 1.0: 1, 5.0: 2}
         out = model.transform(t)
-        assert [fv.to_dense()[0] for fv in out.column("o")] == [0.0, 1.0, 2.0]
+        assert out.feature_matrix("o")[:, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_high_cardinality_passthrough(self):
         rows = [[float(i)] for i in range(100)]
         model, t = self.fit_on(rows, max_categories=20)
         assert model.category_maps == {}
         out = model.transform(t)
-        assert [fv.to_dense()[0] for fv in out.column("o")] == [float(i) for i in range(100)]
+        assert out.feature_matrix("o")[:, 0].tolist() == [float(i) for i in range(100)]
 
     def test_unseen_value_skip_drops_row(self):
         model, _ = self.fit_on([[0.0], [1.0], [5.0]])
-        test = table_of(v=("vector", [FeatureVector.dense([7.0]), FeatureVector.dense([1.0])]))
+        test = table_of(v=("vector", [[7.0], [1.0]]))
         out = model.transform(test)
         assert out.row_count == 1
-        assert out.column("o")[0] == FeatureVector.dense([1.0])
+        assert out.feature_matrix("o").tolist() == [[1.0]]
 
     def test_unseen_value_keep_appends_bucket(self):
         model, _ = self.fit_on([[0.0], [1.0], [5.0]], policy="keep")
-        out = model.transform(table_of(v=("vector", [FeatureVector.dense([7.0])])))
-        assert out.column("o")[0] == FeatureVector.dense([3.0])
+        out = model.transform(table_of(v=("vector", [[7.0]])))
+        assert out.feature_matrix("o").tolist() == [[3.0]]
 
     def test_unseen_value_error_policy(self):
         model, _ = self.fit_on([[0.0], [1.0]], policy="error")
         with pytest.raises(PipelineError, match="dimension 0"):
-            model.transform(table_of(v=("vector", [FeatureVector.dense([9.0])])))
+            model.transform(table_of(v=("vector", [[9.0]])))
 
     def test_varying_sizes_rejected(self):
         model, _ = self.fit_on([[0.0, 1.0], [1.0, 0.0]])
-        bad = table_of(v=("vector", [FeatureVector.dense([1.0])]))
+        bad = table_of(v=("vector", [[1.0]]))
         with pytest.raises(ValueError):
             model.transform(bad)
 
@@ -193,17 +195,18 @@ def assemble_rows(table, input_cols):
     for row in range(table.row_count):
         parts = []
         for name in input_cols:
-            v = table.column(name)[row]
             kind = table.spec(name).kind
+            if kind == "vector":
+                parts.extend(table.feature_matrix(name)[row].tolist())
+                continue
+            v = table.column(name)[row]
             if v is None:
                 raise PipelineError(f"null value in column {name!r} at row {row}")
-            if kind == "vector":
-                parts.extend(v.to_dense().tolist())
-            elif kind == "boolean":
+            if kind == "boolean":
                 parts.append(1.0 if v else 0.0)
             else:
                 parts.append(float(v))
-        out.append(FeatureVector.dense(parts).display())
+        out.append(display(parts))
     return out
 
 
@@ -225,7 +228,7 @@ def index_rows(model, rows):
                     f"of {model.input_col!r} at row {row}"
                 )
     return [float(i) for i in range(len(rows)) if kept[i]], [
-        FeatureVector.dense(r).display() for r, k in zip(out, kept) if k
+        display(r) for r, k in zip(out, kept) if k
     ]
 
 
@@ -247,19 +250,19 @@ class TestArrayStagesMatchRowLoops:
             values = st.none() | values if with_nulls else values
             return data.draw(st.lists(values, min_size=n, max_size=n))
 
-        vec = st.lists(st.sampled_from(POOL), min_size=2, max_size=2).map(FeatureVector.dense)
+        vec = st.lists(st.sampled_from(POOL), min_size=2, max_size=2)
         t = table_of(
             x=("numeric", column(st.sampled_from(POOL))),
             b=("boolean", column(st.booleans())),
             y=("label", data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
-            v=("vector", column(vec)),
+            v=("vector", data.draw(st.lists(vec, min_size=n, max_size=n))),
         )
         order = data.draw(st.permutations(["x", "b", "y", "v"]))
         inputs = tuple(order[: data.draw(st.integers(1, 4))])
 
         def assembled():
             out = VectorAssembler(inputs, "f").transform(t)
-            return [fv.display() for fv in out.column("f")]
+            return [display(r) for r in out.feature_matrix("f").tolist()]
 
         assert outcome(assembled) == outcome(lambda: assemble_rows(t, inputs))
 
@@ -276,7 +279,7 @@ class TestArrayStagesMatchRowLoops:
             return data.draw(st.lists(row, min_size=min_size, max_size=10))
 
         fit_pool = data.draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4))
-        fit = table_of(v=("vector", [FeatureVector.dense(r) for r in rows(fit_pool, 1)]))
+        fit = table_of(v=("vector", [r for r in rows(fit_pool, 1)]))
         model = VectorIndexer("v", "o", max_categories, policy).fit(fit)
         # Codes in any order, as a hand-edited model file may hold them.
         maps = {}
@@ -287,21 +290,21 @@ class TestArrayStagesMatchRowLoops:
 
         test_rows = rows(POOL, 0)
         t = table_of(
-            v=("vector", [FeatureVector.dense(r) for r in test_rows]),
+            v=("vector", [r for r in test_rows]),
             id=("numeric", [float(i) for i in range(len(test_rows))]),
         )
 
         def indexed():
             out = model.transform(t)
-            return list(out.column("id")), [fv.display() for fv in out.column("o")]
+            return list(out.column("id")), [display(r) for r in out.feature_matrix("o").tolist()]
 
         assert outcome(indexed) == outcome(lambda: index_rows(model, test_rows))
 
     def test_negative_zero_matches_zero_category(self):
-        t = table_of(v=("vector", [FeatureVector.dense([0.0]), FeatureVector.dense([1.0])]))
+        t = table_of(v=("vector", [[0.0], [1.0]]))
         model = VectorIndexer("v", "o", 4, "error").fit(t)
-        out = model.transform(table_of(v=("vector", [FeatureVector.dense([-0.0])])))
-        assert out.column("o")[0].display() == "[0.0]"
+        out = model.transform(table_of(v=("vector", [[-0.0]])))
+        assert display(out.feature_matrix("o")[0].tolist()) == "[0.0]"
 
     def test_first_null_in_row_order_is_named(self):
         t = table_of(a=("numeric", [1.0, 2.0, None]), b=("numeric", [1.0, None, None]))
@@ -312,31 +315,31 @@ class TestArrayStagesMatchRowLoops:
 
     def test_first_unseen_value_is_named(self):
         model = VectorIndexer("v", "o", 4, "error").fit(
-            table_of(v=("vector", [FeatureVector.dense([0.0, 0.0])]))
+            table_of(v=("vector", [[0.0, 0.0]]))
         )
         rows = [[0.0, 0.0], [0.0, 5.0], [4.0, 0.0], [3.0, 0.0]]
-        t = table_of(v=("vector", [FeatureVector.dense(r) for r in rows]))
+        t = table_of(v=("vector", [r for r in rows]))
         with pytest.raises(PipelineError, match=r"value (np\.float64\()?4\.0\)? in dimension 0 of 'v' at row 2"):
             model.transform(t)
 
 
 class TestMinMax:
     def test_three_point_rescale(self):
-        t = table_of(v=("vector", [FeatureVector.dense([x]) for x in (10.0, 20.0, 30.0)]))
+        t = table_of(v=("vector", [[x] for x in (10.0, 20.0, 30.0)]))
         model = MinMaxScaler("v", "o").fit(t)
         out = model.transform(t)
-        assert [fv.to_dense()[0] for fv in out.column("o")] == [0.0, 0.5, 1.0]
+        assert out.feature_matrix("o")[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_dimension_maps_to_midpoint(self):
-        t = table_of(v=("vector", [FeatureVector.dense([4.0]) for _ in range(3)]))
+        t = table_of(v=("vector", [[4.0] for _ in range(3)]))
         out = MinMaxScaler("v", "o", 0.0, 1.0).fit(t).transform(t)
-        assert [fv.to_dense()[0] for fv in out.column("o")] == [0.5, 0.5, 0.5]
+        assert out.feature_matrix("o")[:, 0].tolist() == [0.5, 0.5, 0.5]
 
     def test_outputs_not_clamped(self):
-        fit = table_of(v=("vector", [FeatureVector.dense([10.0]), FeatureVector.dense([30.0])]))
+        fit = table_of(v=("vector", [[10.0], [30.0]]))
         model = MinMaxScaler("v", "o").fit(fit)
-        out = model.transform(table_of(v=("vector", [FeatureVector.dense([5.0])])))
-        assert out.column("o")[0].to_dense()[0] == -0.25
+        out = model.transform(table_of(v=("vector", [[5.0]])))
+        assert out.feature_matrix("o")[0, 0] == -0.25
 
     def test_empty_fit_errors(self):
         t = table_of(v=("vector", []))
@@ -348,16 +351,16 @@ class TestMinMax:
             MinMaxScaler("v", "o", 1.0, 1.0)
 
     def test_custom_range_endpoints_exact(self):
-        t = table_of(v=("vector", [FeatureVector.dense([3.0]), FeatureVector.dense([9.0])]))
+        t = table_of(v=("vector", [[3.0], [9.0]]))
         out = MinMaxScaler("v", "o", -1.0, 1.0).fit(t).transform(t)
-        assert [fv.to_dense()[0] for fv in out.column("o")] == [-1.0, 1.0]
+        assert out.feature_matrix("o")[:, 0].tolist() == [-1.0, 1.0]
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
     def test_fit_rows_land_in_range(self, values):
-        t = table_of(v=("vector", [FeatureVector.dense([v]) for v in values]))
+        t = table_of(v=("vector", [[v] for v in values]))
         out = MinMaxScaler("v", "o").fit(t).transform(t)
-        scaled = [fv.to_dense()[0] for fv in out.column("o")]
+        scaled = out.feature_matrix("o")[:, 0].tolist()
         assert all(0.0 <= s <= 1.0 for s in scaled)
         if min(values) < max(values):
             assert 0.0 in scaled and 1.0 in scaled
@@ -401,8 +404,8 @@ class TestPipeline:
         spec = default_pipeline_spec(t)
         fitted = fit_pipeline(spec, t)
         out = fitted.transform(t)
-        features = out.column("features")
-        assert all(fv.size == 7 for fv in features)
+        features = out.feature_matrix("features")
+        assert features.shape == (10, 7)
 
         # manual stage-by-stage trace of row 0 = (A, 2017, I1, Q, S1, CA, true):
         # string indexes: A->1 (freqs C:4,A:3,B:2,D:1), 2017->0, I1->0, Q->0,
@@ -411,7 +414,7 @@ class TestPipeline:
         # re-encodes the constant IsEHB dimension {1.0}->0.
         # min-max: dim0 range [0,3] -> 1/3; dims 1,2,4 range [0,1] unchanged;
         # dim5 range [0,2] -> 0; constant dims 3,6 -> midpoint 0.5.
-        assert features[0] == FeatureVector.dense([1 / 3, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5])
+        assert features[0].tolist() == [1 / 3, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5]
 
     def test_feature_names_track_source_columns(self):
         t = ten_row_fixture()
@@ -571,10 +574,10 @@ class TestPipeline:
         )
         fitted = fit_pipeline(spec, t)
         out = fitted.transform(t)
-        features = out.column("features")
-        assert all(fv.size == 2 for fv in features)
+        features = out.feature_matrix("features")
+        assert features.shape == (4, 2)
         # imputed copay mean is (10+30+20)/3 = 20 -> scaled to 0.5 on [10, 30]
-        assert features[1].to_dense()[1] == 0.5
+        assert features[1, 1] == 0.5
         assert fitted.feature_names == ("plan", "copay")
 
     def test_default_spec_excludes_label_and_given_columns(self):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from coverml.table import (
     validate_schema,
     write_csv,
 )
-from coverml.vectors import FeatureVector
 
 
 def make_table(**cols):
@@ -94,13 +94,43 @@ class TestDataTable:
             t.with_column(ColumnSpec("a", "numeric"), [2.0])
 
     def test_vector_column_and_matrix(self):
-        t = make_table(v=("vector", [FeatureVector.dense([1.0, 2.0]), FeatureVector.dense([3.0, 4.0])]))
+        t = make_table(v=("vector", [[1.0, 2.0], [3.0, 4.0]]))
         assert t.feature_matrix("v").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert t.feature_matrix("v") is t.feature_matrix("v")
+        with pytest.raises(TableError, match="feature_matrix"):
+            t.column("v")
 
     def test_feature_matrix_varying_sizes(self):
-        t = make_table(v=("vector", [FeatureVector.dense([1.0]), FeatureVector.dense([1.0, 2.0])]))
-        with pytest.raises(TableError):
-            t.feature_matrix("v")
+        # A ragged column is rejected where the table is built.
+        with pytest.raises(TableError, match="'v'.* at row 1"):
+            make_table(v=("vector", [[1.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize(
+        "values, row",
+        [([[1.0], None], 1), ([[1.0], [float("nan")]], 1), ([[1.0], ["x"]], 1), ([[1.0], 2.0], 1)],
+    )
+    def test_bad_vector_rows_named(self, values, row):
+        with pytest.raises(TableError, match=f"'v'.* at row {row}"):
+            make_table(v=("vector", values))
+
+    def test_vector_column_must_be_two_dimensional(self):
+        with pytest.raises(TableError, match="'v' expects a row of numbers at row 0"):
+            make_table(v=("vector", np.zeros(3)))
+        t = make_table(a=("numeric", [1.0, 2.0]))
+        with pytest.raises(TableError, match="'v' expects a row of numbers at row 0"):
+            t.with_column(ColumnSpec("v", "vector"), np.zeros((2, 1, 1)))
+        with pytest.raises(TableError, match="'v' has 3 values, expected 2"):
+            t.with_column(ColumnSpec("v", "vector"), np.zeros((3, 1)))
+
+    def test_select_rows_takes_matrix_rows(self):
+        t = make_table(v=("vector", [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), a=("numeric", [0.0, 1.0, 2.0]))
+        out = t.select_rows([2, 0, 2])
+        assert out.feature_matrix("v").tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
+        assert not out.feature_matrix("v").flags.writeable
+        assert out.column("a") == (2.0, 0.0, 2.0)
+        assert t.select_rows([]).feature_matrix("v").shape == (0, 2)
+        with pytest.raises(IndexError):
+            t.select_rows([3])
 
     def test_unknown_column(self):
         t = make_table(a=("numeric", [1.0]))
@@ -119,7 +149,7 @@ class TestDataTable:
         assert data == t.to_json_bytes()
 
     def test_sparse_vector_entry_rejected(self):
-        t = make_table(v=("vector", [FeatureVector.dense([1.0, 0.0, 2.0])]))
+        t = make_table(v=("vector", [[1.0, 0.0, 2.0]]))
         assert DataTable.from_json_bytes(t.to_json_bytes()) == t
         sparse = t.to_json_bytes().replace(
             b'{"size":3,"values":[1.0,0.0,2.0]}', b'{"size":3,"indices":[0,2],"values":[1.0,2.0]}'
@@ -127,6 +157,11 @@ class TestDataTable:
         assert sparse != t.to_json_bytes()
         with pytest.raises(TableError, match="'v'"):
             DataTable.from_json_bytes(sparse)
+
+    def test_null_vector_entry_rejected(self):
+        data = make_table(v=("vector", [[1.0], [2.0]])).to_json_bytes()
+        with pytest.raises(TableError, match="'v'.* at row 1, got None"):
+            DataTable.from_json_bytes(data.replace(b'{"size":1,"values":[2.0]}', b"null"))
 
     def test_fingerprint_sensitive_to_values(self):
         t1 = make_table(a=("numeric", [1.0]))
