@@ -12,12 +12,19 @@ from .base import ModelError, TrainedClassifier, check_training_data
 from .linear import sigmoid
 from .tree import (
     TreeNode,
-    build_tree,
     check_max_depth,
+    grow_trees,
     normalized_importance,
+    presort,
     tree_apply,
     tree_importance,
 )
+
+#: Sample cells (rows × features) of the trees a forest grows in lockstep:
+#: trees of n rows and d features grow max(1, LOCKSTEP_CELLS // (n * d)) at
+#: a time. A group holds about 12.5 bytes per cell (float64 values and int32
+#: order rows), so at most about 26 MB whatever num_trees is.
+LOCKSTEP_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -88,30 +95,33 @@ def train_random_forest(X, y, params: RandomForestParams = RandomForestParams())
     """Bootstrap-aggregated CART trees with per-split feature subsets.
 
     Each tree's generator is derived from (seed, tree index), so the forest
-    is identical across runs.
+    is identical across runs. Trees grow in lockstep groups (`grow_trees`):
+    a tree draws its bootstrap sample and then its feature subsets from its
+    own generator in the order a tree grown alone would, so grouping does
+    not change any tree.
     """
     X, y = check_training_data(X, y)
     n, d = X.shape
     subset = max(1, math.floor(math.sqrt(d))) if params.feature_subset_rule == "sqrt" else None
-
-    def fit_one(t: int) -> TreeNode:
-        rng = derived_rng(params.seed, 23, t)
+    group = max(1, LOCKSTEP_CELLS // (n * d))
+    trees: list[TreeNode] = []
+    for first in range(0, params.num_trees, group):
+        rngs = [derived_rng(params.seed, 23, t) for t in range(first, min(first + group, params.num_trees))]
         if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xt, yt = X[idx], y[idx]
+            idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+            values, targets = X.T.take(idx, axis=1), y[idx]
         else:
-            Xt, yt = X, y
-        return build_tree(
-            Xt,
-            yt,
+            values, targets = np.broadcast_to(X.T[:, None], (d, len(rngs), n)), np.broadcast_to(y, (len(rngs), n))
+        trees += grow_trees(
+            values,
+            presort(values),
+            targets,
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
             task="gini",
             n_subset_features=subset,
-            rng=rng,
-        )
-
-    trees = [fit_one(t) for t in range(params.num_trees)]
+            rngs=rngs,
+        )[0]
     return RandomForestModel(trees, d, params.threshold)
 
 
@@ -223,18 +233,23 @@ def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
     f0 = 0.5 * math.log(p / (1.0 - p))
     F = np.full(X.shape[0], f0, dtype=np.float64)
 
+    # X does not change between stages, so its columns are sorted once.
+    values = np.ascontiguousarray(X.T)[:, None]
+    order = presort(values)
     trees: list[TreeNode] = []
     losses = [float(np.mean(np.logaddexp(0.0, -2.0 * ys * F)))]
     for _ in range(params.num_iterations):
         residuals = 2.0 * ys * sigmoid(-2.0 * ys * F)
-        root = build_tree(
-            X,
-            residuals,
+        (root,), fitted = grow_trees(
+            values,
+            order.copy(),
+            residuals[None],
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
             task="sse",
         )
         trees.append(root)
-        F += params.learning_rate * tree_apply(root, X, "value")
+        # The leaf values of the training rows: what tree_apply(root, X) gives.
+        F += params.learning_rate * fitted
         losses.append(float(np.mean(np.logaddexp(0.0, -2.0 * ys * F))))
     return GbtModel(f0, params.learning_rate, trees, X.shape[1], params.threshold, tuple(losses))

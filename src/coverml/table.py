@@ -325,7 +325,7 @@ class DataTable:
 
 def _vector_entry(name: str, entry, row: int) -> list:
     """The values of one `.tbl` vector entry, `{"size": d, "values": [...]}`
-    with d values."""
+    with d numbers."""
     if (
         not isinstance(entry, dict)
         or set(entry) != {"size", "values"}
@@ -333,6 +333,11 @@ def _vector_entry(name: str, entry, row: int) -> list:
         or entry["size"] != len(entry["values"])
     ):
         raise TableError(f"vector column {name!r} expects an entry of size and values at row {row}, got {entry!r}")
+    for value in entry["values"]:
+        # As in a numeric column, a string or a boolean (an int subclass) is
+        # not a number.
+        if type(value) not in (int, float):
+            raise TableError(f"vector column {name!r} expects numbers, got {value!r} at row {row}")
     return entry["values"]
 
 

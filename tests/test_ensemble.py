@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coverml import kernels
+from coverml.models import ensemble
 from coverml.models.base import ModelError
 from coverml.models.ensemble import (
     GbtModel,
@@ -14,7 +16,8 @@ from coverml.models.ensemble import (
 )
 from coverml.models.importance import feature_importances, validate_importances
 from coverml.models.linear import train_logistic
-from coverml.models.tree import DecisionTreeParams, train_decision_tree
+from coverml.models.tree import DecisionTreeParams, build_tree, train_decision_tree
+from coverml.rng import derived_rng
 
 
 def separable(n=200, seed=0):
@@ -159,6 +162,75 @@ class TestPrefixes:
             fresh = train_gbt(X, y, replace(base, num_iterations=k))
             assert repr(model.truncate(k).to_dict()) == repr(fresh.to_dict())
             assert np.array_equal(model.truncate(k).raw_scores(X), fresh.raw_scores(X))
+
+
+class TestLockstep:
+    """A forest grows its trees in lockstep groups; each tree must be the one
+    build_tree grows alone from the same generator."""
+
+    @staticmethod
+    def alone(X, y, params):
+        """Each tree grown by itself: its generator draws the bootstrap
+        sample, then the feature subsets."""
+        n, d = X.shape
+        subset = int(np.sqrt(d)) if params.feature_subset_rule == "sqrt" else None
+        trees = []
+        for t in range(params.num_trees):
+            rng = derived_rng(params.seed, 23, t)
+            idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+            trees.append(
+                build_tree(
+                    X[idx],
+                    y[idx],
+                    max_depth=params.max_depth,
+                    min_instances=params.min_instances_per_node,
+                    n_subset_features=subset,
+                    rng=rng,
+                )
+            )
+        return trees
+
+    @pytest.mark.parametrize("group", [1, 2, 7])
+    @pytest.mark.parametrize("bootstrap, rule", [(True, "sqrt"), (False, "sqrt"), (True, "all"), (False, "all")])
+    def test_groups_grow_the_trees_grown_alone(self, monkeypatch, group, bootstrap, rule):
+        rng = np.random.default_rng(17)
+        X = np.round(rng.random((90, 5)), 1)
+        y = (X[:, 0] + X[:, 2] + 0.3 * rng.normal(size=90) > 1.0).astype(int)
+        params = RandomForestParams(
+            num_trees=7, max_depth=6, min_instances_per_node=2, bootstrap=bootstrap, feature_subset_rule=rule, seed=3
+        )
+        # Groups of `group` trees: 7 trees make groups of 1, of 2 (2+2+2+1) or one of all 7.
+        monkeypatch.setattr(ensemble, "LOCKSTEP_CELLS", group * X.size)
+        forest = train_random_forest(X, y, params)
+        alone = self.alone(X, y, params)
+        assert [repr(t.to_dict()) for t in forest.trees] == [repr(t.to_dict()) for t in alone]
+
+
+class TestKernelCallSize:
+    def test_no_call_holds_more_than_a_root(self, monkeypatch):
+        """No kernel call's input holds more cells than d × n, the root of
+        one tree, however many nodes or trees a step scores."""
+        largest = []
+        for name in ("best_split_gini", "best_split_sse"):
+            kernel = getattr(kernels, name)
+
+            def recording(x, y, sizes, kernel=kernel):
+                largest.append(max(x.size, y.size))
+                return kernel(x, y, sizes)
+
+            monkeypatch.setattr(kernels, name, recording)
+        rng = np.random.default_rng(18)
+        X = rng.random((400, 6))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + 0.2 * rng.normal(size=400) > 0.8).astype(int)
+        for fit in (
+            lambda: train_decision_tree(X, y, DecisionTreeParams(max_depth=8)),
+            lambda: train_gbt(X, y, GbtParams(num_iterations=3, max_depth=6)),
+            lambda: train_random_forest(X, y, RandomForestParams(num_trees=12, max_depth=8)),
+            lambda: train_random_forest(X, y, RandomForestParams(num_trees=12, max_depth=8, feature_subset_rule="all")),
+        ):
+            largest.clear()
+            fit()
+            assert largest and max(largest) <= X.size
 
 
 class TestGoldenPrediction:

@@ -230,3 +230,54 @@ def test_midpoint_never_rounds_up_to_the_right_value():
     pos, thr, _ = kernels.best_split_gini(one_feature([lo, hi]), one_feature([0.0, 1.0]))
     assert (pos, thr) == (0, lo)
 
+
+
+def bits(split):
+    """A split as exact bit patterns, so -0.0 differs from 0.0 and NaN equals NaN."""
+    pos, thr, dec = split
+    return int(pos), float(thr).hex(), float(dec).hex()
+
+
+def batch_of(nodes):
+    """Nodes laid side by side as the tree builder lays them out: each node's
+    columns padded below with its last row to the longest node's length."""
+    m = max(len(x) for x, _ in nodes)
+    pad = [np.concatenate([a, np.repeat(a[-1:], m - len(a), axis=0)]) for x, y in nodes for a in (x, y)]
+    return np.hstack(pad[0::2]), np.hstack(pad[1::2]), np.array([len(x) for x, _ in nodes])
+
+
+@pytest.mark.parametrize("task", ["gini", "sse"])
+def test_batch_matches_per_node_calls(task):
+    """One call over nodes of unequal sizes gives, bit for bit, what one call
+    per node gives: feature, threshold and decrease. Every third call has
+    mostly distinct values, so that the kernel evaluates its whole grid of
+    cuts; the others evaluate only the candidates."""
+    kernel = kernels.best_split_gini if task == "gini" else kernels.best_split_sse
+    rng = np.random.default_rng(6)
+    for trial in range(60):
+        k = int(rng.integers(1, 5))
+        low, ties = (40, False) if trial % 3 == 0 else (1, trial % 2 == 0)
+        nodes = [node_case(rng, int(rng.integers(low, 50)), k, ties, task == "sse") for _ in range(6)]
+        nodes.append(node_case(rng, 1, k, False, task == "sse"))  # a 1-row node
+        xs, ys = node_case(rng, 12, k, False, task == "sse")
+        nodes.append((np.full_like(xs, 0.5), ys))  # a constant node
+        xs, ys = node_case(rng, 20, k, True, task == "sse")
+        nodes.append((np.where(xs < 0.15, -0.0, np.where(xs < 0.3, 0.0, xs)), ys))  # ties, -0.0 beside 0.0
+        order = rng.permutation(len(nodes))
+        nodes = [nodes[i] for i in order]
+        x, y, sizes = batch_of(nodes)
+        pos, thr, dec = kernel(x, y, sizes)
+        assert pos.shape == thr.shape == dec.shape == (len(nodes),)
+        for j, (xj, yj) in enumerate(nodes):
+            assert bits((pos[j], thr[j], dec[j])) == bits(kernel(xj, yj))
+
+
+@pytest.mark.parametrize("kernel", [kernels.best_split_gini, kernels.best_split_sse])
+def test_batch_results_for_unsplittable_nodes(kernel):
+    one_row = (one_feature([3.0]), one_feature([1.0]))
+    constant = (one_feature([2.0, 2.0]), one_feature([0.0, 1.0]))
+    x, y, sizes = batch_of([one_row, constant])
+    pos, thr, dec = kernel(x, y, sizes)
+    assert pos.tolist() == [-1, -1] and np.isnan(thr).all() and np.isneginf(dec).all()
+    with pytest.raises(ValueError, match="split evenly"):
+        kernel(np.zeros((3, 3)), np.zeros((3, 3)), np.array([3, 3]))

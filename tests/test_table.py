@@ -163,6 +163,19 @@ class TestDataTable:
         with pytest.raises(TableError, match="'v'.* at row 1, got None"):
             DataTable.from_json_bytes(data.replace(b'{"size":1,"values":[2.0]}', b"null"))
 
+    @pytest.mark.parametrize("bad", [b'"1.5"', b"true"])
+    def test_non_numeric_vector_value_rejected(self, bad):
+        # A numeric scalar column rejects these too; they must not load as
+        # 1.5 or 1.0.
+        data = make_table(v=("vector", [[0.5, 1.0], [2.0, 3.0]])).to_json_bytes()
+        doc = data.replace(b'{"size":2,"values":[2.0,3.0]}', b'{"size":2,"values":[2.0,' + bad + b"]}")
+        assert doc != data
+        with pytest.raises(TableError, match=f"'v' expects numbers, got .* at row 1"):
+            DataTable.from_json_bytes(doc)
+        scalar = make_table(a=("numeric", [1.0]))
+        with pytest.raises(TableError, match="'a' expects a number"):
+            DataTable.from_json_bytes(scalar.to_json_bytes().replace(b"1.0", bad))
+
     def test_fingerprint_sensitive_to_values(self):
         t1 = make_table(a=("numeric", [1.0]))
         t2 = make_table(a=("numeric", [2.0]))

@@ -243,12 +243,16 @@ class TestPresortedParity:
 
 
     @pytest.mark.parametrize("subset", [None, 2])
-    def test_one_kernel_call_per_scored_node(self, monkeypatch, subset):
+    def test_kernel_calls_follow_the_schedule(self, monkeypatch, subset):
+        """A tree that draws feature subsets scores its nodes in depth-first
+        order, the next node and the nodes after it whose children are leaves
+        per step; a tree that draws nothing scores a whole depth level per
+        step, in as few calls as the d × n cell cap allows."""
         calls = []
 
-        def recording(x, y):
-            calls.append(x.shape)
-            return gini_kernel(x, y)
+        def recording(x, y, sizes):
+            calls.append((sizes.tolist(), x.shape))
+            return gini_kernel(x, y, sizes)
 
         gini_kernel = kernels.best_split_gini
         monkeypatch.setattr(kernels, "best_split_gini", recording)
@@ -257,12 +261,35 @@ class TestPresortedParity:
         y = rng.integers(0, 2, size=300)
         root = build_tree(X, y, max_depth=6, n_subset_features=subset, rng=np.random.default_rng(1))
 
-        def internal(node):
-            return [] if node.is_leaf else [node.n_samples, *internal(node.left), *internal(node.right)]
+        def internal(node, depth=0):
+            if node.is_leaf:
+                return []
+            return [(depth, node.n_samples), *internal(node.left, depth + 1), *internal(node.right, depth + 1)]
 
-        # len(x) is the node's row count; the columns are its candidate features
-        assert [rows for rows, _ in calls] == internal(root)
-        assert {k for _, k in calls} == {subset or 5}
+        scored = internal(root)
+        k = subset or 5
+        for sizes, (m, columns) in calls:
+            # len(x) is the longest node of the call; each node brings k columns
+            assert m == max(sizes) and columns == k * len(sizes) and m * columns <= 300 * 5
+        if subset:
+            # Depth-first order: a call takes the next scored nodes, all but
+            # the last of them at depth 5, whose children are leaves.
+            position = 0
+            for sizes, _ in calls:
+                taken = scored[position : position + len(sizes)]
+                position += len(sizes)
+                assert sorted(n for _, n in taken) == sorted(sizes)
+                assert all(depth == 5 for depth, _ in taken[:-1])
+            assert position == len(scored) and len(calls) < len(scored)
+        else:
+            levels = [sorted(n for depth, n in scored if depth == level) for level in range(6)]
+            by_call, level = [], 0
+            for sizes, _ in calls:
+                by_call += sizes
+                if sorted(by_call) == levels[level]:
+                    by_call, level = [], level + 1
+            assert not by_call and level == 6
+            assert len(calls) < len(scored) / 2
 
 
 class TestDepthCut:
