@@ -7,11 +7,10 @@ each holds one feature's values sorted ascending with the targets in that
 same order. `sizes` gives the nodes' row counts. Node j's columns hold its
 rows in their first `sizes[j]` rows and repeat its last row below that, so
 `M` is at least the largest size and `len(x)` is the padded row count of
-the call. Without `sizes`, `x` is one node of `len(x)` rows. The tree
-builder (`models.tree.grow_trees`) passes a whole depth level of a tree
-that draws no feature subsets, or the next depth-first nodes of each tree
-of a random forest grown in lockstep, whose per-split draws must keep their
-depth-first order.
+the call. The tree builder (`models.tree.grow_trees`) passes a whole depth
+level of a tree that draws no feature subsets, or the next depth-first
+nodes of each tree of a random forest grown in lockstep, whose per-split
+draws must keep their depth-first order.
 
 A cut between sorted positions i and i + 1 is a candidate only where the
 two values differ, so never inside the padding. The cumulative sums run
@@ -30,8 +29,7 @@ lowest feature, then the lowest threshold: the first maximum in row-major
 order of the node's `(k, M - 1)` grid of cuts. A kernel returns
 `(feature position, threshold, decrease)`, where the position indexes the
 node's k columns; when no column has two distinct values it returns
-`(-1, nan, -inf)`. With `sizes` the three are arrays with one entry per
-node; without it they are Python scalars.
+`(-1, nan, -inf)`. The three are arrays with one entry per node.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ class _Cuts:
     def __init__(self, x: np.ndarray, sizes) -> None:
         m, k_total = x.shape
         self.x = x.T
-        self.sizes = np.asarray([m] if sizes is None else sizes, dtype=np.intp)
+        self.sizes = np.asarray(sizes, dtype=np.intp)
         self.k = k_total // self.sizes.size
         if self.k * self.sizes.size != k_total:
             raise ValueError(f"{k_total} columns do not split evenly over {self.sizes.size} nodes")
@@ -56,6 +54,11 @@ class _Cuts:
         self.totals = last + 1.0
         self._last = last + np.arange(0, k_total * m, m)  # flat, in a (K, M) array
         self.cut = self.x[:, :-1] != self.x[:, 1:]
+        # A gathered cut costs more than a grid cell and holds more
+        # temporaries (its indices). In timed calls of 60 to 100,000 rows the
+        # gather stopped paying between half and nine tenths of the cuts
+        # being candidates; the switch takes the lower end, where the
+        # largest calls cross over.
         self.dense = m > 1 and 2 * np.count_nonzero(self.cut) >= self.cut.size
         if self.dense:
             padded = self.sizes.min() < m
@@ -82,7 +85,7 @@ class _Cuts:
         """A per-column (K,) value for each cut."""
         return values[:, None] if self.dense else values.take(self.col)
 
-    def best(self, dec: np.ndarray, single: bool):
+    def best(self, dec: np.ndarray):
         n_nodes, (k_total, m) = self.sizes.size, self.x.shape
         # Every cut of the grid, -inf where it is not a candidate; np.argmax
         # returns the first maximum of each node's row-major block.
@@ -105,8 +108,6 @@ class _Cuts:
         none = gain == -np.inf
         f[none] = -1
         thr[none] = np.nan
-        if single:
-            return int(f[0]), float(thr[0]), float(gain[0])
         return f, thr, gain
 
 
@@ -116,7 +117,7 @@ _PADDED_LANES = np.errstate(divide="ignore", invalid="ignore")
 
 
 @_PADDED_LANES
-def best_split_gini(x: np.ndarray, y: np.ndarray, sizes=None):
+def best_split_gini(x: np.ndarray, y: np.ndarray, sizes):
     """Best split of each node by Gini impurity decrease; `y` holds 0/1 labels."""
     cuts = _Cuts(x, sizes)
     csum = y.T.cumsum(axis=1)
@@ -151,11 +152,11 @@ def best_split_gini(x: np.ndarray, y: np.ndarray, sizes=None):
     np.subtract(g_parent, dec, out=dec)
     gr *= np.divide(nr, total, out=nr)
     dec -= gr
-    return cuts.best(dec, sizes is None)
+    return cuts.best(dec)
 
 
 @_PADDED_LANES
-def best_split_sse(x: np.ndarray, y: np.ndarray, sizes=None):
+def best_split_sse(x: np.ndarray, y: np.ndarray, sizes):
     """Best split of each node by weighted variance decrease (squared-error
     impurity); `y` is a real-valued target."""
     cuts = _Cuts(x, sizes)
@@ -187,4 +188,4 @@ def best_split_sse(x: np.ndarray, y: np.ndarray, sizes=None):
     np.subtract(imp, dec, out=dec)
     ir *= np.divide(nr, total, out=nr)
     dec -= ir
-    return cuts.best(dec, sizes is None)
+    return cuts.best(dec)

@@ -30,6 +30,12 @@ def brute_gini(x, y):
     return best
 
 
+def split(kernel, x, y):
+    """The split of one node of len(x) rows, as Python scalars."""
+    pos, thr, dec = kernel(x, y, [len(x)])
+    return int(pos[0]), float(thr[0]), float(dec[0])
+
+
 def one_feature(x):
     """A node of len(x) rows and one candidate feature."""
     return np.asarray(x, dtype=np.float64)[:, None]
@@ -67,7 +73,7 @@ def per_column_best(kernel, xs, ys):
     column: the largest decrease, ties to the lowest column."""
     best = NO_SPLIT
     for j in range(xs.shape[1]):
-        pos, thr, dec = kernel(xs[:, j : j + 1], ys[:, j : j + 1])
+        pos, thr, dec = split(kernel, xs[:, j : j + 1], ys[:, j : j + 1])
         assert pos in (0, -1)
         if dec > best[2]:
             best = (j, thr, dec)
@@ -78,16 +84,16 @@ def test_constant_feature_has_no_split():
     x = np.full(5, 2.0)
     y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     for kernel in (kernels.best_split_gini, kernels.best_split_sse):
-        assert same_split(kernel(one_feature(x), one_feature(y)), NO_SPLIT)
-        assert same_split(kernel(np.tile(x[:, None], 3), np.tile(y[:, None], 3)), NO_SPLIT)
-        assert same_split(kernel(one_feature([7.0]), one_feature([1.0])), NO_SPLIT)
+        assert same_split(split(kernel, one_feature(x), one_feature(y)), NO_SPLIT)
+        assert same_split(split(kernel, np.tile(x[:, None], 3), np.tile(y[:, None], 3)), NO_SPLIT)
+        assert same_split(split(kernel, one_feature([7.0]), one_feature([1.0])), NO_SPLIT)
 
 
 def test_gini_matches_brute_force():
     rng = np.random.default_rng(0)
     for trial in range(200):
         x, y = sorted_case(rng, int(rng.integers(2, 40)), trial % 2 == 0)
-        pos, thr, dec = kernels.best_split_gini(one_feature(x), one_feature(y))
+        pos, thr, dec = split(kernels.best_split_gini, one_feature(x), one_feature(y))
         assert pos == (-1 if np.isneginf(dec) else 0)
         expected = brute_gini(x.tolist(), y.tolist())
         if np.isneginf(expected[1]):
@@ -99,7 +105,7 @@ def test_gini_matches_brute_force():
 def test_sse_picks_variance_reducing_threshold():
     x = one_feature([0.0, 1.0, 2.0, 3.0])
     y = one_feature([5.0, 5.0, -5.0, -5.0])
-    pos, thr, dec = kernels.best_split_sse(x, y)
+    pos, thr, dec = split(kernels.best_split_sse, x, y)
     assert (pos, thr) == (0, 1.5)
     assert dec == pytest.approx(25.0)
 
@@ -131,7 +137,7 @@ def test_sse_matches_brute_force():
         x, _ = sorted_case(rng, int(rng.integers(2, 40)), trial % 2 == 0)
         y = rng.normal(size=x.shape[0])
         candidates = brute_sse(x.tolist(), y.tolist())
-        pos, thr, dec = kernels.best_split_sse(one_feature(x), one_feature(y))
+        pos, thr, dec = split(kernels.best_split_sse, one_feature(x), one_feature(y))
         if not candidates:
             assert same_split((pos, thr, dec), NO_SPLIT)
             continue
@@ -156,7 +162,7 @@ def test_multi_feature_matches_per_column_calls(task):
         xs, ys = node_case(rng, m, k, trial % 2 == 0, task == "sse")
         if trial % 5 == 0:
             xs[:, int(rng.integers(0, k))] = 0.25  # a constant column
-        assert same_split(kernel(xs, ys), per_column_best(kernel, xs, ys))
+        assert same_split(split(kernel, xs, ys), per_column_best(kernel, xs, ys))
 
 
 def test_gini_multi_feature_matches_brute_force():
@@ -169,7 +175,7 @@ def test_gini_multi_feature_matches_brute_force():
             thr, dec = brute_gini(xs[:, j].tolist(), ys[:, j].tolist())
             if dec > expected[2]:
                 expected = (j, thr, dec)
-        assert same_split(kernels.best_split_gini(xs, ys), expected)
+        assert same_split(split(kernels.best_split_gini, xs, ys), expected)
 
 
 def test_sse_multi_feature_matches_brute_force():
@@ -183,7 +189,7 @@ def test_sse_multi_feature_matches_brute_force():
             for j in range(k)
             for thr, dec in brute_sse(xs[:, j].tolist(), ys[:, j].tolist())
         ]
-        pos, thr, dec = kernels.best_split_sse(xs, ys)
+        pos, thr, dec = split(kernels.best_split_sse, xs, ys)
         if not candidates:
             assert same_split((pos, thr, dec), NO_SPLIT)
             continue
@@ -201,9 +207,9 @@ def test_sse_multi_feature_matches_brute_force():
 def test_equal_columns_tie_to_the_lowest_feature(kernel):
     rng = np.random.default_rng(5)
     xs, ys = node_case(rng, 25, 1, tie_heavy=True, real_target=kernel is kernels.best_split_sse)
-    single = kernel(xs, ys)
+    single = split(kernel, xs, ys)
     constant = np.zeros_like(xs)
-    pos, thr, dec = kernel(np.hstack([constant, xs, xs, xs]), np.hstack([ys, ys, ys, ys]))
+    pos, thr, dec = split(kernel, np.hstack([constant, xs, xs, xs]), np.hstack([ys, ys, ys, ys]))
     assert (pos, thr, dec) == (1, single[1], single[2])
 
 
@@ -215,19 +221,19 @@ def test_tie_break_feature_before_threshold(kernel):
     # threshold is higher.
     high, low = np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])
     xs = np.column_stack([x, x])
-    pos, thr, _ = kernel(xs, np.column_stack([high, low]))
+    pos, thr, _ = split(kernel, xs, np.column_stack([high, low]))
     assert (pos, thr) == (0, 2.5)
-    pos, thr, _ = kernel(xs, np.column_stack([low, high]))
+    pos, thr, _ = split(kernel, xs, np.column_stack([low, high]))
     assert (pos, thr) == (0, 0.5)
     # Within one column, symmetric targets tie at 0.5 and 2.5: the lower wins.
-    pos, thr, _ = kernel(one_feature(x), one_feature([1.0, 0.0, 0.0, 1.0]))
+    pos, thr, _ = split(kernel, one_feature(x), one_feature([1.0, 0.0, 0.0, 1.0]))
     assert (pos, thr) == (0, 0.5)
 
 
 def test_midpoint_never_rounds_up_to_the_right_value():
     lo = 1.0
     hi = np.nextafter(lo, 2.0)
-    pos, thr, _ = kernels.best_split_gini(one_feature([lo, hi]), one_feature([0.0, 1.0]))
+    pos, thr, _ = split(kernels.best_split_gini, one_feature([lo, hi]), one_feature([0.0, 1.0]))
     assert (pos, thr) == (0, lo)
 
 
@@ -269,7 +275,7 @@ def test_batch_matches_per_node_calls(task):
         pos, thr, dec = kernel(x, y, sizes)
         assert pos.shape == thr.shape == dec.shape == (len(nodes),)
         for j, (xj, yj) in enumerate(nodes):
-            assert bits((pos[j], thr[j], dec[j])) == bits(kernel(xj, yj))
+            assert bits((pos[j], thr[j], dec[j])) == bits(split(kernel, xj, yj))
 
 
 @pytest.mark.parametrize("kernel", [kernels.best_split_gini, kernels.best_split_sse])
