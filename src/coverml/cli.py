@@ -23,7 +23,7 @@ from .datasets import (
     sample_rows,
     train_test_split,
 )
-from .metrics import EvalReport, MetricError, curve_to_csv
+from .metrics import EvalReport, MetricError, curve_to_csv, float_reprs
 from .models import ModelError, feature_importances
 from .persist import ModelFileError, load_model, read_header, save_model
 from .selection import (
@@ -180,15 +180,26 @@ def _require_pipeline(model) -> FittedPipeline:
 
 
 def _write_predictions(out_table: DataTable, path) -> None:
+    """One line per row: the quoted feature vector, the prediction and the
+    true label (empty without a `trueLabel` column), each number as its
+    `repr`. Columns are formatted a column at a time (`float_reprs`), and
+    each line is one join of its fields."""
     features = out_table.feature_matrix("features")
-    preds = out_table.column("prediction")
-    labels = out_table.column("trueLabel") if out_table.has_column("trueLabel") else None
+    n = out_table.row_count
+    fields = [float_reprs(features[:, j]) for j in range(features.shape[1])]
+    if fields:
+        fields[0] = list(map('"[{}'.format, fields[0]))
+        fields[-1] = list(map('{}]"'.format, fields[-1]))
+    else:
+        fields = [['"[]"'] * n]
+    fields.append(float_reprs(out_table.column("prediction")))
+    if out_table.has_column("trueLabel"):
+        fields.append(float_reprs(out_table.column("trueLabel")))
+    else:
+        fields.append([""] * n)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("features,prediction,trueLabel\n")
-        for i, row in enumerate(features):
-            label = "" if labels is None else repr(labels[i])
-            values = ",".join(repr(v) for v in row.tolist())
-            fh.write(f'"[{values}]",{preds[i]!r},{label}\n')
+        fh.writelines(map("{}\n".format, map(",".join, zip(*fields))))
 
 
 def _note_dropped(rows_in: int, rows_out: int) -> None:

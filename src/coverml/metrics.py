@@ -149,7 +149,14 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """`json.dumps(self.to_dict(), indent=2)`, with the two curves written
+        as blocks of text rather than through the pure-Python encoder that
+        `indent` selects."""
+        fields = []
+        for key, value in self.to_dict().items():
+            text = _curve_json(value) if key in ("roc_points", "pr_points") else _nested_json(value)
+            fields.append(f"  {json.dumps(key)}: {text}")
+        return "{\n" + ",\n".join(fields) + "\n}"
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
@@ -196,8 +203,57 @@ def evaluate_scores(
 
 
 def curve_to_csv(points: Sequence[tuple[float, float]], path, header: tuple[str, str]) -> None:
-    """Two-column CSV export for plotting."""
+    """Two-column CSV export for plotting; each value is written as its
+    `repr`."""
+    xs, ys = _point_texts(points, repr)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        for a, b in points:
-            fh.write(f"{a!r},{b!r}\n")
+        fh.writelines(map("{},{}\n".format, xs, ys))
+
+
+def float_reprs(values) -> list[str]:
+    """`repr(float(v))` for each value of a 1-D float64 array or a sequence
+    of floats, with `repr` called once per distinct value. Values are told
+    apart by bit pattern, not by `==`, so -0.0 and 0.0 keep their own texts."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _point_texts(points, text_of) -> tuple[list[str], list[str]]:
+    """The texts of the first and of the second coordinates of 2-D points.
+    Finite floats go through `float_reprs` when every value is an exact
+    float; every other value is formatted by `text_of` itself, since JSON
+    writes NaN and the infinities unlike `repr`."""
+    if not points:
+        return [], []
+    if set(map(len, points)) != {2}:
+        raise ValueError("curve points must have two coordinates")
+    xs, ys = zip(*points)
+    values = xs + ys
+    if set(map(type, values)) == {float}:
+        array = np.array(values, dtype=np.float64)
+        texts = float_reprs(array)
+        odd = np.flatnonzero(~np.isfinite(array)).tolist()
+    else:
+        texts = [None] * len(values)
+        odd = range(len(values))
+    for i in odd:
+        texts[i] = text_of(values[i])
+    return texts[: len(xs)], texts[len(xs) :]
+
+
+def _nested_json(value) -> str:
+    """`value` as `json.dumps` with `indent=2` writes it one level down."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _curve_json(points: list) -> str:
+    """`_nested_json(points)` for a curve, a list of points, written as one
+    block of text when every point is a pair."""
+    if not points or set(map(len, points)) != {2}:
+        return _nested_json(points)
+    xs, ys = _point_texts(points, json.dumps)
+    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(xs, ys)))
+    return "[\n    [\n      " + body + "\n    ]\n  ]"

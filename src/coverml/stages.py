@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -80,25 +81,22 @@ class StringIndexModel:
 
     def transform(self, table: DataTable) -> DataTable:
         col = table.column(self.input_col)
-        k = len(self.mapping)
-        indices: list[float] = []
-        kept: list[int] = []
-        for row, v in enumerate(col):
-            key = MISSING_TOKEN if v is None else v
-            idx = self.mapping.get(key)
-            if idx is None:
-                if self.handle_invalid == "keep":
-                    idx = k
-                elif self.handle_invalid == "skip":
-                    continue
-                else:
-                    raise PipelineError(
-                        f"unseen label {key!r} in column {self.input_col!r} at row {row}"
-                    )
-            indices.append(float(idx))
-            kept.append(row)
-        if len(kept) != len(col):
-            table = table.select_rows(kept)
+        index = {label: float(idx) for label, idx in self.mapping.items()}
+        if MISSING_TOKEN in index:
+            index[None] = index[MISSING_TOKEN]
+        if self.handle_invalid == "keep":
+            indices = list(map(index.get, col, repeat(float(len(self.mapping)))))
+        else:
+            indices = list(map(index.get, col))
+        if None in indices:
+            if self.handle_invalid == "skip":
+                kept = [row for row, idx in enumerate(indices) if idx is not None]
+                table = table.select_rows(kept)
+                indices = [indices[row] for row in kept]
+            else:
+                row = indices.index(None)
+                key = MISSING_TOKEN if col[row] is None else col[row]
+                raise PipelineError(f"unseen label {key!r} in column {self.input_col!r} at row {row}")
         return table.with_column(ColumnSpec(self.output_col, "numeric", nullable=False), indices)
 
     def to_dict(self) -> dict:
@@ -521,13 +519,13 @@ class FittedPipeline:
                 ColumnSpec("probability", "numeric", nullable=False), prob.tolist()
             )
         table = table.with_column(
-            ColumnSpec("prediction", "numeric", nullable=False), [float(v) for v in pred]
+            ColumnSpec("prediction", "numeric", nullable=False), pred.astype(np.float64).tolist()
         )
         label_col = table.label_column()
         if label_col is not None:
             table = table.with_column(
                 ColumnSpec("trueLabel", "numeric", nullable=False),
-                [float(v) for v in table.column(label_col)],
+                list(map(float, table.column(label_col))),
             )
         return table
 

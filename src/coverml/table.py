@@ -138,13 +138,47 @@ def _bad_row(name: str, rows) -> TableError:
 def _checked_column(spec: ColumnSpec, values, n: int | None):
     """`values` as a stored column: a tuple of values checked against `spec`,
     or a checked matrix for a vector column, with the length checked against
-    `n` when a row count is already fixed."""
+    `n` when a row count is already fixed.
+
+    A scalar column that needs no conversion is accepted as it is, a column
+    at a time (`_stored_as_is`); any other goes through the per-cell pass,
+    which converts its values or raises naming the first bad row."""
     col = _checked_matrix(spec.name, values) if spec.kind == "vector" else tuple(values)
     if n is not None and len(col) != n:
         raise TableError(f"column {spec.name!r} has {len(col)} values, expected {n}")
-    if spec.kind == "vector":
+    if spec.kind == "vector" or _stored_as_is(spec, col):
         return col
+    return _checked_cells(spec, col)
+
+
+def _checked_cells(spec: ColumnSpec, col: tuple) -> tuple:
+    """The per-cell pass: every value checked and converted by `_check_value`."""
     return tuple(_check_value(spec, v, i) for i, v in enumerate(col))
+
+
+#: The one type a value of each scalar kind has when `_check_value` would
+#: store it unchanged.
+_STORED_TYPES = {"numeric": float, "categorical_text": str, "boolean": bool, "label": int}
+
+
+def _stored_as_is(spec: ColumnSpec, col: tuple) -> bool:
+    """Whether `_checked_cells` would accept `col` and store it unchanged,
+    found with a few C-level passes over the column: every value has its
+    kind's exact type (or is None in a nullable column), numbers are finite,
+    text is nonempty and holds no NUL, and labels are 0 or 1."""
+    types = set(map(type, col))
+    allowed = {_STORED_TYPES[spec.kind], type(None)} if spec.nullable else {_STORED_TYPES[spec.kind]}
+    if not types <= allowed:
+        return False
+    if spec.kind == "numeric":
+        # A null becomes NaN in the array, so it is the one non-finite value allowed.
+        finite = int(np.count_nonzero(np.isfinite(np.array(col, dtype=np.float64))))
+        return finite == len(col) - (col.count(None) if type(None) in types else 0)
+    if spec.kind == "categorical_text":
+        return "" not in col and "\x00" not in "".join(filter(None, col))
+    if spec.kind == "label":
+        return set(col) <= {0, 1, None}
+    return True
 
 
 class DataTable:
@@ -160,7 +194,10 @@ class DataTable:
     Values are checked once, where they enter: the constructor, `read_csv`
     and `from_json_bytes` check every cell. Derived tables reuse the checked
     columns of their source; `with_column` and `replace_column` check only
-    the column they add, and `select_rows` checks nothing.
+    the column they add, and `select_rows` checks nothing. The check runs a
+    column at a time: a column that needs no conversion is accepted in bulk,
+    and the per-cell pass converts the values of any other column or raises
+    naming its first bad row.
     """
 
     __slots__ = ("schema", "_columns", "row_count")

@@ -227,3 +227,78 @@ class TestEvalReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "fpr,tpr"
         assert len(lines) == 4
+
+
+def report_with(roc_points, pr_points=((0.0, 1.0),), metadata=None):
+    return EvalReport(
+        counts=ConfusionCounts(tp=3, fp=1, tn=2, fn=0),
+        precision=0.75,
+        recall=1.0,
+        f1=6.75e-05,
+        accuracy=float("nan"),
+        auc_roc=1e-300,
+        auc_pr=-0.0,
+        roc_points=tuple(roc_points),
+        pr_points=tuple(pr_points),
+        fit_minutes=0.0,
+        metadata=metadata or {},
+    )
+
+
+class TestReportEncoding:
+    """`to_json` writes the curves as blocks of text; `json.dumps` of
+    `to_dict` with indent=2 is the reference."""
+
+    @pytest.mark.parametrize(
+        "roc_points, pr_points, metadata",
+        [
+            ((), (), None),
+            (((0.0, 0.0),), ((1.0, 1.0),), None),
+            (((0, 1), (1, 1)), ((0.5, 1),), None),
+            (((-0.0, 0.0), (0.0, -0.0)), ((0.0, 1.0),), None),
+            (((6.75e-05, 1e-300), (1e22, 1e16), (0.1, 1 / 3)), ((0.0, 1.0),), None),
+            (((float("nan"), 0.0), (float("inf"), -float("inf"))), ((1.0, float("nan")),), None),
+            (((0.0, 0.0), (1.0, 1.0)), (), {"family": "rf", "nested": {"a": [1, 2.5, None], "b": {}}}),
+            (((0.0, 0.0),), ((1.0, 1.0),), {"name": "Café ☂ \"q\" \n", "in_sample": True}),
+            (((np.float64(0.25), 0.5), (True, None)), ((1.0, 1.0),), None),
+            (((0.0, 0.5, 1.0), (1.0,)), ((1.0, 1.0),), None),
+        ],
+    )
+    def test_matches_json_dumps(self, roc_points, pr_points, metadata):
+        report = report_with(roc_points, pr_points, metadata)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    def test_evaluated_report_matches_json_dumps(self):
+        rng = np.random.default_rng(5)
+        scores = np.round(rng.random(400), 2)
+        labels = rng.integers(0, 2, size=400)
+        labels[:2] = [0, 1]
+        report = evaluate_scores(scores, labels, (scores > 0.5).astype(int), metadata={"seed": 5})
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.one_of(st.floats(), st.integers(-3, 3)),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_points_match_json_dumps(self, points):
+        report = report_with(points, points[::-1])
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [],
+            [(0.0, 0.0), (0.5, 1.0), (1.0, 1.0)],
+            [(-0.0, 0.0), (6.75e-05, 1e-300), (float("nan"), float("inf")), (0, 1), (0.1, 0.1)],
+        ],
+    )
+    def test_curve_csv_matches_per_point_loop(self, tmp_path, points):
+        curve_to_csv(points, tmp_path / "curve.csv", ("fpr", "tpr"))
+        expected = "fpr,tpr\n" + "".join(f"{a!r},{b!r}\n" for a, b in points)
+        assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == expected

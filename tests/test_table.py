@@ -196,6 +196,22 @@ def check_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def column_checks(monkeypatch):
+    """Names every column a table operation checks, with the number of
+    values the check saw."""
+    calls = []
+    original = table_module._checked_column
+
+    def counting(spec, values, n):
+        col = original(spec, values, n)
+        calls.append((spec.name, len(col)))
+        return col
+
+    monkeypatch.setattr(table_module, "_checked_column", counting)
+    return calls
+
+
 def sample_table():
     return DataTable(
         [
@@ -208,16 +224,17 @@ def sample_table():
 
 
 class TestValidateOnce:
-    def test_entry_points_check_every_cell(self, check_calls, tmp_path):
+    def test_entry_points_check_every_cell(self, column_checks, tmp_path):
         t = sample_table()
-        assert len(check_calls) == 9
-        check_calls.clear()
+        every_column = [(name, t.row_count) for name in t.column_names]
+        assert column_checks == every_column
+        column_checks.clear()
         assert DataTable.from_json_bytes(t.to_json_bytes()) == t
-        assert len(check_calls) == 9
+        assert column_checks == every_column
         write_csv(t, tmp_path / "t.csv")
-        check_calls.clear()
+        column_checks.clear()
         assert read_csv(tmp_path / "t.csv", t.schema) == t
-        assert len(check_calls) == 9
+        assert column_checks == every_column
 
     def test_select_rows_checks_nothing(self, check_calls):
         t = sample_table()
@@ -242,11 +259,11 @@ class TestValidateOnce:
         rebuilt = DataTable(out.schema, {n: out.column(n) for n in out.column_names})
         assert out == rebuilt and out.fingerprint() == rebuilt.fingerprint()
 
-    def test_replace_column_checks_only_that_column(self, check_calls):
+    def test_replace_column_checks_only_that_column(self, column_checks):
         t = sample_table()
-        check_calls.clear()
+        column_checks.clear()
         out = t.replace_column("a", [4.0, 5.0, 6.0])
-        assert check_calls == ["a"] * t.row_count
+        assert column_checks == [("a", t.row_count)]
         assert out.column("a") == (4.0, 5.0, 6.0) and out.column("s") == t.column("s")
 
     @pytest.mark.parametrize(
@@ -273,6 +290,102 @@ class TestValidateOnce:
             t.with_column(ColumnSpec("s", "categorical_text"), ["a", "b", "c"])
         with pytest.raises(TableError, match="label"):
             t.with_column(ColumnSpec("y2", "label"), [0, 1, 0])
+
+    def test_derived_tables_check_only_new_columns(self, column_checks):
+        t = sample_table()
+        column_checks.clear()
+        t.select_rows([2, 0, 2])
+        assert column_checks == []
+        t.with_column(ColumnSpec("n", "numeric"), [1.0, None, 2.5])
+        assert column_checks == [("n", t.row_count)]
+
+    def test_columns_needing_no_conversion_skip_the_per_cell_pass(self, check_calls):
+        DataTable(
+            [
+                ColumnSpec("a", "numeric"),
+                ColumnSpec("s", "categorical_text"),
+                ColumnSpec("b", "boolean"),
+                ColumnSpec("y", "label", nullable=False),
+            ],
+            {"a": [1.5, None, -0.0], "s": ["x", None, "é"], "b": [True, None, False], "y": [0, 1, 1]},
+        )
+        assert check_calls == []
+        t = sample_table()  # column "a" holds the int 2
+        assert check_calls == ["a"] * t.row_count
+        assert t.column("a") == (1.0, 2.0, -0.0)
+        assert [type(v) for v in t.column("a")] == [float] * 3
+
+
+# Values that a column's kind stores unchanged, and values the per-cell pass
+# converts or rejects.
+CLEAN_VALUES = {
+    "numeric": st.floats(allow_nan=False, allow_infinity=False),
+    "categorical_text": st.text(min_size=1),
+    "boolean": st.booleans(),
+    "label": st.sampled_from([0, 1]),
+}
+ODD_VALUES = st.sampled_from(
+    [None, 0, 1, 2, -3, True, False, 1.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+     "", "a", "x\x00y", "\x00", np.float64(0.5), np.int64(1)]
+)
+
+
+def check_outcome(check):
+    """What a column check does: the stored values with their types, or the
+    error message."""
+    try:
+        col = check()
+    except TableError as exc:
+        return "error", str(exc)
+    return "stored", [(type(v), repr(v)) for v in col]
+
+
+class TestColumnCheckParity:
+    """The column-level check accepts exactly the columns the per-cell pass
+    accepts, stores the same values with the same types, and raises the same
+    message."""
+
+    @given(
+        kind=st.sampled_from(sorted(CLEAN_VALUES)),
+        nullable=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_cell_pass(self, kind, nullable, data):
+        spec = ColumnSpec("c", kind, nullable=nullable)
+        values = data.draw(st.lists(st.one_of(CLEAN_VALUES[kind], ODD_VALUES), max_size=6))
+        assert check_outcome(lambda: table_module._checked_column(spec, values, None)) == check_outcome(
+            lambda: table_module._checked_cells(spec, tuple(values))
+        )
+
+    @pytest.mark.parametrize(
+        "kind, nullable, values",
+        [
+            ("numeric", True, [1.0, 2, None]),
+            ("numeric", True, [1.0, True]),
+            ("numeric", True, [1.0, math.nan]),
+            ("numeric", True, [None, -math.inf]),
+            ("numeric", False, [1.0, None]),
+            ("numeric", True, [np.float64(0.5), -0.0]),
+            ("label", False, [0, 1.0]),
+            ("label", False, [1, True]),
+            ("label", False, [0, 2]),
+            ("label", False, [0, None]),
+            ("label", True, [0, None]),
+            ("categorical_text", True, ["a", ""]),
+            ("categorical_text", True, ["a", None, "b\x00"]),
+            ("categorical_text", False, ["a", None]),
+            ("categorical_text", True, ["a", 1]),
+            ("boolean", True, [True, 1]),
+            ("boolean", False, [False, None]),
+            ("boolean", True, [True, None]),
+        ],
+    )
+    def test_named_cases(self, kind, nullable, values):
+        spec = ColumnSpec("c", kind, nullable=nullable)
+        assert check_outcome(lambda: table_module._checked_column(spec, values, None)) == check_outcome(
+            lambda: table_module._checked_cells(spec, tuple(values))
+        )
 
 
 SCHEMA = [

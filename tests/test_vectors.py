@@ -43,6 +43,66 @@ def test_display_formats(tmp_path):
     ]
 
 
+def per_row_predictions(out_table, path):
+    """The predictions CSV written one row at a time, each value through
+    `repr`: the reference for `_write_predictions`."""
+    features = out_table.feature_matrix("features")
+    preds = out_table.column("prediction")
+    labels = out_table.column("trueLabel") if out_table.has_column("trueLabel") else None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("features,prediction,trueLabel\n")
+        for i, row in enumerate(features):
+            label = "" if labels is None else repr(labels[i])
+            values = ",".join(repr(v) for v in row.tolist())
+            fh.write(f'"[{values}]",{preds[i]!r},{label}\n')
+
+
+def predictions_table(features, preds, labels=None):
+    out = vector_table(features, "features")
+    out = out.with_column(ColumnSpec("prediction", "numeric", nullable=False), preds)
+    if labels is not None:
+        out = out.with_column(ColumnSpec("trueLabel", "numeric", nullable=False), labels)
+    return out
+
+
+@pytest.mark.parametrize(
+    "features, preds, labels",
+    [
+        ([[-0.0, 1.0], [0.0, 1.0], [-0.0, 0.25]], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]),
+        ([[0.5, 0.5, 0.5]] * 4, [0.0] * 4, [0.0, 1.0, 0.0, 1.0]),
+        ([[1e-300, 6.75e-05], [1e22, float("inf")]], [1.0, 0.0], None),
+        (np.zeros((0, 3)), [], []),
+        (np.zeros((0, 3)), [], None),
+        (np.zeros((3, 0)), [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+        ([[7.0]], [-0.0], [0.0]),
+    ],
+)
+def test_predictions_match_per_row_writer(tmp_path, features, preds, labels):
+    out = predictions_table(features, preds, labels)
+    _write_predictions(out, tmp_path / "bulk.csv")
+    per_row_predictions(out, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda d: st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300, 2.5e16]), min_size=d, max_size=d),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.booleans(),
+)
+def test_predictions_match_per_row_writer_on_repeats(tmp_path_factory, rows, with_labels):
+    path = tmp_path_factory.mktemp("preds")
+    preds = [float(i % 2) for i in range(len(rows))]
+    out = predictions_table(rows, preds, preds[::-1] if with_labels else None)
+    _write_predictions(out, path / "bulk.csv")
+    per_row_predictions(out, path / "rows.csv")
+    assert (path / "bulk.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+
 def test_immutable():
     t = vector_table([[1.0], [2.0]])
     with pytest.raises(ValueError):
