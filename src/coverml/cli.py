@@ -289,6 +289,9 @@ def cmd_benchmark(args) -> int:
     report = benchmark(train_part, test_part, spec, families, config, grids)
     text = report.to_text()
     print(text)
+    for row in report.rows:
+        if row.error is not None:
+            print(f"error: {row.family}: {row.error}", file=sys.stderr)
     if args.out_json:
         Path(args.out_json).write_text(report.to_json(), encoding="utf-8")
     if args.out_text:

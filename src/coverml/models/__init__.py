@@ -24,7 +24,7 @@ from .linear import (
     train_linear_svm,
     train_logistic,
 )
-from .tree import DecisionTreeModel, DecisionTreeParams, TreeNode, train_decision_tree
+from .tree import DecisionTreeModel, DecisionTreeParams, train_decision_tree
 
 #: Canonical family order used everywhere a full sweep is reported.
 FAMILY_ORDER = ("lr", "dt", "rf", "fm", "gbt", "svm")
@@ -119,7 +119,6 @@ __all__ = [
     "RandomForestModel",
     "RandomForestParams",
     "TrainedClassifier",
-    "TreeNode",
     "check_family",
     "check_param_types",
     "classifier_from_dict",

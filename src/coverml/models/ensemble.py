@@ -10,15 +10,7 @@ import numpy as np
 from ..rng import derived_rng
 from .base import ModelError, TrainedClassifier, check_training_data
 from .linear import sigmoid
-from .tree import (
-    TreeNode,
-    check_max_depth,
-    grow_trees,
-    normalized_importance,
-    presort,
-    tree_apply,
-    tree_importance,
-)
+from .tree import Tree, check_max_depth, grow_trees, normalized_importance, presort
 
 #: Sample cells (rows × features) of the trees a forest grows in lockstep:
 #: trees of n rows and d features grow max(1, LOCKSTEP_CELLS // (n * d)) at
@@ -47,22 +39,30 @@ class RandomForestParams:
             raise ValueError("threshold must lie strictly inside (0, 1)")
 
 
+def mean_importance(trees: list[Tree], n_features: int) -> np.ndarray:
+    """The normalized sum of the trees' normalized importances."""
+    acc = np.zeros(n_features, dtype=np.float64)
+    for tree in trees:
+        acc += normalized_importance(tree.importance(n_features))
+    return normalized_importance(acc)
+
+
 class RandomForestModel(TrainedClassifier):
     """Averages per-tree class-1 probabilities; rawScore is that mean."""
 
     family = "rf"
     nested_axis = "num_trees"
 
-    def __init__(self, trees: list[TreeNode], n_features: int, threshold: float):
+    def __init__(self, trees: list[Tree], n_features: int, threshold: float):
         self.trees = list(trees)
         self.n_features = n_features
         self.threshold = threshold
 
     def raw_scores(self, X):
-        X = self._check_matrix(X)
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for root in self.trees:
-            acc += tree_apply(root, X, "prob")
+        columns = self._check_matrix(X).T.copy()
+        acc = np.zeros(columns.shape[1], dtype=np.float64)
+        for tree in self.trees:
+            acc += tree.apply(columns)
         return acc / len(self.trees)
 
     def _probabilities_of(self, raw):
@@ -74,10 +74,7 @@ class RandomForestModel(TrainedClassifier):
         return RandomForestModel(self.trees[:k], self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:
-        acc = np.zeros(self.n_features, dtype=np.float64)
-        for root in self.trees:
-            acc += normalized_importance(tree_importance(root, self.n_features))
-        return normalized_importance(acc)
+        return mean_importance(self.trees, self.n_features)
 
     def to_dict(self) -> dict:
         return {
@@ -88,7 +85,7 @@ class RandomForestModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForestModel":
-        return cls([TreeNode.from_dict(t) for t in d["trees"]], d["n_features"], d["threshold"])
+        return cls([Tree.from_dict(t, "gini", d["n_features"]) for t in d["trees"]], d["n_features"], d["threshold"])
 
 
 def train_random_forest(X, y, params: RandomForestParams = RandomForestParams()) -> RandomForestModel:
@@ -104,7 +101,7 @@ def train_random_forest(X, y, params: RandomForestParams = RandomForestParams())
     n, d = X.shape
     subset = max(1, math.floor(math.sqrt(d))) if params.feature_subset_rule == "sqrt" else None
     group = max(1, LOCKSTEP_CELLS // (n * d))
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     for first in range(0, params.num_trees, group):
         rngs = [derived_rng(params.seed, 23, t) for t in range(first, min(first + group, params.num_trees))]
         if params.bootstrap:
@@ -154,7 +151,7 @@ class GbtModel(TrainedClassifier):
         self,
         base_score: float,
         learning_rate: float,
-        trees: list[TreeNode],
+        trees: list[Tree],
         n_features: int,
         threshold: float,
         train_losses: tuple[float, ...] = (),
@@ -167,10 +164,10 @@ class GbtModel(TrainedClassifier):
         self.train_losses = tuple(train_losses)
 
     def raw_scores(self, X):
-        X = self._check_matrix(X)
-        F = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for root in self.trees:
-            F += self.learning_rate * tree_apply(root, X, "value")
+        columns = self._check_matrix(X).T.copy()
+        F = np.full(columns.shape[1], self.base_score, dtype=np.float64)
+        for tree in self.trees:
+            F += self.learning_rate * tree.apply(columns)
         return F
 
     def _probabilities_of(self, raw):
@@ -190,10 +187,7 @@ class GbtModel(TrainedClassifier):
         )
 
     def feature_importances(self) -> np.ndarray:
-        acc = np.zeros(self.n_features, dtype=np.float64)
-        for root in self.trees:
-            acc += normalized_importance(tree_importance(root, self.n_features))
-        return normalized_importance(acc)
+        return mean_importance(self.trees, self.n_features)
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +204,7 @@ class GbtModel(TrainedClassifier):
         return cls(
             d["base_score"],
             d["learning_rate"],
-            [TreeNode.from_dict(t) for t in d["trees"]],
+            [Tree.from_dict(t, "sse", d["n_features"]) for t in d["trees"]],
             d["n_features"],
             d["threshold"],
             tuple(d.get("train_losses", ())),
@@ -236,11 +230,11 @@ def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
     # X does not change between stages, so its columns are sorted once.
     values = np.ascontiguousarray(X.T)[:, None]
     order = presort(values)
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     losses = [float(np.mean(np.logaddexp(0.0, -2.0 * ys * F)))]
     for _ in range(params.num_iterations):
         residuals = 2.0 * ys * sigmoid(-2.0 * ys * F)
-        (root,), fitted = grow_trees(
+        (tree,), fitted = grow_trees(
             values,
             order.copy(),
             residuals[None],
@@ -248,8 +242,8 @@ def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
             min_instances=params.min_instances_per_node,
             task="sse",
         )
-        trees.append(root)
-        # The leaf values of the training rows: what tree_apply(root, X) gives.
+        trees.append(tree)
+        # The leaf values of the training rows: what tree.apply(X.T) gives.
         F += params.learning_rate * fitted
         losses.append(float(np.mean(np.logaddexp(0.0, -2.0 * ys * F))))
     return GbtModel(f0, params.learning_rate, trees, X.shape[1], params.threshold, tuple(losses))

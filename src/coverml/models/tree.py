@@ -13,13 +13,13 @@ kernels (`grow_trees`): every open node of a tree when its splits draw
 nothing (DT, GBT), so one depth level per step; otherwise the next
 depth-first nodes of each tree of a group (RF), so the trees grow in
 lockstep while each tree's generator draws its feature subsets in the order
-a recursive build would. Nodes are collected flat and turned into TreeNodes
-once at the end.
+a recursive build would. Nodes are collected flat and each tree is cut from
+them as a `Tree` of node arrays, the form every later step reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,58 +34,126 @@ def check_max_depth(max_depth: int) -> None:
         raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH}], got {max_depth}")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    n_samples: int
-    feature: int = -1
-    threshold: float = 0.0
-    decrease: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    class_counts: tuple[int, int] | None = None
-    prob: float | None = None
-    value: float | None = None
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One CART tree as flat node arrays, as in scikit-learn's Tree. Node 0
+    is the root; a child has a larger id than its parent. Node i holds n[i]
+    rows, whose class-1 count (task "gini") or mean target ("sse") is
+    stat[i]. A split sends x[feature[i]] <= threshold[i] to left[i] and the
+    rest to right[i]; a leaf has feature, left and right -1."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    task: str
+    n: np.ndarray
+    stat: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    decrease: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    depth: np.ndarray
+
+    def apply(self, columns: np.ndarray) -> np.ndarray:
+        """Each row's leaf output (class-1 probability or mean), the rows
+        given feature-major: `columns` is X.T, C-contiguous."""
+        value = (self.stat / self.n if self.task == "gini" else self.stat).tolist()
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        out = np.empty(columns.shape[1], dtype=np.float64)
+        stack = [(0, np.arange(columns.shape[1]))]
+        while stack:
+            i, rows = stack.pop()
+            if feature[i] < 0:
+                out[rows] = value[i]
+            elif rows.size:
+                mask = columns[feature[i]].take(rows) <= threshold[i]
+                stack += ((left[i], rows.compress(mask)), (right[i], rows.compress(~mask)))
+        return out
+
+    def cut(self, depth: int) -> "Tree":
+        """This tree with its nodes `depth` levels down made leaves."""
+        leaf = self.depth >= depth
+        feature, left, right = (np.where(leaf, -1, a) for a in (self.feature, self.left, self.right))
+        return Tree(self.task, self.n, self.stat, feature, self.threshold, self.decrease, left, right, self.depth)
+
+    def importance(self, n_features: int) -> np.ndarray:
+        """n * impurity decrease summed per feature, in pre-order with the
+        right child first: the order fixes the sums' last bits."""
+        imp = np.zeros(n_features, dtype=np.float64)
+        gain = (self.n * np.maximum(self.decrease, 0.0)).tolist()
+        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if feature[i] >= 0:
+                imp[feature[i]] += gain[i]
+                stack += (left[i], right[i])
+        return imp
 
     def to_dict(self) -> dict:
-        d = {"n": self.n_samples}
-        if self.class_counts is not None:
-            d["counts"] = list(self.class_counts)
-            d["prob"] = self.prob
-        if self.value is not None:
-            d["value"] = self.value
-        if not self.is_leaf:
-            d.update(
-                feature=self.feature,
-                threshold=self.threshold,
-                decrease=self.decrease,
-                left=self.left.to_dict(),
-                right=self.right.to_dict(),
-            )
-        return d
+        """Nested nodes: n; counts and prob ("gini") or value ("sse"); and at
+        a split, feature, threshold, decrease, left and right."""
+        n, stat, feature, threshold, decrease, left, right = (
+            a.tolist() for a in (self.n, self.stat, self.feature, self.threshold, self.decrease, self.left, self.right)
+        )
+
+        def node(i: int) -> dict:
+            if self.task == "gini":
+                c1 = int(stat[i])
+                d = {"n": n[i], "counts": [n[i] - c1, c1], "prob": c1 / n[i]}
+            else:
+                d = {"n": n[i], "value": stat[i]}
+            if feature[i] >= 0:
+                d.update(feature=feature[i], threshold=threshold[i], decrease=decrease[i])
+                d.update(left=node(left[i]), right=node(right[i]))
+            return d
+
+        return node(0)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
-        counts = d.get("counts")
-        node = cls(
-            n_samples=d["n"],
-            class_counts=None if counts is None else (counts[0], counts[1]),
-            prob=d.get("prob"),
-            value=d.get("value"),
-        )
-        if "feature" in d:
-            node = replace(
-                node,
-                feature=d["feature"],
-                threshold=d["threshold"],
-                decrease=d["decrease"],
-                left=cls.from_dict(d["left"]),
-                right=cls.from_dict(d["right"]),
-            )
-        return node
+    def from_dict(cls, root: dict, task: str, n_features: int) -> "Tree":
+        """The tree `to_dict` wrote, its nodes numbered in pre-order. Raises
+        ValueError on a node that `to_dict` does not write: one deeper than
+        MAX_DEPTH, a feature outside [0, n_features), a split without both
+        children, counts or prob that disagree with n, or a threshold,
+        decrease or value that is not a number."""
+        nodes = []  # n, stat, feature, threshold, decrease, left, right, depth
+
+        def read(d: dict, depth: int) -> int:
+            if depth > MAX_DEPTH:
+                raise ValueError(f"tree deeper than {MAX_DEPTH} levels")
+            n = _whole(d["n"], 1, np.inf)
+            if task == "gini":
+                stat = _whole(d["counts"][1], 0, n + 1)
+                if d["counts"] != [n - stat, stat] or _number(d["prob"]) != stat / n:
+                    raise ValueError(f"tree node counts {d['counts']!r} and prob {d['prob']!r} disagree with n={n}")
+            else:
+                stat = _number(d["value"])
+            i = len(nodes)
+            nodes.append([n, float(stat), -1, 0.0, 0.0, -1, -1, depth])
+            if "feature" in d:
+                if not (isinstance(d.get("left"), dict) and isinstance(d.get("right"), dict)):
+                    raise ValueError("tree split without both children")
+                nodes[i][2:5] = _whole(d["feature"], 0, n_features), _number(d["threshold"]), _number(d["decrease"])
+                nodes[i][5:7] = read(d["left"], depth + 1), read(d["right"], depth + 1)
+            return i
+
+        read(root, 0)
+        # Leaves' 0.0 thresholds and decreases make those columns float64.
+        return cls(task, *(np.asarray(column) for column in zip(*nodes)))
+
+
+def _whole(x, low, high) -> int:
+    """x if it is an int in [low, high); ValueError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, int) or not low <= x < high:
+        raise ValueError(f"tree node holds {x!r} where an integer in [{low}, {high}) belongs")
+    return x
+
+
+def _number(x) -> float:
+    """x if it is a number; ValueError otherwise."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"tree node holds {x!r} where a number belongs")
+    return x
 
 
 def build_tree(
@@ -97,8 +165,9 @@ def build_tree(
     task: str = "gini",
     n_subset_features: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
-    """Grow one CART tree; `task` is "gini" (y in {0,1}) or "sse" (real y).
+) -> dict:
+    """Grow one CART tree and return its nested `Tree.to_dict` form; `task`
+    is "gini" (y in {0,1}) or "sse" (real y).
 
     When `n_subset_features` is set, each split considers a fresh random
     subset of that many features drawn from `rng`, in depth-first order, so
@@ -115,7 +184,7 @@ def build_tree(
         task=task,
         n_subset_features=n_subset_features,
         rngs=None if rng is None else [rng],
-    )[0][0]
+    )[0][0].to_dict()
 
 
 def presort(values: np.ndarray) -> np.ndarray:
@@ -148,10 +217,10 @@ def grow_trees(
     task: str = "gini",
     n_subset_features: int | None = None,
     rngs: list[np.random.Generator] | None = None,
-) -> tuple[list[TreeNode], np.ndarray]:
+) -> tuple[list[Tree], np.ndarray]:
     """Grow one tree on each of G samples of n rows: `values` (d, G, n) as
     `presort` takes them, `order` from `presort`, and `targets` (G, n).
-    Returns the trees and, for each of the G * n rows, the statistic of the
+    Returns the G trees and, for each of the G * n rows, the statistic of the
     leaf it falls in (the class-1 count for "gini", the mean for "sse").
 
     A node is a segment of `order`'s columns: row f of the segment holds the
@@ -270,7 +339,17 @@ def grow_trees(
 
         # Right before left, so that a stack pops the left child first.
         pool = np.concatenate([pool, kids.reshape(2, -1)[::-1].T[scorable[::-1].T]])
-    return nodes.trees(g, task), nodes.stat.take(node_of_row)
+
+    # Each tree's ids ascending (its root first); `local` renumbers the
+    # children, and its last entry keeps a leaf's -1.
+    tree = nodes.tree[: nodes.used]
+    local = np.full(nodes.used + 1, -1)
+    grown = []
+    for ids in np.split(tree.argsort(kind="stable"), np.bincount(tree, minlength=g).cumsum()[:-1]):
+        local[ids] = np.arange(ids.size)
+        stats = (a[ids] for a in (nodes.count, nodes.stat, nodes.feature, nodes.threshold, nodes.decrease))
+        grown.append(Tree(task, *stats, local.take(nodes.left[ids]), local.take(nodes.right[ids]), nodes.depth[ids]))
+    return grown, nodes.stat.take(node_of_row)
 
 
 class _Nodes:
@@ -287,8 +366,8 @@ class _Nodes:
         self.feature = np.full(capacity, -1, dtype=np.intp)
         self.threshold = np.zeros(capacity, dtype=np.float64)
         self.decrease = np.zeros(capacity, dtype=np.float64)
-        self.left = np.zeros(capacity, dtype=np.intp)
-        self.right = np.zeros(capacity, dtype=np.intp)
+        self.left = np.full(capacity, -1, dtype=np.intp)
+        self.right = np.full(capacity, -1, dtype=np.intp)
 
     def add(self, tree, start, count, depth) -> int:
         """Append nodes and return the id of the first."""
@@ -317,27 +396,6 @@ class _Nodes:
             pure = np.minimum.reduceat(target, offsets) == np.maximum.reduceat(target, offsets)
         self.stat[new] = c1
         return (self.depth[new] < max_depth) & (count >= min_instances) & ~pure
-
-    def trees(self, g: int, task: str) -> list[TreeNode]:
-        """TreeNode roots of the g trees, built bottom-up."""
-        used = slice(0, self.used)
-        count, stat, feature = self.count[used].tolist(), self.stat[used].tolist(), self.feature[used].tolist()
-        threshold, decrease = self.threshold[used].tolist(), self.decrease[used].tolist()
-        left, right = self.left[used].tolist(), self.right[used].tolist()
-        built: list[TreeNode] = [None] * self.used  # type: ignore[list-item]
-        for i in range(self.used - 1, -1, -1):
-            m, f = count[i], feature[i]
-            if task == "gini":
-                c1 = int(stat[i])
-                counts, prob, value = (m - c1, c1), c1 / m, None
-            else:
-                counts, prob, value = None, None, stat[i]
-            if f < 0:
-                built[i] = TreeNode(m, -1, 0.0, 0.0, None, None, counts, prob, value)
-            else:
-                kids = built[left[i]], built[right[i]]
-                built[i] = TreeNode(m, f, threshold[i], decrease[i], *kids, counts, prob, value)
-        return built[:g]
 
 
 #: Padded cells that cost about as much to evaluate as a kernel call's fixed
@@ -406,47 +464,6 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return (start - ends + length).repeat(length) + np.arange(ends[-1] if ends.size else 0)
 
 
-def tree_apply(root: TreeNode, X: np.ndarray, field: str) -> np.ndarray:
-    """Evaluate a per-leaf field ("prob" or "value") for every row."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = getattr(node, field)
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
-
-
-def cut_tree(node: TreeNode, depth: int) -> TreeNode:
-    """The tree under `node` with every node `depth` levels below it made a
-    leaf, which keeps that node's statistics."""
-    if node.is_leaf:
-        return node
-    if depth == 0:
-        return TreeNode(node.n_samples, class_counts=node.class_counts, prob=node.prob, value=node.value)
-    return replace(node, left=cut_tree(node.left, depth - 1), right=cut_tree(node.right, depth - 1))
-
-
-def tree_importance(root: TreeNode, n_features: int) -> np.ndarray:
-    """Unnormalized importance: sum of n_samples * impurity decrease per feature."""
-    imp = np.zeros(n_features, dtype=np.float64)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        imp[node.feature] += node.n_samples * max(node.decrease, 0.0)
-        stack.append(node.left)
-        stack.append(node.right)
-    return imp
-
-
 def normalized_importance(imp: np.ndarray) -> np.ndarray:
     total = imp.sum()
     return imp / total if total > 0 else imp
@@ -470,13 +487,13 @@ class DecisionTreeModel(TrainedClassifier):
     family = "dt"
     nested_axis = "max_depth"
 
-    def __init__(self, root: TreeNode, n_features: int, threshold: float):
-        self.root = root
+    def __init__(self, tree: Tree, n_features: int, threshold: float):
+        self.tree = tree
         self.n_features = n_features
         self.threshold = threshold
 
     def raw_scores(self, X):
-        return tree_apply(self.root, self._check_matrix(X), "prob")
+        return self.tree.apply(self._check_matrix(X).T.copy())
 
     def _probabilities_of(self, raw):
         return raw
@@ -484,30 +501,32 @@ class DecisionTreeModel(TrainedClassifier):
     def truncate(self, k: int) -> "DecisionTreeModel":
         """The tree cut at depth k. Growth above depth k does not read
         max_depth, so this is the tree a fit with max_depth=k grows."""
-        return DecisionTreeModel(cut_tree(self.root, k), self.n_features, self.threshold)
+        return DecisionTreeModel(self.tree.cut(k), self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:
-        return normalized_importance(tree_importance(self.root, self.n_features))
+        return normalized_importance(self.tree.importance(self.n_features))
 
     def to_dict(self) -> dict:
         return {
-            "root": self.root.to_dict(),
+            "root": self.tree.to_dict(),
             "n_features": self.n_features,
             "threshold": self.threshold,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTreeModel":
-        return cls(TreeNode.from_dict(d["root"]), d["n_features"], d["threshold"])
+        return cls(Tree.from_dict(d["root"], "gini", d["n_features"]), d["n_features"], d["threshold"])
 
 
 def train_decision_tree(X, y, params: DecisionTreeParams = DecisionTreeParams()) -> DecisionTreeModel:
     X, y = check_training_data(X, y)
-    root = build_tree(
-        X,
-        y,
+    values = np.ascontiguousarray(X.T)[:, None]
+    (tree,), _ = grow_trees(
+        values,
+        presort(values),
+        y[None],
         max_depth=params.max_depth,
         min_instances=params.min_instances_per_node,
         task="gini",
     )
-    return DecisionTreeModel(root, X.shape[1], params.threshold)
+    return DecisionTreeModel(tree, X.shape[1], params.threshold)

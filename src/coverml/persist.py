@@ -89,7 +89,7 @@ def _read_header(fh, path) -> dict:
         raise ModelFileError(f"{path}: truncated header")
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFileError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise ModelFileError(f"{path}: corrupt header: not a JSON object")
@@ -118,7 +118,7 @@ def load_model(path) -> tuple[object, dict]:
         raise ChecksumError(f"{path}: body checksum mismatch; file is corrupt")
     try:
         doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFileError(f"{path}: corrupt body: {exc}") from exc
     if not isinstance(doc, dict) or not {"kind", "payload"} <= doc.keys():
         raise ModelFileError(f"{path}: corrupt body: expected an object with kind and payload")
@@ -128,6 +128,6 @@ def load_model(path) -> tuple[object, dict]:
             return FittedPipeline.from_dict(payload), header
         if doc["kind"] == "classifier":
             return models.classifier_from_dict(payload["family"], payload["model"]), header
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ModelFileError(f"{path}: corrupt {doc['kind']} payload: {exc!r}") from exc
     raise ModelFileError(f"{path}: unknown payload kind {doc['kind']!r}")

@@ -7,7 +7,7 @@ import pytest
 
 from coverml.cli import main
 from coverml.datasets import SynthSpec, generate_synthetic
-from coverml.persist import read_header
+from coverml.persist import load_model, read_header, save_model
 from coverml.stages import FittedPipeline
 from coverml.table import ColumnSpec, DataTable
 
@@ -445,6 +445,22 @@ class TestBenchmark:
         assert code == 1
         assert "FAILED" in out
 
+    def test_failure_reasons_on_stderr(self, tmp_path, capsys):
+        """Each failed row's reason goes to stderr as an error line; the
+        table on stdout keeps its FAILED rows."""
+        from coverml.models import FAMILY_ORDER
+
+        unlabeled = DataTable(
+            [ColumnSpec("cat", "categorical_text"), ColumnSpec("x", "numeric")],
+            {"cat": [f"c{i % 4}" for i in range(40)], "x": [float(i) for i in range(40)]},
+        )
+        (tmp_path / "unlabeled.tbl").write_bytes(unlabeled.to_json_bytes())
+        code, out, err = run(capsys, "benchmark", "--data", str(tmp_path / "unlabeled.tbl"), "--folds", "2")
+        assert code == 1
+        rows = out.splitlines()[1:]
+        assert [r.split() for r in rows] == [[f.upper(), "FAILED", "-", "-", "-", "-"] for f in FAMILY_ORDER]
+        assert err.splitlines() == [f"error: {f}: cross-validation data has no label column" for f in FAMILY_ORDER]
+
     def test_unknown_family_rejected(self, workdir, capsys):
         code, _, err = run(
             capsys, "benchmark", "--data", str(workdir / "data.tbl"), "--models", "gbt,xgb"
@@ -647,7 +663,9 @@ class TestSynthXor:
 class TestTreeModelBytes:
     """sha256 of tree-family model files, recorded before split finding moved
     to presorted columns and one kernel call per node; any change to a split,
-    threshold or decrease changes these."""
+    threshold or decrease changes these. A loaded file saves back to the same
+    bytes, and its importances keep the bits recorded when trees were still
+    recursive node objects (summed in pre-order, right child first)."""
 
     GRIDS = {
         "dt": {"max_depth": [10]},
@@ -659,6 +677,14 @@ class TestTreeModelBytes:
         "rf": "c4876006b8649204b4805305a5376b6c196a8d8bc81d9cdabfc4497074074e48",
         "gbt": "82890323eed3029a9558a4073fd06e8125f6697daccb2142983f8722e6d09563",
     }
+    IMPORTANCES = {
+        "dt": "[0.4066581785739662, 0.10811837912846227, 0.16870409515476356, 0.04403074084487315, "
+        "0.11578717189899204, 0.15670143439894282, 0.0]",
+        "rf": "[0.3871541342198503, 0.09717925319327522, 0.19369758155551678, 0.06199669650478739, "
+        "0.12511115064619716, 0.13486118388037321, 0.0]",
+        "gbt": "[0.5872107919509596, 0.020585194183071674, 0.1219093441892, 0.007022919595482707, "
+        "0.10013684079768229, 0.16313490928360375, 0.0]",
+    }
 
     @pytest.fixture(scope="class")
     def data(self, tmp_path_factory):
@@ -669,15 +695,33 @@ class TestTreeModelBytes:
                      "--derive-label", "--out", str(d / "data.tbl")]) == 0
         return d
 
-    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
-    def test_model_file_digest(self, data, family, capsys):
-        grid = data / f"grid_{family}.json"
-        grid.write_text(json.dumps({"axes": self.GRIDS[family]}))
+    def model_file(self, data, family):
+        """The `coverml train` model file of `family`, trained once per class."""
         out = data / f"{family}.bin"
-        code, _, err = run(capsys, "train", "--data", str(data / "data.tbl"), "--model", family,
-                           "--grid", str(grid), "--seed", "1", "--out", str(out))
-        assert code == 0, err
+        if not out.exists():
+            grid = data / f"grid_{family}.json"
+            grid.write_text(json.dumps({"axes": self.GRIDS[family]}))
+            assert main(["train", "--data", str(data / "data.tbl"), "--model", family,
+                         "--grid", str(grid), "--seed", "1", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_model_file_digest(self, data, family):
+        out = self.model_file(data, family)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[family]
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_load_and_save_again_is_identical(self, data, family):
+        model, header = load_model(self.model_file(data, family))
+        again = data / f"{family}-again.bin"
+        save_model(model, again, seed=header["seed"], data_fingerprint=header["data_fingerprint"],
+                   source_fingerprint=header["source_fingerprint"])
+        assert hashlib.sha256(again.read_bytes()).hexdigest() == self.DIGESTS[family]
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_importances_keep_their_bits(self, data, family):
+        model, _ = load_model(self.model_file(data, family))
+        assert repr(model.classifier.feature_importances().tolist()) == self.IMPORTANCES[family]
 
 
 def vector_rich_tables():

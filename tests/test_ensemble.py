@@ -203,7 +203,7 @@ class TestLockstep:
         monkeypatch.setattr(ensemble, "LOCKSTEP_CELLS", group * X.size)
         forest = train_random_forest(X, y, params)
         alone = self.alone(X, y, params)
-        assert [repr(t.to_dict()) for t in forest.trees] == [repr(t.to_dict()) for t in alone]
+        assert [repr(t.to_dict()) for t in forest.trees] == [repr(t) for t in alone]
 
 
 class TestKernelCallSize:

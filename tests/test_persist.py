@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coverml import models
+from coverml.cli import main
 from coverml.datasets import derive_label, generate_synthetic, SynthSpec
 from coverml.persist import (
     FORMAT_VERSION,
@@ -172,6 +173,65 @@ class TestCorruption:
         self.write_body(path, doc)
         with pytest.raises(ModelFileError, match="payload"):
             load_model(path)
+
+    @pytest.mark.parametrize("part", ["header", "body"])
+    def test_deeply_nested_json_rejected(self, tmp_path, part):
+        path = tmp_path / "m.bin"
+        nested = b"[" * 100_000 + b"]" * 100_000
+        if part == "header":
+            path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(nested)) + nested)
+        else:
+            header = dict.fromkeys(REQUIRED_HEADER_KEYS)
+            header.update(body_len=len(nested), body_sha256=hashlib.sha256(nested).hexdigest())
+            self.write_container(path, header, nested)
+        with pytest.raises(ModelFileError, match=f"corrupt {part}"):
+            load_model(path)
+
+    @pytest.fixture(scope="class")
+    def dt_files(self, tmp_path_factory):
+        """A `coverml train --model dt` model file and a held-out table."""
+        d = tmp_path_factory.mktemp("dt")
+        assert main(["synth", "--rows", "300", "--seed", "2", "--out", str(d / "raw.tbl"),
+                     "--csv-out", str(d / "raw.csv"), "--schema-out", str(d / "schema.json")]) == 0
+        assert main(["ingest", "--input", str(d / "raw.csv"), "--schema", str(d / "schema.json"),
+                     "--derive-label", "--out", str(d / "data.tbl")]) == 0
+        (d / "grid.json").write_text(json.dumps({"axes": {"max_depth": [4]}}))
+        assert main(["train", "--data", str(d / "data.tbl"), "--model", "dt", "--grid", str(d / "grid.json"),
+                     "--folds", "2", "--test-out", str(d / "test.tbl"), "--out", str(d / "dt.bin")]) == 0
+        return d
+
+    @staticmethod
+    def first_leaf(node):
+        while "feature" in node:
+            node = node["left"]
+        return node
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda root: root.update(feature=999),
+            lambda root: root.update(threshold="x"),
+            lambda root: TestCorruption.first_leaf(root).pop("prob"),
+            lambda root: root.pop("right"),
+        ],
+        ids=["feature-out-of-range", "threshold-not-a-number", "leaf-without-prob", "split-without-right-child"],
+    )
+    def test_crafted_tree_rejected(self, dt_files, tmp_path, capsys, mutate):
+        """A tree node the engine cannot have written, in a file whose checksum
+        matches, is a ModelFileError at load and an error line in the CLI."""
+        path = tmp_path / "crafted.bin"
+        header = read_header(dt_files / "dt.bin")
+        doc = json.loads((dt_files / "dt.bin").read_bytes()[-header["body_len"] :])
+        mutate(doc["payload"]["classifier"]["model"]["root"])
+        body = json.dumps(doc).encode()
+        header.update(body_len=len(body), body_sha256=hashlib.sha256(body).hexdigest())
+        self.write_container(path, header, body)
+        with pytest.raises(ModelFileError, match="corrupt pipeline payload"):
+            load_model(path)
+        for argv in (["evaluate", "--data", str(dt_files / "test.tbl")], ["importance"]):
+            assert main([*argv, "--model", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_unpersistable_object_rejected(self, tmp_path):
         with pytest.raises(ModelFileError):

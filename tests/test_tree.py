@@ -1,19 +1,11 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coverml import kernels
+from coverml import kernels, models
 from coverml.models.base import ModelError
-from coverml.models.tree import (
-    DecisionTreeModel,
-    DecisionTreeParams,
-    TreeNode,
-    build_tree,
-    normalized_importance,
-    train_decision_tree,
-    tree_importance,
-)
+from coverml.models.tree import DecisionTreeModel, DecisionTreeParams, build_tree, train_decision_tree
 
 from helpers import oracle_build_tree, tree_structure
 
@@ -31,8 +23,8 @@ class TestInduction:
         y = np.array([0, 0, 1, 1])
         model = train_decision_tree(X, y)
         assert accuracy(model, X, y) == 1.0
-        root = model.root
-        assert not root.is_leaf and root.left.is_leaf and root.right.is_leaf
+        root = model.to_dict()["root"]
+        assert "feature" in root and "feature" not in root["left"] and "feature" not in root["right"]
 
     def test_xor_depth1_is_chance(self):
         model = train_decision_tree(XOR_X, XOR_Y, DecisionTreeParams(max_depth=1))
@@ -48,7 +40,7 @@ class TestInduction:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0, 0, 1, 1])
         root = build_tree(X, y, max_depth=1)
-        assert root.feature == 0
+        assert root["feature"] == 0
 
     def test_tie_break_prefers_lower_threshold(self):
         # symmetric labels: splits at 0.5 and 1.5 both give zero decrease,
@@ -57,19 +49,19 @@ class TestInduction:
         y = np.array([1, 0, 0, 1])
         root = build_tree(X, y, max_depth=1)
         # decreases: thr 0.5 and 2.5 tie (symmetric), thr 1.5 is zero
-        assert root.threshold == 0.5
+        assert root["threshold"] == 0.5
 
     def test_min_instances_stops_growth(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 1, 0, 1])
         root = build_tree(X, y, max_depth=5, min_instances=5)
-        assert root.is_leaf
+        assert "feature" not in root
 
     def test_pure_node_stops(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1, 1])
         root = build_tree(X, y, max_depth=3)
-        assert root.is_leaf and root.prob == 1.0
+        assert "feature" not in root and root["prob"] == 1.0
 
     def test_depth_never_exceeds_max(self):
         rng = np.random.default_rng(3)
@@ -79,7 +71,7 @@ class TestInduction:
             root = build_tree(X, y, max_depth=max_depth)
 
             def depth(node):
-                return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+                return 0 if "feature" not in node else 1 + max(depth(node["left"]), depth(node["right"]))
 
             assert depth(root) <= max_depth
 
@@ -107,8 +99,8 @@ class TestInduction:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1.0, 1.0, -3.0, -3.0])
         root = build_tree(X, y, max_depth=1, task="sse")
-        assert root.threshold == 1.5
-        assert root.left.value == 1.0 and root.right.value == -3.0
+        assert root["threshold"] == 1.5
+        assert root["left"]["value"] == 1.0 and root["right"]["value"] == -3.0
 
 
 def scan_one_feature(x, y, task):
@@ -154,7 +146,8 @@ def scan_one_feature(x, y, task):
 
 def reference_build_tree(X, y, *, max_depth, min_instances=1, task="gini", n_subset_features=None, rng=None):
     """Per-node induction: a stable argsort and a scan for every candidate
-    feature of every node, the lowest feature kept on ties."""
+    feature of every node, the lowest feature kept on ties. Returns the
+    nested node dicts that `build_tree` returns."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     yf = np.ascontiguousarray(y, dtype=np.float64)
     d = X.shape[1]
@@ -162,12 +155,12 @@ def reference_build_tree(X, y, *, max_depth, min_instances=1, task="gini", n_sub
     def grow(idx, depth):
         if task == "gini":
             c1 = int(yf[idx].sum())
-            leaf = TreeNode(n_samples=idx.size, class_counts=(idx.size - c1, c1), prob=c1 / idx.size)
+            node = {"n": idx.size, "counts": [idx.size - c1, c1], "prob": c1 / idx.size}
         else:
-            leaf = TreeNode(n_samples=idx.size, value=float(yf[idx].mean()))
+            node = {"n": idx.size, "value": float(yf[idx].mean())}
         target = yf[idx]
         if depth >= max_depth or idx.size < min_instances or (target == target[0]).all():
-            return leaf
+            return node
         if n_subset_features is None or n_subset_features >= d:
             feats = range(d)
         else:
@@ -180,16 +173,16 @@ def reference_build_tree(X, y, *, max_depth, min_instances=1, task="gini", n_sub
             if dec > best_dec:
                 best_f, best_thr, best_dec = int(f), thr, dec
         if best_f < 0:
-            return leaf
+            return node
         mask = X[idx, best_f] <= best_thr
-        return replace(
-            leaf,
+        node.update(
             feature=best_f,
             threshold=best_thr,
             decrease=best_dec,
             left=grow(idx[mask], depth + 1),
             right=grow(idx[~mask], depth + 1),
         )
+        return node
 
     return grow(np.arange(X.shape[0]), 0)
 
@@ -213,7 +206,7 @@ def parity_case(rng, kind):
 
 
 class TestPresortedParity:
-    """build_tree against per-node argsort + scan: the same TreeNodes, bit for bit."""
+    """build_tree against per-node argsort + scan: the same trees, bit for bit."""
 
     @pytest.mark.parametrize("task", ["gini", "sse"])
     @pytest.mark.parametrize("kind", ["plain", "ties", "constant", "bootstrap", "signed-zero", "deep"])
@@ -238,8 +231,7 @@ class TestPresortedParity:
             )
             got = build_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
             want = reference_build_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
-            assert got == want
-            assert repr(got.to_dict()) == repr(want.to_dict())  # -0.0 differs from 0.0 here
+            assert repr(got) == repr(want)  # every field; -0.0 differs from 0.0 here
 
 
     @pytest.mark.parametrize("subset", [None, 2])
@@ -262,9 +254,9 @@ class TestPresortedParity:
         root = build_tree(X, y, max_depth=6, n_subset_features=subset, rng=np.random.default_rng(1))
 
         def internal(node, depth=0):
-            if node.is_leaf:
+            if "feature" not in node:
                 return []
-            return [(depth, node.n_samples), *internal(node.left, depth + 1), *internal(node.right, depth + 1)]
+            return [(depth, node["n"]), *internal(node["left"], depth + 1), *internal(node["right"], depth + 1)]
 
         scored = internal(root)
         k = subset or 5
@@ -307,6 +299,66 @@ class TestDepthCut:
             for k in range(1, 9):
                 fresh = train_decision_tree(X, y, DecisionTreeParams(max_depth=k, min_instances_per_node=min_instances))
                 assert repr(deep.truncate(k).to_dict()) == repr(fresh.to_dict())
+
+
+def descend(node, row):
+    """The leaf that `row` reaches in a nested `to_dict` tree."""
+    while "feature" in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def descent_scores(family, doc, rows):
+    """Raw scores of a dt, rf or gbt `to_dict()`, one row at a time."""
+    if family == "dt":
+        return [descend(doc["root"], r)["prob"] for r in rows]
+    if family == "rf":
+        return [sum(descend(t, r)["prob"] for t in doc["trees"]) / len(doc["trees"]) for r in rows]
+    out = []
+    for r in rows:
+        score = doc["base_score"]
+        for t in doc["trees"]:
+            score += doc["learning_rate"] * descend(t, r)["value"]
+        out.append(score)
+    return out
+
+
+#: Few distinct values, so columns tie; -0.0 and 0.0 compare equal.
+VALUES = [-1.5, -0.0, 0.0, 0.25, 1.0, 3.0]
+CELLS = st.sampled_from(VALUES)
+#: Query cells add every threshold a split can choose: the midpoints.
+QUERY_CELLS = st.sampled_from(VALUES + [(a + b) / 2 for a, b in zip(VALUES, VALUES[1:])])
+
+
+class TestFlatApply:
+    """Scoring through the flat node arrays against a per-row descent of the
+    nested dicts that `to_dict` writes."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_equals_descent_of_to_dict(self, data):
+        n, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 4))
+        X = np.array(data.draw(st.lists(st.lists(CELLS, min_size=d, max_size=d), min_size=n, max_size=n)))
+        if data.draw(st.booleans()):
+            X[:, data.draw(st.integers(0, d - 1))] = -0.0
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        y[0], y[1] = 0, 1  # gbt needs both classes
+        family = data.draw(st.sampled_from(["dt", "rf", "gbt"]))
+        depth = data.draw(st.integers(1, 6))
+        params = {
+            "dt": DecisionTreeParams(max_depth=depth),
+            "rf": models.RandomForestParams(num_trees=5, max_depth=depth, seed=data.draw(st.integers(0, 9))),
+            "gbt": models.GbtParams(num_iterations=4, max_depth=depth),
+        }[family]
+        model = models.train(family, X, y, params)
+        queries = np.array(data.draw(st.lists(st.lists(QUERY_CELLS, min_size=d, max_size=d), min_size=1, max_size=20)))
+        rows = np.concatenate([X, queries])
+        doc = model.to_dict()
+        want = descent_scores(family, doc, rows.tolist())
+        assert model.raw_scores(rows).tolist() == want
+        back = models.model_type(family).from_dict(doc)
+        assert repr(back.to_dict()) == repr(doc)
+        assert back.raw_scores(rows).tolist() == want
 
 
 class TestParamsAndErrors:
@@ -359,8 +411,9 @@ class TestImportance:
         assert model.feature_importances()[1] == 0.0
 
     def test_unsplit_tree_all_zero(self):
-        root = TreeNode(n_samples=4, class_counts=(2, 2), prob=0.5)
-        assert normalized_importance(tree_importance(root, 3)).tolist() == [0.0, 0.0, 0.0]
+        root = {"n": 4, "counts": [2, 2], "prob": 0.5}
+        model = DecisionTreeModel.from_dict({"root": root, "n_features": 3, "threshold": 0.5})
+        assert model.feature_importances().tolist() == [0.0, 0.0, 0.0]
 
 
 class TestSerialization:
