@@ -192,9 +192,9 @@ def _write_predictions(out_table: DataTable, path) -> None:
         fields[-1] = list(map('{}]"'.format, fields[-1]))
     else:
         fields = [['"[]"'] * n]
-    fields.append(float_reprs(out_table.column("prediction")))
+    fields.append(float_reprs(out_table.numbers("prediction")))
     if out_table.has_column("trueLabel"):
-        fields.append(float_reprs(out_table.column("trueLabel")))
+        fields.append(float_reprs(out_table.numbers("trueLabel")))
     else:
         fields.append([""] * n)
     with open(path, "w", encoding="utf-8") as fh:

@@ -32,20 +32,14 @@ def derive_label(
         raise TableError(
             f"label source {source_col!r} must be categorical_text or boolean, is {spec.kind}"
         )
-    source = table.column(source_col)
-    if all(v is None for v in source):
+    codes, values = table.codes(source_col)
+    if (codes < 0).all():
         raise TableError(f"label source {source_col!r} is entirely null")
     positive = set(positive_values)
-
-    def as_text(v):
-        if v is None:
-            return None
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return v
-
-    labels = [1 if as_text(v) in positive else 0 for v in source]
-    return table.with_column(ColumnSpec(label_name, "label", nullable=False), labels)
+    texts = [("true" if v else "false") if isinstance(v, bool) else v for v in values]
+    # The last entry is the null code's: a null is never positive.
+    hits = np.array([text in positive for text in texts] + [False])
+    return table.with_column(ColumnSpec(label_name, "label", nullable=False), hits[codes].astype(np.int8))
 
 
 def sample_rows(table: DataTable, fraction: float, seed: int) -> DataTable:
@@ -59,7 +53,7 @@ def sample_rows(table: DataTable, fraction: float, seed: int) -> DataTable:
     k = math.floor(fraction * n)
     rng = derived_rng(seed, 11)
     chosen = np.sort(rng.choice(n, size=k, replace=False))
-    return table.select_rows(chosen.tolist())
+    return table.select_rows(chosen)
 
 
 def train_test_split(table: DataTable, test_fraction: float, seed: int) -> tuple[DataTable, DataTable]:
@@ -74,7 +68,7 @@ def train_test_split(table: DataTable, test_fraction: float, seed: int) -> tuple
     n_test = math.floor(test_fraction * n)
     test_idx = np.sort(perm[:n_test])
     train_idx = np.sort(perm[n_test:])
-    return table.select_rows(train_idx.tolist()), table.select_rows(test_idx.tolist())
+    return table.select_rows(train_idx), table.select_rows(test_idx)
 
 
 # -- synthetic data ------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,6 +25,47 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     if not np.isin(y, (0, 1)).all():
         raise ModelError("labels must be 0 or 1")
     return X, y
+
+
+def finite_number(x, what: str) -> float:
+    """x if it is a finite real number, not a bool; ValueError naming
+    `what` otherwise. For the fields of a model read from a file."""
+    if type(x) not in (int, float) or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {x!r}")
+    return x
+
+
+def positive_int(x, what: str) -> int:
+    """x if it is a positive int, not a bool; ValueError naming `what`
+    otherwise."""
+    if type(x) is not int or x < 1:
+        raise ValueError(f"{what} must be a positive integer, got {x!r}")
+    return x
+
+
+def finite_array(x, what: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """x, nested lists of finite real numbers (no bool), as a float64 array
+    of `shape`, where None stands for any positive length; ValueError naming
+    `what` otherwise."""
+    error = ValueError(f"{what} must be nested lists of finite numbers of shape {shape}")
+    leaves = [x]
+    for _ in shape:
+        if not all(isinstance(row, list) for row in leaves):
+            raise error
+        leaves = [v for row in leaves for v in row]
+    if any(type(v) not in (int, float) for v in leaves):
+        raise error
+    try:
+        array = np.array(x, dtype=np.float64)
+    except ValueError:
+        raise error from None
+    if (
+        array.ndim != len(shape)
+        or any(want not in (None, got) or got == 0 for want, got in zip(shape, array.shape))
+        or not np.isfinite(array).all()
+    ):
+        raise error
+    return array
 
 
 class TrainedClassifier:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import derived_rng
-from .base import ModelError, TrainedClassifier, check_training_data
+from .base import ModelError, TrainedClassifier, check_training_data, finite_number, positive_int
 from .linear import sigmoid
 from .tree import Tree, check_max_depth, grow_trees, normalized_importance, presort
 
@@ -85,7 +85,9 @@ class RandomForestModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForestModel":
-        return cls([Tree.from_dict(t, "gini", d["n_features"]) for t in d["trees"]], d["n_features"], d["threshold"])
+        n_features = positive_int(d["n_features"], "n_features")
+        trees = [Tree.from_dict(t, "gini", n_features) for t in d["trees"]]
+        return cls(trees, n_features, finite_number(d["threshold"], "threshold"))
 
 
 def train_random_forest(X, y, params: RandomForestParams = RandomForestParams()) -> RandomForestModel:
@@ -201,12 +203,13 @@ class GbtModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbtModel":
+        n_features = positive_int(d["n_features"], "n_features")
         return cls(
-            d["base_score"],
-            d["learning_rate"],
-            [Tree.from_dict(t, "sse", d["n_features"]) for t in d["trees"]],
-            d["n_features"],
-            d["threshold"],
+            finite_number(d["base_score"], "base_score"),
+            finite_number(d["learning_rate"], "learning_rate"),
+            [Tree.from_dict(t, "sse", n_features) for t in d["trees"]],
+            n_features,
+            finite_number(d["threshold"], "threshold"),
             tuple(d.get("train_losses", ())),
         )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import derived_rng
-from .base import TrainedClassifier, check_training_data
+from .base import TrainedClassifier, check_training_data, finite_array, finite_number
 from .linear import sigmoid
 
 
@@ -88,7 +88,9 @@ class FMModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "FMModel":
-        return cls(d["w0"], np.array(d["w"]), np.array(d["V"], dtype=np.float64).reshape(len(d["w"]), -1), d["threshold"])
+        w = finite_array(d["w"], "w", (None,))
+        V = finite_array(d["V"], "V", (w.size, None))
+        return cls(finite_number(d["w0"], "w0"), w, V, finite_number(d["threshold"], "threshold"))
 
 
 def train_fm(X, y, params: FMParams = FMParams()) -> FMModel:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TrainedClassifier, check_training_data
+from .base import TrainedClassifier, check_training_data, finite_array, finite_number
 
 #: Step size for SVM subgradient descent when reg_param is zero (the 1/(reg*t)
 #: schedule is undefined there).
@@ -108,7 +108,11 @@ class LogisticModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(np.array(d["weights"]), d["intercept"], d["threshold"])
+        return cls(
+            finite_array(d["weights"], "weights", (None,)),
+            finite_number(d["intercept"], "intercept"),
+            finite_number(d["threshold"], "threshold"),
+        )
 
 
 def _descend(value_grad, w, b, max_iter, tol, fit_intercept):
@@ -186,7 +190,7 @@ class LinearSvmModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "LinearSvmModel":
-        return cls(np.array(d["weights"]), d["intercept"])
+        return cls(finite_array(d["weights"], "weights", (None,)), finite_number(d["intercept"], "intercept"))
 
 
 def train_linear_svm(X, y, params: LinearSvmParams = LinearSvmParams()) -> LinearSvmModel:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import kernels
-from .base import TrainedClassifier, check_training_data
+from .base import TrainedClassifier, check_training_data, finite_number, positive_int
 
 MAX_DEPTH = 30
 
@@ -515,7 +515,9 @@ class DecisionTreeModel(TrainedClassifier):
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTreeModel":
-        return cls(Tree.from_dict(d["root"], "gini", d["n_features"]), d["n_features"], d["threshold"])
+        n_features = positive_int(d["n_features"], "n_features")
+        threshold = finite_number(d["threshold"], "threshold")
+        return cls(Tree.from_dict(d["root"], "gini", n_features), n_features, threshold)
 
 
 def train_decision_tree(X, y, params: DecisionTreeParams = DecisionTreeParams()) -> DecisionTreeModel:

@@ -172,7 +172,7 @@ def _prepare_fold(spec: PipelineSpec, table: DataTable, val_idx: np.ndarray, fol
     reports that error only if its training succeeds, as when the whole
     pipeline ran per cell and scored validation rows after training.
     """
-    train_table = table.select_rows(np.setdiff1d(np.arange(table.row_count), val_idx).tolist())
+    train_table = table.select_rows(np.setdiff1d(np.arange(table.row_count), val_idx))
     labels = train_table.label_array()
     if labels.min() == labels.max():
         raise MetricError(f"fold {fold_no}: training portion contains a single class")
@@ -180,7 +180,7 @@ def _prepare_fold(spec: PipelineSpec, table: DataTable, val_idx: np.ndarray, fol
     X = train_out.feature_matrix(spec.features_col)
     y = train_out.label_array()
     try:
-        val_out = prepared.transform(table.select_rows(val_idx.tolist()))
+        val_out = prepared.transform(table.select_rows(val_idx))
         if val_out.row_count == 0:
             raise MetricError(f"fold {fold_no}: no validation rows survived the pipeline")
         validation = (val_out.feature_matrix(spec.features_col), val_out.label_array())
@@ -381,9 +381,9 @@ def evaluate_transformed(out: DataTable, fit_minutes: float = 0.0, metadata=None
     trueLabel columns of a fitted pipeline's output."""
     if out.row_count == 0:
         raise MetricError("no rows survived the pipeline transform")
-    scores = np.asarray(out.column("rawScore"), dtype=np.float64)
-    labels = np.asarray(out.column("trueLabel"), dtype=np.float64).astype(np.int64)
-    preds = np.asarray(out.column("prediction"), dtype=np.float64).astype(np.int64)
+    scores = out.numbers("rawScore")
+    labels = out.numbers("trueLabel").astype(np.int64)
+    preds = out.numbers("prediction").astype(np.int64)
     return evaluate_scores(scores, labels, preds, fit_minutes=fit_minutes, metadata=metadata)
 
 

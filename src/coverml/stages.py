@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import models
+from .models.base import finite_number
 from .table import ColumnSpec, DataTable, TableError
 
 MISSING_TOKEN = "__MISSING__"
@@ -52,13 +52,15 @@ class StringIndexer:
         spec = table.spec(self.input_col)
         if spec.kind != "categorical_text":
             raise PipelineError(f"string indexer input {self.input_col!r} must be categorical_text")
-        col = table.column(self.input_col)
-        if not col:
+        codes, categories = table.codes(self.input_col)
+        if not codes.size:
             raise PipelineError(f"cannot index empty column {self.input_col!r}")
-        counts: dict[str, int] = {}
-        for v in col:
-            key = MISSING_TOKEN if v is None else v
-            counts[key] = counts.get(key, 0) + 1
+        # Slot 0 counts the nulls; a category no row has gets no index.
+        per_code = np.bincount(codes + 1, minlength=len(categories) + 1).tolist()
+        counts: dict[str, int] = {MISSING_TOKEN: per_code[0]} if per_code[0] else {}
+        for label, count in zip(categories, per_code[1:]):
+            if count:
+                counts[label] = counts.get(label, 0) + count
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         mapping = {label: i for i, (label, _) in enumerate(ordered)}
         return StringIndexModel(self.input_col, self.output_col, mapping, self.handle_invalid)
@@ -80,22 +82,23 @@ class StringIndexModel:
     handle_invalid: str = "keep"
 
     def transform(self, table: DataTable) -> DataTable:
-        col = table.column(self.input_col)
+        codes, categories = table.codes(self.input_col)
         index = {label: float(idx) for label, idx in self.mapping.items()}
         if MISSING_TOKEN in index:
             index[None] = index[MISSING_TOKEN]
-        if self.handle_invalid == "keep":
-            indices = list(map(index.get, col, repeat(float(len(self.mapping)))))
-        else:
-            indices = list(map(index.get, col))
-        if None in indices:
+        # NaN marks an unseen value; the last entry is the null code's.
+        unseen = float(len(self.mapping)) if self.handle_invalid == "keep" else np.nan
+        lookup = np.array([index.get(label, unseen) for label in categories + (None,)], dtype=np.float64)
+        indices = lookup[codes]
+        invalid = np.isnan(indices)
+        if invalid.any():
             if self.handle_invalid == "skip":
-                kept = [row for row, idx in enumerate(indices) if idx is not None]
+                kept = np.flatnonzero(~invalid)
                 table = table.select_rows(kept)
-                indices = [indices[row] for row in kept]
+                indices = indices[kept]
             else:
-                row = indices.index(None)
-                key = MISSING_TOKEN if col[row] is None else col[row]
+                row = int(np.argmax(invalid))
+                key = MISSING_TOKEN if codes[row] < 0 else categories[codes[row]]
                 raise PipelineError(f"unseen label {key!r} in column {self.input_col!r} at row {row}")
         return table.with_column(ColumnSpec(self.output_col, "numeric", nullable=False), indices)
 
@@ -110,7 +113,12 @@ class StringIndexModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StringIndexModel":
-        return cls(d["input"], d["output"], {label: idx for label, idx in d["mapping"]}, d["handle_invalid"])
+        mapping = {}
+        for label, idx in d["mapping"]:
+            if not isinstance(label, str) or type(idx) is not int:
+                raise PipelineError(f"string index mapping pairs text with an integer index, got {[label, idx]!r}")
+            mapping[label] = idx
+        return cls(d["input"], d["output"], mapping, d["handle_invalid"])
 
 
 # -- numeric null imputation -----------------------------------------------------
@@ -128,10 +136,11 @@ class MeanImputer:
         for name in self.columns:
             if table.spec(name).kind != "numeric":
                 raise PipelineError(f"imputer column {name!r} must be numeric")
-            vals = [v for v in table.column(name) if v is not None]
-            if not vals:
+            values = table.numbers(name)
+            values = values[~np.isnan(values)]
+            if not values.size:
                 raise PipelineError(f"imputer column {name!r} is entirely null at fit time")
-            means[name] = float(np.mean(vals))
+            means[name] = float(np.mean(values))
         return MeanImputeModel(means)
 
     def to_dict(self) -> dict:
@@ -144,9 +153,10 @@ class MeanImputeModel:
 
     def transform(self, table: DataTable) -> DataTable:
         for name, mean in self.means.items():
-            col = table.column(name)
-            if any(v is None for v in col):
-                table = table.replace_column(name, [mean if v is None else v for v in col])
+            values = table.numbers(name)
+            nulls = np.isnan(values)
+            if nulls.any():
+                table = table.replace_column(name, np.where(nulls, mean, values))
         return table
 
     def to_dict(self) -> dict:
@@ -154,7 +164,7 @@ class MeanImputeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MeanImputeModel":
-        return cls({n: m for n, m in d["means"]})
+        return cls({name: finite_number(mean, f"imputer mean of {name!r}") for name, mean in d["means"]})
 
 
 # -- vector assembly -------------------------------------------------------------
@@ -184,11 +194,16 @@ class VectorAssembler:
         blocks = []
         first_null: list[tuple[int, int, str]] = []
         for pos, name in enumerate(self.input_cols):
-            if table.spec(name).kind == "vector":
+            kind = table.spec(name).kind
+            if kind == "vector":
                 blocks.append(table.feature_matrix(name))
                 continue
+            if kind in ("boolean", "label"):
+                codes = table.codes(name)[0]
+                block = np.where(codes < 0, np.nan, codes)
+            else:
+                block = table.numbers(name)
             # Checked scalars are finite, so NaN marks exactly the nulls.
-            block = np.array(table.column(name), dtype=np.float64)
             nulls = np.isnan(block)
             if nulls.any():
                 first_null.append((int(np.argmax(nulls)), pos, name))
@@ -288,7 +303,7 @@ class VectorIndexModel:
                     f"unseen value {col[row]!r} in dimension {dim} of {self.input_col!r} at row {row}"
                 )
         if not keep_mask.all():
-            table = table.select_rows(np.flatnonzero(keep_mask).tolist())
+            table = table.select_rows(np.flatnonzero(keep_mask))
             out = out[keep_mask]
         return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), out)
 
@@ -513,19 +528,15 @@ class FittedPipeline:
             X = np.zeros((0, self.classifier.n_features))
         raw, prob = self.classifier.scores(X)
         pred = self.classifier.predictions_from_scores(raw, prob)
-        table = table.with_column(ColumnSpec("rawScore", "numeric", nullable=False), raw.tolist())
+        table = table.with_column(ColumnSpec("rawScore", "numeric", nullable=False), raw)
         if prob is not None:
-            table = table.with_column(
-                ColumnSpec("probability", "numeric", nullable=False), prob.tolist()
-            )
+            table = table.with_column(ColumnSpec("probability", "numeric", nullable=False), prob)
         table = table.with_column(
-            ColumnSpec("prediction", "numeric", nullable=False), pred.astype(np.float64).tolist()
+            ColumnSpec("prediction", "numeric", nullable=False), pred.astype(np.float64)
         )
-        label_col = table.label_column()
-        if label_col is not None:
+        if table.label_column() is not None:
             table = table.with_column(
-                ColumnSpec("trueLabel", "numeric", nullable=False),
-                list(map(float, table.column(label_col))),
+                ColumnSpec("trueLabel", "numeric", nullable=False), table.label_array().astype(np.float64)
             )
         return table
 

@@ -12,11 +12,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .metrics import float_reprs
+
 #: Column kinds accepted in external schemas. "vector" additionally exists as
 #: an engine-internal kind for assembled feature columns and cannot be
 #: ingested from CSV.
 CSV_KINDS = ("categorical_text", "numeric", "boolean", "label")
 KINDS = CSV_KINDS + ("vector",)
+
+_COMPACT = (",", ":")
 
 
 class TableError(ValueError):
@@ -114,8 +118,7 @@ def _checked_matrix(name: str, values) -> np.ndarray:
     nan_rows = np.flatnonzero(np.isnan(matrix).any(axis=1))
     if nan_rows.size:
         raise TableError(f"vector column {name!r} holds NaN at row {int(nan_rows[0])}")
-    matrix.setflags(write=False)
-    return matrix
+    return _frozen(matrix)
 
 
 def _bad_row(name: str, rows) -> TableError:
@@ -135,25 +138,61 @@ def _bad_row(name: str, rows) -> TableError:
     return TableError(f"vector column {name!r} must be 2-dimensional")
 
 
-def _checked_column(spec: ColumnSpec, values, n: int | None):
-    """`values` as a stored column: a tuple of values checked against `spec`,
-    or a checked matrix for a vector column, with the length checked against
-    `n` when a row count is already fixed.
-
-    A scalar column that needs no conversion is accepted as it is, a column
-    at a time (`_stored_as_is`); any other goes through the per-cell pass,
-    which converts its values or raises naming the first bad row."""
-    col = _checked_matrix(spec.name, values) if spec.kind == "vector" else tuple(values)
-    if n is not None and len(col) != n:
-        raise TableError(f"column {spec.name!r} has {len(col)} values, expected {n}")
-    if spec.kind == "vector" or _stored_as_is(spec, col):
-        return col
-    return _checked_cells(spec, col)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
-def _checked_cells(spec: ColumnSpec, col: tuple) -> tuple:
-    """The per-cell pass: every value checked and converted by `_check_value`."""
-    return tuple(_check_value(spec, v, i) for i, v in enumerate(col))
+class _Text:
+    """A stored categorical_text column: read-only int32 codes into
+    `categories`, the distinct values in first-seen order, with -1 for null,
+    as in an Arrow dictionary array. After `select_rows` the categories may
+    hold values that no row has."""
+
+    __slots__ = ("codes", "categories")
+
+    def __init__(self, codes: np.ndarray, categories: tuple[str, ...]):
+        self.codes = codes
+        self.categories = categories
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+#: The values that the int8 codes of a boolean or label column stand for.
+_CODE_VALUES = {"boolean": (False, True), "label": (0, 1)}
+
+
+def _codes(spec: ColumnSpec, col) -> tuple[np.ndarray, tuple]:
+    """The codes of a stored boolean, label or categorical_text column and
+    the values they stand for; code -1 is null."""
+    if spec.kind == "categorical_text":
+        return col.codes, col.categories
+    return col, _CODE_VALUES[spec.kind]
+
+
+def _stored(spec: ColumnSpec, values: Sequence):
+    """The stored form of values that `_check_value` returns unchanged: a
+    float64 array with NaN for null (numeric), int8 codes (boolean, label)
+    or a `_Text` (categorical_text)."""
+    if spec.kind == "numeric":
+        return _frozen(np.array(values, dtype=np.float64))
+    if spec.kind == "categorical_text":
+        return _text(values, tuple(v for v in dict.fromkeys(values) if v is not None))
+    return _coded(values, _CODE_VALUES[spec.kind], np.int8)
+
+
+def _text(values: Sequence, categories: tuple) -> _Text:
+    """The text column of `values`, whose distinct values other than None
+    are `categories` in first-seen order."""
+    return _Text(_coded(values, categories, np.int32), categories)
+
+
+def _coded(values: Sequence, categories: tuple, dtype) -> np.ndarray:
+    """The read-only code of each value: its index in `categories`, -1 for None."""
+    index = dict(zip(categories, range(len(categories))))
+    index[None] = -1
+    return _frozen(np.fromiter(map(index.__getitem__, values), dtype=dtype, count=len(values)))
 
 
 #: The one type a value of each scalar kind has when `_check_value` would
@@ -161,41 +200,92 @@ def _checked_cells(spec: ColumnSpec, col: tuple) -> tuple:
 _STORED_TYPES = {"numeric": float, "categorical_text": str, "boolean": bool, "label": int}
 
 
-def _stored_as_is(spec: ColumnSpec, col: tuple) -> bool:
-    """Whether `_checked_cells` would accept `col` and store it unchanged,
-    found with a few C-level passes over the column: every value has its
-    kind's exact type (or is None in a nullable column), numbers are finite,
-    text is nonempty and holds no NUL, and labels are 0 or 1."""
-    types = set(map(type, col))
+def _typed(spec: ColumnSpec, col):
+    """`col` stored, when `_checked_cells` would accept it and return it
+    unchanged; None otherwise. It is found with a few C-level passes over the
+    column. A list or tuple qualifies when every value has its kind's exact
+    type (or is None in a nullable column), numbers are finite, labels are 0
+    or 1, and each distinct text is nonempty and holds no NUL. An array
+    qualifies as a numeric column of finite float64 values or as a label
+    column of integers 0 and 1."""
+    if isinstance(col, np.ndarray):
+        if col.ndim == 1 and spec.kind == "numeric" and col.dtype == np.float64 and np.isfinite(col).all():
+            return _frozen(col.copy())
+        if col.ndim == 1 and spec.kind == "label" and col.dtype.kind in "iu" and ((col == 0) | (col == 1)).all():
+            return _frozen(col.astype(np.int8))
+        return None
     allowed = {_STORED_TYPES[spec.kind], type(None)} if spec.nullable else {_STORED_TYPES[spec.kind]}
-    if not types <= allowed:
-        return False
+    if spec.kind == "categorical_text":
+        # Text is checked once per distinct value. Only a value equal to a str
+        # shares a str's category, and in practice that is a str subclass,
+        # which the per-cell pass accepts too.
+        try:
+            distinct = dict.fromkeys(col)
+        except TypeError:
+            return None
+        categories = tuple(c for c in distinct if c is not None)
+        if not set(map(type, distinct)) <= allowed or any(c == "" or "\x00" in c for c in categories):
+            return None
+        return _text(col, categories)
+    types = set(map(type, col))
+    if not types <= allowed or (spec.kind == "label" and not set(col) <= {0, 1, None}):
+        return None
+    stored = _stored(spec, col)
     if spec.kind == "numeric":
         # A null becomes NaN in the array, so it is the one non-finite value allowed.
-        finite = int(np.count_nonzero(np.isfinite(np.array(col, dtype=np.float64))))
-        return finite == len(col) - (col.count(None) if type(None) in types else 0)
-    if spec.kind == "categorical_text":
-        return "" not in col and "\x00" not in "".join(filter(None, col))
-    if spec.kind == "label":
-        return set(col) <= {0, 1, None}
-    return True
+        nulls = col.count(None) if type(None) in types else 0
+        if int(np.count_nonzero(np.isfinite(stored))) != len(col) - nulls:
+            return None
+    return stored
+
+
+def _checked_column(spec: ColumnSpec, values, n: int | None):
+    """`values` as a stored column of `spec`: a checked matrix for a vector
+    column, else the typed storage of `_stored`. The length is checked
+    against `n` when a row count is already fixed.
+
+    A scalar column that `_typed` accepts is stored a column at a time; any
+    other goes through the per-cell pass, which converts its values or
+    raises naming the first bad row."""
+    if spec.kind == "vector":
+        col = _checked_matrix(spec.name, values)
+    else:
+        col = values if isinstance(values, (np.ndarray, list, tuple)) else tuple(values)
+    if n is not None and len(col) != n:
+        raise TableError(f"column {spec.name!r} has {len(col)} values, expected {n}")
+    if spec.kind == "vector":
+        return col
+    stored = _typed(spec, col)
+    return _stored(spec, _checked_cells(spec, tuple(col))) if stored is None else stored
+
+
+def _checked_cells(spec: ColumnSpec, col: tuple) -> tuple:
+    """The per-cell pass: every value checked and converted by `_check_value`."""
+    return tuple(_check_value(spec, v, i) for i, v in enumerate(col))
 
 
 class DataTable:
     """Immutable columnar table with a typed schema.
 
-    Scalar columns are stored as tuples and vector columns as read-only
-    (n, size) float64 matrices; every mutation-style operation returns a new
-    table. Values must conform to the declared column kind; empty-string
-    categories are disallowed so CSV round-trips stay value-identical. A
-    vector column is given as a 2-D array or as equal-length rows, holds no
-    null and no NaN, and is read through `feature_matrix`.
+    Columns are stored typed: a numeric column as a read-only float64 array
+    in which NaN marks a null (checked values are finite, so NaN is never a
+    value); a categorical_text column as int32 codes into its categories in
+    first-seen order; boolean and label columns as int8 codes 0 and 1; -1 is
+    the null code. A vector column is a read-only (n, size) float64 matrix.
+    Engine code reads the arrays (`numbers`, `codes`, `feature_matrix`);
+    `column` builds a tuple of a scalar column's values on demand. Every
+    mutation-style operation returns a new table.
+
+    Values must conform to the declared column kind; empty-string categories
+    are disallowed so CSV round-trips stay value-identical. A vector column
+    is given as a 2-D array or as equal-length rows and holds no null and no
+    NaN.
 
     Values are checked once, where they enter: the constructor, `read_csv`
     and `from_json_bytes` check every cell. Derived tables reuse the checked
     columns of their source; `with_column` and `replace_column` check only
     the column they add, and `select_rows` checks nothing. The check runs a
-    column at a time: a column that needs no conversion is accepted in bulk,
+    column at a time: a column that needs no conversion is stored in bulk,
     and the per-cell pass converts the values of any other column or raises
     naming its first bad row.
     """
@@ -222,8 +312,8 @@ class DataTable:
     def _trusted(
         cls, schema: tuple[ColumnSpec, ...], columns: dict, row_count: int
     ) -> "DataTable":
-        """A table over columns that already hold checked values of `schema`,
-        all `row_count` long; nothing is checked again."""
+        """A table over columns already stored for `schema`, all `row_count`
+        long; nothing is checked again."""
         table = object.__new__(cls)
         table._init(schema, columns, row_count)
         return table
@@ -234,10 +324,35 @@ class DataTable:
     # -- lookup ------------------------------------------------------------
 
     def column(self, name: str) -> tuple:
-        """The values of a scalar column."""
-        if self.spec(name).kind == "vector":
+        """The values of a scalar column, None for a null, as a tuple built
+        from the stored array."""
+        spec = self.spec(name)
+        if spec.kind == "vector":
             raise TableError(f"column {name!r} is a vector column; read it with feature_matrix")
+        col = self._columns[name]
+        if spec.kind == "numeric":
+            values = col.tolist()
+            if np.isnan(col).any():
+                values = [None if v != v else v for v in values]
+            return tuple(values)
+        codes, values = _codes(spec, col)
+        return tuple(map((values + (None,)).__getitem__, codes.tolist()))
+
+    def numbers(self, name: str) -> np.ndarray:
+        """A numeric column's read-only float64 array; NaN marks a null."""
+        if self.spec(name).kind != "numeric":
+            raise TableError(f"column {name!r} is not a numeric column")
         return self._columns[name]
+
+    def codes(self, name: str) -> tuple[np.ndarray, tuple]:
+        """A boolean, label or categorical_text column as read-only codes and
+        the values they stand for: code i is values[i] and -1 is null. A text
+        column's values are its categories in first-seen order; after
+        `select_rows` some of them may have no row."""
+        spec = self.spec(name)
+        if spec.kind in ("numeric", "vector"):
+            raise TableError(f"column {name!r} is a {spec.kind} column, not a coded one")
+        return _codes(spec, self._columns[name])
 
     def spec(self, name: str) -> ColumnSpec:
         for s in self.schema:
@@ -272,16 +387,14 @@ class DataTable:
         return DataTable._trusted(self.schema, {**self._columns, name: col}, self.row_count)
 
     def select_rows(self, indices: Iterable[int]) -> "DataTable":
-        idx = list(indices)
-        rows = np.asarray(idx, dtype=np.intp)
+        rows = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.intp)
         cols = {}
         for name, col in self._columns.items():
-            if isinstance(col, np.ndarray):
-                cols[name] = col[rows]
-                cols[name].setflags(write=False)
+            if isinstance(col, _Text):
+                cols[name] = _Text(_frozen(col.codes[rows]), col.categories)
             else:
-                cols[name] = tuple([col[i] for i in idx])
-        return DataTable._trusted(self.schema, cols, len(idx) if cols else 0)
+                cols[name] = _frozen(col[rows])
+        return DataTable._trusted(self.schema, cols, len(rows) if cols else 0)
 
     # -- numeric views -----------------------------------------------------
 
@@ -295,24 +408,26 @@ class DataTable:
         name = self.label_column()
         if name is None:
             raise TableError("table has no label column")
-        return np.asarray(self._columns[name], dtype=np.int64)
+        labels = self._columns[name]
+        if (labels < 0).any():
+            raise TableError(f"label column {name!r} holds a null at row {int(np.argmin(labels))}")
+        return labels.astype(np.int64)
 
     # -- serialization -----------------------------------------------------
 
     def to_json_bytes(self) -> bytes:
-        def encode(col) -> list:
-            if isinstance(col, np.ndarray):
-                size = col.shape[1]
-                return [{"size": size, "values": row} for row in col.tolist()]
-            return list(col)
-
-        doc = {
-            "format": "coverml-table",
-            "version": 1,
-            "schema": [s.to_dict() for s in self.schema],
-            "columns": {s.name: encode(self._columns[s.name]) for s in self.schema},
-        }
-        return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        """The `.tbl` document: the bytes that `json.dumps(doc,
+        separators=(",", ":"))` gives for the format, the version, the
+        schema and each column's values (`column()` of a scalar column,
+        {"size", "values"} for each row of a vector column). Each scalar
+        column is written as one block: every distinct value is encoded once
+        and the texts are taken by code."""
+        head = json.dumps(
+            {"format": "coverml-table", "version": 1, "schema": [s.to_dict() for s in self.schema]},
+            separators=_COMPACT,
+        )
+        blocks = ",".join(f"{json.dumps(s.name)}:{_json_block(s, self._columns[s.name])}" for s in self.schema)
+        return f'{head[:-1]},"columns":{{{blocks}}}}}'.encode("utf-8")
 
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "DataTable":
@@ -334,22 +449,25 @@ class DataTable:
         return hashlib.sha256(self.to_json_bytes()).hexdigest()
 
     def null_counts(self) -> dict[str, int]:
-        return {
-            name: 0 if isinstance(col, np.ndarray) else sum(1 for v in col if v is None)
-            for name, col in self._columns.items()
-        }
+        return {s.name: _null_count(s, self._columns[s.name]) for s in self.schema}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DataTable):
             return NotImplemented
         if self.schema != other.schema or self.row_count != other.row_count:
             return False
-        for name, col in self._columns.items():
-            if isinstance(col, np.ndarray):
+        for spec in self.schema:
+            a, b = self._columns[spec.name], other._columns[spec.name]
+            if spec.kind == "vector":
                 # A .tbl file cannot record the width of a 0-row vector column.
-                if col.shape[0] and not np.array_equal(col, other._columns[name]):
-                    return False
-            elif col != other._columns[name]:
+                same = not a.shape[0] or np.array_equal(a, b)
+            elif spec.kind == "numeric":
+                same = np.array_equal(a, b, equal_nan=True)
+            elif spec.kind == "categorical_text" and a.categories != b.categories:
+                same = self.column(spec.name) == other.column(spec.name)
+            else:
+                same = np.array_equal(_codes(spec, a)[0], _codes(spec, b)[0])
+            if not same:
                 return False
         return True
 
@@ -358,6 +476,42 @@ class DataTable:
 
     def __repr__(self) -> str:
         return f"DataTable({self.row_count} rows x {len(self.schema)} columns)"
+
+
+def _null_count(spec: ColumnSpec, col) -> int:
+    if spec.kind == "vector":
+        return 0
+    if spec.kind == "numeric":
+        return int(np.count_nonzero(np.isnan(col)))
+    return int(np.count_nonzero(_codes(spec, col)[0] < 0))
+
+
+def _number_texts(array: np.ndarray, null: str) -> list[str]:
+    """The `repr` of each value of a numeric column (`float_reprs`), with
+    `null` for NaN."""
+    texts = float_reprs(array)
+    for i in np.flatnonzero(np.isnan(array)).tolist():
+        texts[i] = null
+    return texts
+
+
+def _texts_by_code(codes: np.ndarray, texts: list[str]) -> list[str]:
+    """texts[code] for each code; code -1 takes the last text."""
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _json_block(spec: ColumnSpec, col) -> str:
+    """The JSON array of a stored column's values, as `json.dumps` with
+    compact separators writes it."""
+    if spec.kind == "vector":
+        size = col.shape[1]
+        return json.dumps([{"size": size, "values": row} for row in col.tolist()], separators=_COMPACT)
+    if spec.kind == "numeric":
+        texts = _number_texts(col, "null")
+    else:
+        codes, values = _codes(spec, col)
+        texts = _texts_by_code(codes, [json.dumps(v) for v in values] + ["null"])
+    return "[" + ",".join(texts) + "]"
 
 
 def _vector_entry(name: str, entry, row: int) -> list:
@@ -380,8 +534,11 @@ def _vector_entry(name: str, entry, row: int) -> list:
 
 # -- CSV ---------------------------------------------------------------------
 
-_TRUE_TOKENS = {"true", "True", "TRUE", "1"}
-_FALSE_TOKENS = {"false", "False", "FALSE", "0"}
+_BOOLEAN_TOKENS = {
+    **dict.fromkeys(("true", "True", "TRUE", "1"), True),
+    **dict.fromkeys(("false", "False", "FALSE", "0"), False),
+}
+_LABEL_TOKENS = {"0": 0, "1": 1}
 
 
 def _parse_cell(spec: ColumnSpec, text: str, row: int):
@@ -404,20 +561,61 @@ def _parse_cell(spec: ColumnSpec, text: str, row: int):
             )
         return value
     if spec.kind == "boolean":
-        if text in _TRUE_TOKENS:
-            return True
-        if text in _FALSE_TOKENS:
-            return False
-        if spec.nullable:
-            return None
+        value = _BOOLEAN_TOKENS.get(text)
+        if value is not None or spec.nullable:
+            return value
         raise CsvFormatError(
             f"unparseable boolean {text!r} in non-nullable column {spec.name!r} at data row {row}"
         )
     if spec.kind == "label":
-        if text in ("0", "1"):
-            return int(text)
+        if text in _LABEL_TOKENS:
+            return _LABEL_TOKENS[text]
         raise CsvFormatError(f"label column {spec.name!r} expects 0/1, got {text!r} at data row {row}")
     raise CsvFormatError(f"column kind {spec.kind!r} cannot be read from CSV")
+
+
+def _parse_column(spec: ColumnSpec, cells: tuple[str, ...]):
+    """The values `_parse_cell` gives for a column's cells when none of them
+    is empty, unparseable or non-finite, converted in bulk; None otherwise."""
+    if spec.kind == "categorical_text":
+        return None if "" in cells else cells
+    if spec.kind == "numeric":
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            return None
+        return values if np.isfinite(values).all() else None
+    values = list(map((_BOOLEAN_TOKENS if spec.kind == "boolean" else _LABEL_TOKENS).get, cells))
+    return None if None in values else values
+
+
+def _parse_columns(positions: list[tuple[ColumnSpec, int]], width: int, records: list[list[str]]):
+    """The schema columns of `records`, parsed a column at a time, or None
+    when a row is not `width` fields long or a column holds a cell that
+    `_parse_column` does not take."""
+    if records and set(map(len, records)) != {width}:
+        return None
+    fields = list(zip(*records)) if records else [()] * width
+    columns = {}
+    for spec, pos in positions:
+        values = _parse_column(spec, fields[pos])
+        if values is None:
+            return None
+        columns[spec.name] = values
+    return columns
+
+
+def _parse_rows(positions: list[tuple[ColumnSpec, int]], width: int, records: list[list[str]]) -> dict:
+    """The schema columns of `records`, parsed row by row with `_parse_cell`:
+    an unparseable cell becomes a null in a nullable column, and the first
+    bad row or cell raises."""
+    columns: dict[str, list] = {spec.name: [] for spec, _ in positions}
+    for row_no, record in enumerate(records):
+        if len(record) != width:
+            raise CsvFormatError(f"expected {width} fields but found {len(record)} at data row {row_no}")
+        for spec, pos in positions:
+            columns[spec.name].append(_parse_cell(spec, record[pos], row_no))
+    return columns
 
 
 def read_csv(
@@ -434,6 +632,11 @@ def read_csv(
     are ignored); without one, the file must have exactly the schema's
     columns in order. Unparseable numeric/boolean cells become nulls in
     nullable columns and errors otherwise.
+
+    Columns are converted a column at a time. A file with a row of another
+    width, an empty cell, or a cell that does not parse or is not finite is
+    parsed again row by row, so the first error and the nulls stay those of
+    a row-by-row read.
     """
     schema = validate_schema(schema)
     for s in schema:
@@ -443,10 +646,8 @@ def read_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
-    columns: dict[str, list] = {s.name: [] for s in schema}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter, quotechar=quotechar)
-        positions: list[tuple[ColumnSpec, int]] = []
         if header:
             try:
                 head = next(reader)
@@ -461,15 +662,19 @@ def read_csv(
         else:
             positions = [(s, i) for i, s in enumerate(schema)]
             width = len(schema)
+        records: list[list[str]] = []
+        try:
+            records.extend(reader)
+            unreadable = None
+        except csv.Error as exc:
+            # The rows before the unreadable one are still checked first.
+            unreadable = exc
 
-        for row_no, record in enumerate(reader):
-            if len(record) != width:
-                raise CsvFormatError(
-                    f"expected {width} fields but found {len(record)} at data row {row_no}"
-                )
-            for spec, pos in positions:
-                columns[spec.name].append(_parse_cell(spec, record[pos], row_no))
-
+    columns = None if unreadable else _parse_columns(positions, width, records)
+    if columns is None:
+        columns = _parse_rows(positions, width, records)
+        if unreadable:
+            raise unreadable
     return DataTable(schema, columns)
 
 
@@ -478,22 +683,29 @@ def _render_cell(spec: ColumnSpec, value) -> str:
         return ""
     if spec.kind == "boolean":
         return "true" if value else "false"
-    if spec.kind == "numeric":
-        return repr(value)
     if spec.kind == "label":
         return str(value)
     return value
 
 
+def _csv_texts(spec: ColumnSpec, col) -> list[str]:
+    """The CSV field of each value of a stored scalar column: `repr` of a
+    number, `_render_cell` of any other value, "" for null. Each distinct
+    value is rendered once."""
+    if spec.kind == "numeric":
+        return _number_texts(col, "")
+    codes, values = _codes(spec, col)
+    return _texts_by_code(codes, [_render_cell(spec, v) for v in values + (None,)])
+
+
 def write_csv(table: DataTable, path, *, delimiter: str = ",", quotechar: str = '"') -> None:
-    """Write a table to CSV; floats use repr so a re-parse is value-identical."""
+    """Write a table to CSV; floats use repr so a re-parse is value-identical.
+    The fields are rendered a column at a time."""
     for s in table.schema:
         if s.kind == "vector":
             raise TableError("vector columns cannot be written to CSV")
+    fields = [_csv_texts(s, table._columns[s.name]) for s in table.schema]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, quotechar=quotechar)
         writer.writerow(table.column_names)
-        cols = [table.column(name) for name in table.column_names]
-        specs = list(table.schema)
-        for i in range(table.row_count):
-            writer.writerow([_render_cell(s, col[i]) for s, col in zip(specs, cols)])
+        writer.writerows(zip(*fields))

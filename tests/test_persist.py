@@ -233,6 +233,74 @@ class TestCorruption:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.fixture(scope="class")
+    def pipeline_files(self, tmp_path_factory):
+        """A pipeline model file of each family and a table to evaluate."""
+        d = tmp_path_factory.mktemp("fields")
+        table = derive_label(generate_synthetic(SynthSpec(row_count=200, seed=3)))
+        (d / "data.tbl").write_bytes(table.to_json_bytes())
+        spec = default_pipeline_spec(table, exclude=("IsCovered",))
+        small = {
+            "rf": models.RandomForestParams(num_trees=2),
+            "gbt": models.GbtParams(num_iterations=2),
+            "fm": models.FMParams(max_iter=2),
+        }
+        for family in models.FAMILY_ORDER:
+            params = small.get(family, models.default_params(family))
+            save_model(fit_pipeline(spec, table, classifier=(family, params)), d / f"{family}.bin", seed=3)
+        return d
+
+    @staticmethod
+    def set_model(field, value):
+        return lambda payload: payload["classifier"]["model"].update({field: value})
+
+    @pytest.mark.parametrize(
+        "family, mutate",
+        [
+            ("dt", set_model("threshold", "x")),
+            ("dt", set_model("n_features", 0)),
+            ("rf", set_model("n_features", True)),
+            ("rf", set_model("threshold", float("inf"))),
+            ("gbt", set_model("learning_rate", "0.1")),
+            ("gbt", set_model("base_score", None)),
+            ("lr", set_model("intercept", float("nan"))),
+            ("lr", set_model("threshold", True)),
+            ("lr", set_model("weights", [])),
+            ("svm", set_model("weights", ["1.0"])),
+            ("fm", set_model("w0", [0.0])),
+            ("fm", lambda payload: payload["classifier"]["model"]["V"].pop()),
+            ("fm", lambda payload: payload["classifier"]["model"]["V"][0].append(0.0)),
+            ("lr", lambda payload: payload["transformers"][0]["mapping"][0].__setitem__(1, "0")),
+            ("lr", lambda payload: payload["transformers"][0]["mapping"][0].__setitem__(1, 0.0)),
+            (
+                "lr",
+                lambda payload: payload["transformers"].insert(0, {"type": "impute_mean_model", "means": [["x", None]]}),
+            ),
+        ],
+        ids=[
+            "dt-threshold-text", "dt-no-features", "rf-features-bool", "rf-threshold-inf",
+            "gbt-learning-rate-text", "gbt-base-score-null", "lr-intercept-nan", "lr-threshold-bool",
+            "lr-no-weights", "svm-weight-text", "fm-w0-list", "fm-V-short", "fm-V-ragged",
+            "index-text", "index-float", "impute-mean-null",
+        ],
+    )
+    def test_crafted_model_field_rejected(self, pipeline_files, tmp_path, capsys, family, mutate):
+        """A model-level field the engine cannot have written, in a file
+        whose checksum matches, is a ModelFileError at load and an error
+        line in the CLI."""
+        path = tmp_path / "crafted.bin"
+        header = read_header(pipeline_files / f"{family}.bin")
+        doc = json.loads((pipeline_files / f"{family}.bin").read_bytes()[-header["body_len"] :])
+        mutate(doc["payload"])
+        body = json.dumps(doc).encode()
+        header.update(body_len=len(body), body_sha256=hashlib.sha256(body).hexdigest())
+        self.write_container(path, header, body)
+        with pytest.raises(ModelFileError, match="corrupt pipeline payload"):
+            load_model(path)
+        assert main(["evaluate", "--data", str(pipeline_files / "data.tbl"), "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unpersistable_object_rejected(self, tmp_path):
         with pytest.raises(ModelFileError):
             save_model({"not": "a model"}, tmp_path / "x.bin")

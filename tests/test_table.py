@@ -1,4 +1,10 @@
+import contextlib
+import csv
+import hashlib
+import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +23,7 @@ from coverml.table import (
     validate_schema,
     write_csv,
 )
+from coverml.stages import MISSING_TOKEN, StringIndexer
 
 
 def make_table(**cols):
@@ -175,6 +182,12 @@ class TestDataTable:
         scalar = make_table(a=("numeric", [1.0]))
         with pytest.raises(TableError, match="'a' expects a number"):
             DataTable.from_json_bytes(scalar.to_json_bytes().replace(b"1.0", bad))
+
+    def test_label_array_rejects_a_null_label(self):
+        t = DataTable([ColumnSpec("y", "label")], {"y": [1, None, 0]})
+        assert t.column("y") == (1, None, 0)
+        with pytest.raises(TableError, match="'y' holds a null at row 1"):
+            t.label_array()
 
     def test_fingerprint_sensitive_to_values(self):
         t1 = make_table(a=("numeric", [1.0]))
@@ -342,8 +355,8 @@ def check_outcome(check):
 
 class TestColumnCheckParity:
     """The column-level check accepts exactly the columns the per-cell pass
-    accepts, stores the same values with the same types, and raises the same
-    message."""
+    accepts, stores the values that pass returns (read back through the
+    tuple view, with their types), and raises the same message."""
 
     @given(
         kind=st.sampled_from(sorted(CLEAN_VALUES)),
@@ -354,7 +367,7 @@ class TestColumnCheckParity:
     def test_matches_per_cell_pass(self, kind, nullable, data):
         spec = ColumnSpec("c", kind, nullable=nullable)
         values = data.draw(st.lists(st.one_of(CLEAN_VALUES[kind], ODD_VALUES), max_size=6))
-        assert check_outcome(lambda: table_module._checked_column(spec, values, None)) == check_outcome(
+        assert check_outcome(lambda: DataTable([spec], {"c": values}).column("c")) == check_outcome(
             lambda: table_module._checked_cells(spec, tuple(values))
         )
 
@@ -383,7 +396,7 @@ class TestColumnCheckParity:
     )
     def test_named_cases(self, kind, nullable, values):
         spec = ColumnSpec("c", kind, nullable=nullable)
-        assert check_outcome(lambda: table_module._checked_column(spec, values, None)) == check_outcome(
+        assert check_outcome(lambda: DataTable([spec], {"c": values}).column("c")) == check_outcome(
             lambda: table_module._checked_cells(spec, tuple(values))
         )
 
@@ -511,3 +524,234 @@ class TestCsvRoundTrip:
         p = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(table, p)
         assert read_csv(p, schema) == table
+
+
+def tuple_view_tbl(table) -> bytes:
+    """The `.tbl` bytes as one `json.dumps` of the tuple-view document."""
+
+    def values(spec):
+        if spec.kind == "vector":
+            matrix = table.feature_matrix(spec.name)
+            return [{"size": matrix.shape[1], "values": row} for row in matrix.tolist()]
+        return list(table.column(spec.name))
+
+    doc = {
+        "format": "coverml-table",
+        "version": 1,
+        "schema": [s.to_dict() for s in table.schema],
+        "columns": {s.name: values(s) for s in table.schema},
+    }
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def per_row_csv(table, path):
+    """The CSV writer that renders every cell on its own."""
+
+    def render(spec, value):
+        if value is None:
+            return ""
+        if spec.kind == "boolean":
+            return "true" if value else "false"
+        if spec.kind == "numeric":
+            return repr(value)
+        if spec.kind == "label":
+            return str(value)
+        return value
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.column_names)
+        cols = [table.column(name) for name in table.column_names]
+        for i in range(table.row_count):
+            writer.writerow([render(s, col[i]) for s, col in zip(table.schema, cols)])
+
+
+def read_outcome(path, schema, row_by_row=False):
+    """What `read_csv` gives: the `.tbl` bytes of the table, or the error."""
+    forced = mock.patch.object(table_module, "_parse_columns", lambda *args: None)
+    with forced if row_by_row else contextlib.nullcontext():
+        try:
+            return "table", read_csv(path, schema).to_json_bytes()
+        except TableError as exc:
+            return type(exc).__name__, str(exc)
+
+
+ODD_TEXTS = ["naïve", "日本", 'say "hi"', "back\\slash", "tab\there", "bell\x07", "line\nbreak", " ", "é", "a,b"]
+ODD_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 2.5e16, 1e-7, 0.1, 1.7976931348623157e308, -3.0]
+
+TEXT_VALUES = st.one_of(st.none(), st.sampled_from(ODD_TEXTS), st.text(min_size=1).filter(lambda s: "\x00" not in s))
+NUMBER_VALUES = st.one_of(st.none(), st.sampled_from(ODD_NUMBERS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def typed_tables(draw, kinds=("categorical_text", "numeric", "boolean", "label", "vector")):
+    n = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from(kinds), max_size=5).filter(lambda ks: ks.count("label") <= 1))
+    schema, columns = [], {}
+    for i, kind in enumerate(kinds):
+        name = draw(st.sampled_from(["c", "naïve", 'q"uote', "b\\s"])) + str(i)
+        if kind == "vector":
+            size = draw(st.integers(0, 3))
+            values = draw(st.lists(st.lists(st.sampled_from(ODD_NUMBERS), min_size=size, max_size=size),
+                                   min_size=n, max_size=n))
+            values = np.zeros((0, size)) if n == 0 else values
+        else:
+            pool = {"categorical_text": TEXT_VALUES, "numeric": NUMBER_VALUES,
+                    "boolean": st.one_of(st.none(), st.booleans()), "label": st.sampled_from([0, 1])}[kind]
+            values = draw(st.lists(pool, min_size=n, max_size=n))
+        schema.append(ColumnSpec(name, kind, nullable=kind != "label"))
+        columns[name] = values
+    table = DataTable(schema, columns)
+    rows = draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    return table.select_rows(rows) if draw(st.booleans()) else table
+
+
+CSV_SCHEMA = [
+    ColumnSpec("t", "categorical_text"),
+    ColumnSpec("x", "numeric"),
+    ColumnSpec("b", "boolean"),
+    ColumnSpec("y", "label", nullable=False),
+]
+CSV_CELLS = {
+    "t": ["CA", "TX", "", "a,b", 'q"q', "naïve", "two\nlines", " "],
+    "x": ["1.5", "-0.0", "1e16", "5e-324", "", "nan", "inf", "-inf", "NaN", "1e999", "oops", " 2 ", "1_000"],
+    "b": sorted(table_module._BOOLEAN_TOKENS) + ["", "maybe", "yes"],
+    "y": ["0", "1", "", "2", "1.0"],
+}
+
+
+class TestTableBytes:
+    """The block encoder, the column-wise CSV parse and the column-wise CSV
+    writer give the bytes, tables and errors of their per-value references."""
+
+    @given(typed_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_block_encoder_matches_json_dumps(self, table):
+        data = table.to_json_bytes()
+        assert data == tuple_view_tbl(table)
+        assert table.fingerprint() == hashlib.sha256(data).hexdigest()
+        assert DataTable.from_json_bytes(data) == table
+
+    @pytest.mark.parametrize(
+        "kind, values",
+        [
+            ("categorical_text", ODD_TEXTS + [None]),
+            ("categorical_text", [None, None]),
+            ("numeric", ODD_NUMBERS + [None]),
+            ("numeric", [None]),
+            ("boolean", [True, None, False]),
+            ("label", [1, 0, 0]),
+            ("vector", [[-0.0, 5e-324, 1e16]]),
+            ("vector", np.zeros((0, 2))),
+            ("numeric", []),
+            ("categorical_text", []),
+        ],
+    )
+    def test_block_encoder_named_cases(self, kind, values):
+        table = DataTable([ColumnSpec("naïve \"c\"", kind)], {"naïve \"c\"": values})
+        assert table.to_json_bytes() == tuple_view_tbl(table)
+        assert DataTable([], {}).to_json_bytes() == tuple_view_tbl(DataTable([], {}))
+
+    @given(
+        nullable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        rows=st.lists(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in CSV_CELLS.items()}), max_size=8),
+        short_row=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_column_parse_matches_row_by_row(self, tmp_path_factory, nullable, rows, short_row):
+        schema = [replace(s, nullable=flag) for s, flag in zip(CSV_SCHEMA, nullable + (False,))]
+        records = [[row[s.name] for s in schema] for row in rows]
+        if short_row is not None:
+            records.insert(min(short_row, len(records)), ["CA", "1.0"])
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[s.name for s in schema]] + records)
+        assert read_outcome(path, schema) == read_outcome(path, schema, row_by_row=True)
+
+    @pytest.mark.parametrize(
+        "text, nullable",
+        [
+            ('t,x,b,y\n"a,b",1.5,true,1\n"q""q",-0.0,False,0\n', True),
+            ("t,x,b,y\nCA,,true,1\n", True),
+            ("t,x,b,y\nCA,,true,1\n", False),
+            ("t,x,b,y\nCA,nan,true,1\nTX,inf,false,0\n", True),
+            ("t,x,b,y\nCA,nan,true,1\n", False),
+            ("t,x,b,y\nCA,-inf,true,1\n", False),
+            ("t,x,b,y\n" + "".join(f"CA,1.0,{tok},1\n" for tok in table_module._BOOLEAN_TOKENS), False),
+            ("t,x,b,y\nCA,1.0,maybe,1\n", True),
+            ("t,x,b,y\nCA,1.0,maybe,1\n", False),
+            ("t,x,b,y\nCA,oops,true,1\nTX,2.0\n", False),
+            ("t,x,b,y\nCA,oops,true,1\nTX,2.0\n", True),
+            ("t,x,b,y\n,1.0,true,1\n", False),
+            ("t,x,b,y\nCA,1.0,true,2\n", True),
+            ("t,x,b,y\nnul\x00here,1.0,true,1\n", True),
+            ("t,x,b,y\n", True),
+        ],
+    )
+    def test_column_parse_named_cases(self, tmp_path, text, nullable):
+        schema = [replace(s, nullable=nullable) if s.kind != "label" else s for s in CSV_SCHEMA]
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert read_outcome(path, schema) == read_outcome(path, schema, row_by_row=True)
+
+    def test_unreadable_row_comes_after_the_rows_before_it(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t,x,b,y\nCA,oops,true,1\n" + "TX," + "9" * 200 + ",true,1\n", encoding="utf-8")
+        schema = [replace(s, nullable=False) for s in CSV_SCHEMA]
+        limit = csv.field_size_limit(100)
+        try:
+            assert read_outcome(path, schema) == read_outcome(path, schema, row_by_row=True)
+            with pytest.raises(CsvFormatError, match="row 0"):
+                read_csv(path, schema)
+            with pytest.raises(csv.Error):
+                read_csv(path, [replace(s, nullable=True) for s in schema])
+        finally:
+            csv.field_size_limit(limit)
+
+    @given(typed_tables(kinds=table_module.CSV_KINDS))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_writer_matches_per_row_writer(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("csv")
+        write_csv(table, path / "bulk.csv")
+        per_row_csv(table, path / "rows.csv")
+        assert (path / "bulk.csv").read_bytes() == (path / "rows.csv").read_bytes()
+
+
+def dict_count_mapping(values) -> dict:
+    """The StringIndexer mapping counted value by value with a dict."""
+    counts = {}
+    for v in values:
+        key = MISSING_TOKEN if v is None else v
+        counts[key] = counts.get(key, 0) + 1
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return {label: i for i, (label, _) in enumerate(ordered)}
+
+
+class TestCodedColumns:
+    @given(
+        values=st.lists(st.one_of(st.none(), st.sampled_from(["a", "b", "c", MISSING_TOKEN, "é"])), min_size=1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_string_indexer_on_a_subset_matches_dict_count(self, values, data):
+        table = DataTable([ColumnSpec("c", "categorical_text")], {"c": values})
+        rows = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1))
+        subset = table.select_rows(rows)
+        model = StringIndexer("c", "c_idx").fit(subset)
+        assert model.mapping == dict_count_mapping(subset.column("c"))
+        assert list(model.mapping.items()) == list(dict_count_mapping(subset.column("c")).items())
+
+    def test_zero_count_categories_get_no_index(self):
+        table = DataTable([ColumnSpec("c", "categorical_text")], {"c": ["a", "b", None, "c", MISSING_TOKEN]})
+        subset = table.select_rows([1, 2, 4, 1])
+        assert subset.codes("c")[1] == ("a", "b", "c", MISSING_TOKEN)
+        assert StringIndexer("c", "c_idx").fit(subset).mapping == {MISSING_TOKEN: 0, "b": 1}
+
+    def test_equality_compares_values_not_codes(self):
+        spec = [ColumnSpec("c", "categorical_text")]
+        a = DataTable(spec, {"c": ["x", "y", None, "x"]})
+        b = DataTable(spec, {"c": ["y", None, "x"]}).select_rows([2, 0, 1, 2])
+        assert a.codes("c")[1] == ("x", "y") and b.codes("c")[1] == ("y", "x")
+        assert a == b and a.fingerprint() == b.fingerprint()
+        assert a != DataTable(spec, {"c": ["x", "y", None, "y"]})
+        assert a != DataTable(spec, {"c": ["x", "y", "x", "x"]})
