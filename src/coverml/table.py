@@ -486,31 +486,20 @@ def _null_count(spec: ColumnSpec, col) -> int:
     return int(np.count_nonzero(_codes(spec, col)[0] < 0))
 
 
-def _number_texts(array: np.ndarray, null: str) -> list[str]:
-    """The `repr` of each value of a numeric column (`float_reprs`), with
-    `null` for NaN."""
-    texts = float_reprs(array)
-    for i in np.flatnonzero(np.isnan(array)).tolist():
-        texts[i] = null
-    return texts
-
-
-def _texts_by_code(codes: np.ndarray, texts: list[str]) -> list[str]:
-    """texts[code] for each code; code -1 takes the last text."""
-    return np.array(texts, dtype=object)[codes].tolist()
-
-
 def _json_block(spec: ColumnSpec, col) -> str:
     """The JSON array of a stored column's values, as `json.dumps` with
-    compact separators writes it."""
+    compact separators writes it: each distinct number or category is
+    encoded once, and null stands for NaN or code -1."""
     if spec.kind == "vector":
         size = col.shape[1]
         return json.dumps([{"size": size, "values": row} for row in col.tolist()], separators=_COMPACT)
     if spec.kind == "numeric":
-        texts = _number_texts(col, "null")
+        texts = float_reprs(col)
+        for i in np.flatnonzero(np.isnan(col)).tolist():
+            texts[i] = "null"
     else:
         codes, values = _codes(spec, col)
-        texts = _texts_by_code(codes, [json.dumps(v) for v in values] + ["null"])
+        texts = np.array([json.dumps(v) for v in values] + ["null"], dtype=object)[codes].tolist()
     return "[" + ",".join(texts) + "]"
 
 
@@ -534,11 +523,8 @@ def _vector_entry(name: str, entry, row: int) -> list:
 
 # -- CSV ---------------------------------------------------------------------
 
-_BOOLEAN_TOKENS = {
-    **dict.fromkeys(("true", "True", "TRUE", "1"), True),
-    **dict.fromkeys(("false", "False", "FALSE", "0"), False),
-}
-_LABEL_TOKENS = {"0": 0, "1": 1}
+_TRUE_TOKENS = {"true", "True", "TRUE", "1"}
+_FALSE_TOKENS = {"false", "False", "FALSE", "0"}
 
 
 def _parse_cell(spec: ColumnSpec, text: str, row: int):
@@ -561,61 +547,20 @@ def _parse_cell(spec: ColumnSpec, text: str, row: int):
             )
         return value
     if spec.kind == "boolean":
-        value = _BOOLEAN_TOKENS.get(text)
-        if value is not None or spec.nullable:
-            return value
+        if text in _TRUE_TOKENS:
+            return True
+        if text in _FALSE_TOKENS:
+            return False
+        if spec.nullable:
+            return None
         raise CsvFormatError(
             f"unparseable boolean {text!r} in non-nullable column {spec.name!r} at data row {row}"
         )
     if spec.kind == "label":
-        if text in _LABEL_TOKENS:
-            return _LABEL_TOKENS[text]
+        if text in ("0", "1"):
+            return int(text)
         raise CsvFormatError(f"label column {spec.name!r} expects 0/1, got {text!r} at data row {row}")
     raise CsvFormatError(f"column kind {spec.kind!r} cannot be read from CSV")
-
-
-def _parse_column(spec: ColumnSpec, cells: tuple[str, ...]):
-    """The values `_parse_cell` gives for a column's cells when none of them
-    is empty, unparseable or non-finite, converted in bulk; None otherwise."""
-    if spec.kind == "categorical_text":
-        return None if "" in cells else cells
-    if spec.kind == "numeric":
-        try:
-            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:
-            return None
-        return values if np.isfinite(values).all() else None
-    values = list(map((_BOOLEAN_TOKENS if spec.kind == "boolean" else _LABEL_TOKENS).get, cells))
-    return None if None in values else values
-
-
-def _parse_columns(positions: list[tuple[ColumnSpec, int]], width: int, records: list[list[str]]):
-    """The schema columns of `records`, parsed a column at a time, or None
-    when a row is not `width` fields long or a column holds a cell that
-    `_parse_column` does not take."""
-    if records and set(map(len, records)) != {width}:
-        return None
-    fields = list(zip(*records)) if records else [()] * width
-    columns = {}
-    for spec, pos in positions:
-        values = _parse_column(spec, fields[pos])
-        if values is None:
-            return None
-        columns[spec.name] = values
-    return columns
-
-
-def _parse_rows(positions: list[tuple[ColumnSpec, int]], width: int, records: list[list[str]]) -> dict:
-    """The schema columns of `records`, parsed row by row with `_parse_cell`:
-    an unparseable cell becomes a null in a nullable column, and the first
-    bad row or cell raises."""
-    columns: dict[str, list] = {spec.name: [] for spec, _ in positions}
-    for row_no, record in enumerate(records):
-        if len(record) != width:
-            raise CsvFormatError(f"expected {width} fields but found {len(record)} at data row {row_no}")
-        for spec, pos in positions:
-            columns[spec.name].append(_parse_cell(spec, record[pos], row_no))
-    return columns
 
 
 def read_csv(
@@ -632,11 +577,6 @@ def read_csv(
     are ignored); without one, the file must have exactly the schema's
     columns in order. Unparseable numeric/boolean cells become nulls in
     nullable columns and errors otherwise.
-
-    Columns are converted a column at a time. A file with a row of another
-    width, an empty cell, or a cell that does not parse or is not finite is
-    parsed again row by row, so the first error and the nulls stay those of
-    a row-by-row read.
     """
     schema = validate_schema(schema)
     for s in schema:
@@ -646,8 +586,10 @@ def read_csv(
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
+    columns: dict[str, list] = {s.name: [] for s in schema}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter, quotechar=quotechar)
+        positions: list[tuple[ColumnSpec, int]] = []
         if header:
             try:
                 head = next(reader)
@@ -662,19 +604,15 @@ def read_csv(
         else:
             positions = [(s, i) for i, s in enumerate(schema)]
             width = len(schema)
-        records: list[list[str]] = []
-        try:
-            records.extend(reader)
-            unreadable = None
-        except csv.Error as exc:
-            # The rows before the unreadable one are still checked first.
-            unreadable = exc
 
-    columns = None if unreadable else _parse_columns(positions, width, records)
-    if columns is None:
-        columns = _parse_rows(positions, width, records)
-        if unreadable:
-            raise unreadable
+        for row_no, record in enumerate(reader):
+            if len(record) != width:
+                raise CsvFormatError(
+                    f"expected {width} fields but found {len(record)} at data row {row_no}"
+                )
+            for spec, pos in positions:
+                columns[spec.name].append(_parse_cell(spec, record[pos], row_no))
+
     return DataTable(schema, columns)
 
 
@@ -683,29 +621,22 @@ def _render_cell(spec: ColumnSpec, value) -> str:
         return ""
     if spec.kind == "boolean":
         return "true" if value else "false"
+    if spec.kind == "numeric":
+        return repr(value)
     if spec.kind == "label":
         return str(value)
     return value
 
 
-def _csv_texts(spec: ColumnSpec, col) -> list[str]:
-    """The CSV field of each value of a stored scalar column: `repr` of a
-    number, `_render_cell` of any other value, "" for null. Each distinct
-    value is rendered once."""
-    if spec.kind == "numeric":
-        return _number_texts(col, "")
-    codes, values = _codes(spec, col)
-    return _texts_by_code(codes, [_render_cell(spec, v) for v in values + (None,)])
-
-
 def write_csv(table: DataTable, path, *, delimiter: str = ",", quotechar: str = '"') -> None:
-    """Write a table to CSV; floats use repr so a re-parse is value-identical.
-    The fields are rendered a column at a time."""
+    """Write a table to CSV; floats use repr so a re-parse is value-identical."""
     for s in table.schema:
         if s.kind == "vector":
             raise TableError("vector columns cannot be written to CSV")
-    fields = [_csv_texts(s, table._columns[s.name]) for s in table.schema]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, quotechar=quotechar)
         writer.writerow(table.column_names)
-        writer.writerows(zip(*fields))
+        cols = [table.column(name) for name in table.column_names]
+        specs = list(table.schema)
+        for i in range(table.row_count):
+            writer.writerow([_render_cell(s, col[i]) for s, col in zip(specs, cols)])

@@ -1,10 +1,7 @@
-import contextlib
 import csv
 import hashlib
 import json
 import math
-from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -478,6 +475,24 @@ class TestReadCsv:
         p.write_text("StateCode,Amount,IsCovered\n,1.0,Covered\n")
         assert read_csv(p, SCHEMA).column("StateCode") == (None,)
 
+    @pytest.mark.parametrize("tail", [b"TX," + b"9" * 200 + b"\n", b"TX,\xff\n"], ids=["csv_error", "bad_utf8"])
+    def test_first_bad_row_is_reported_before_a_later_unreadable_row(self, tmp_path, tail):
+        # Rows are parsed as they are read, so a bad cell in row 0 is
+        # reported before a later row that csv cannot split (a field over
+        # the size limit) or decode (an invalid UTF-8 byte past the first
+        # 8 KB read).
+        schema = [ColumnSpec("StateCode", "categorical_text"), ColumnSpec("Amount", "numeric", nullable=False)]
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"StateCode,Amount\nCA,oops\n" + b"TX,1.0\n" * 2000 + tail)
+        limit = csv.field_size_limit(100)
+        try:
+            with pytest.raises(CsvFormatError, match="unparseable numeric 'oops' .* at data row 0"):
+                read_csv(p, schema)
+            with pytest.raises(csv.Error if tail.startswith(b"TX,9") else UnicodeDecodeError):
+                read_csv(p, [schema[0], ColumnSpec("Amount", "numeric")])
+        finally:
+            csv.field_size_limit(limit)
+
 
 class TestCsvRoundTrip:
     def test_quoting_and_unicode(self, tmp_path):
@@ -544,38 +559,6 @@ def tuple_view_tbl(table) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-def per_row_csv(table, path):
-    """The CSV writer that renders every cell on its own."""
-
-    def render(spec, value):
-        if value is None:
-            return ""
-        if spec.kind == "boolean":
-            return "true" if value else "false"
-        if spec.kind == "numeric":
-            return repr(value)
-        if spec.kind == "label":
-            return str(value)
-        return value
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.column_names)
-        cols = [table.column(name) for name in table.column_names]
-        for i in range(table.row_count):
-            writer.writerow([render(s, col[i]) for s, col in zip(table.schema, cols)])
-
-
-def read_outcome(path, schema, row_by_row=False):
-    """What `read_csv` gives: the `.tbl` bytes of the table, or the error."""
-    forced = mock.patch.object(table_module, "_parse_columns", lambda *args: None)
-    with forced if row_by_row else contextlib.nullcontext():
-        try:
-            return "table", read_csv(path, schema).to_json_bytes()
-        except TableError as exc:
-            return type(exc).__name__, str(exc)
-
-
 ODD_TEXTS = ["naïve", "日本", 'say "hi"', "back\\slash", "tab\there", "bell\x07", "line\nbreak", " ", "é", "a,b"]
 ODD_NUMBERS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 2.5e16, 1e-7, 0.1, 1.7976931348623157e308, -3.0]
 
@@ -606,23 +589,9 @@ def typed_tables(draw, kinds=("categorical_text", "numeric", "boolean", "label",
     return table.select_rows(rows) if draw(st.booleans()) else table
 
 
-CSV_SCHEMA = [
-    ColumnSpec("t", "categorical_text"),
-    ColumnSpec("x", "numeric"),
-    ColumnSpec("b", "boolean"),
-    ColumnSpec("y", "label", nullable=False),
-]
-CSV_CELLS = {
-    "t": ["CA", "TX", "", "a,b", 'q"q', "naïve", "two\nlines", " "],
-    "x": ["1.5", "-0.0", "1e16", "5e-324", "", "nan", "inf", "-inf", "NaN", "1e999", "oops", " 2 ", "1_000"],
-    "b": sorted(table_module._BOOLEAN_TOKENS) + ["", "maybe", "yes"],
-    "y": ["0", "1", "", "2", "1.0"],
-}
-
-
 class TestTableBytes:
-    """The block encoder, the column-wise CSV parse and the column-wise CSV
-    writer give the bytes, tables and errors of their per-value references."""
+    """The block encoder gives the bytes of `json.dumps` over the tuple-view
+    document."""
 
     @given(typed_tables())
     @settings(max_examples=200, deadline=None)
@@ -651,70 +620,6 @@ class TestTableBytes:
         table = DataTable([ColumnSpec("naïve \"c\"", kind)], {"naïve \"c\"": values})
         assert table.to_json_bytes() == tuple_view_tbl(table)
         assert DataTable([], {}).to_json_bytes() == tuple_view_tbl(DataTable([], {}))
-
-    @given(
-        nullable=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-        rows=st.lists(st.fixed_dictionaries({k: st.sampled_from(v) for k, v in CSV_CELLS.items()}), max_size=8),
-        short_row=st.one_of(st.none(), st.integers(0, 8)),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_column_parse_matches_row_by_row(self, tmp_path_factory, nullable, rows, short_row):
-        schema = [replace(s, nullable=flag) for s, flag in zip(CSV_SCHEMA, nullable + (False,))]
-        records = [[row[s.name] for s in schema] for row in rows]
-        if short_row is not None:
-            records.insert(min(short_row, len(records)), ["CA", "1.0"])
-        path = tmp_path_factory.mktemp("csv") / "t.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([[s.name for s in schema]] + records)
-        assert read_outcome(path, schema) == read_outcome(path, schema, row_by_row=True)
-
-    @pytest.mark.parametrize(
-        "text, nullable",
-        [
-            ('t,x,b,y\n"a,b",1.5,true,1\n"q""q",-0.0,False,0\n', True),
-            ("t,x,b,y\nCA,,true,1\n", True),
-            ("t,x,b,y\nCA,,true,1\n", False),
-            ("t,x,b,y\nCA,nan,true,1\nTX,inf,false,0\n", True),
-            ("t,x,b,y\nCA,nan,true,1\n", False),
-            ("t,x,b,y\nCA,-inf,true,1\n", False),
-            ("t,x,b,y\n" + "".join(f"CA,1.0,{tok},1\n" for tok in table_module._BOOLEAN_TOKENS), False),
-            ("t,x,b,y\nCA,1.0,maybe,1\n", True),
-            ("t,x,b,y\nCA,1.0,maybe,1\n", False),
-            ("t,x,b,y\nCA,oops,true,1\nTX,2.0\n", False),
-            ("t,x,b,y\nCA,oops,true,1\nTX,2.0\n", True),
-            ("t,x,b,y\n,1.0,true,1\n", False),
-            ("t,x,b,y\nCA,1.0,true,2\n", True),
-            ("t,x,b,y\nnul\x00here,1.0,true,1\n", True),
-            ("t,x,b,y\n", True),
-        ],
-    )
-    def test_column_parse_named_cases(self, tmp_path, text, nullable):
-        schema = [replace(s, nullable=nullable) if s.kind != "label" else s for s in CSV_SCHEMA]
-        path = tmp_path / "t.csv"
-        path.write_text(text, encoding="utf-8")
-        assert read_outcome(path, schema) == read_outcome(path, schema, row_by_row=True)
-
-    def test_unreadable_row_comes_after_the_rows_before_it(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("t,x,b,y\nCA,oops,true,1\n" + "TX," + "9" * 200 + ",true,1\n", encoding="utf-8")
-        schema = [replace(s, nullable=False) for s in CSV_SCHEMA]
-        limit = csv.field_size_limit(100)
-        try:
-            assert read_outcome(path, schema) == read_outcome(path, schema, row_by_row=True)
-            with pytest.raises(CsvFormatError, match="row 0"):
-                read_csv(path, schema)
-            with pytest.raises(csv.Error):
-                read_csv(path, [replace(s, nullable=True) for s in schema])
-        finally:
-            csv.field_size_limit(limit)
-
-    @given(typed_tables(kinds=table_module.CSV_KINDS))
-    @settings(max_examples=100, deadline=None)
-    def test_csv_writer_matches_per_row_writer(self, tmp_path_factory, table):
-        path = tmp_path_factory.mktemp("csv")
-        write_csv(table, path / "bulk.csv")
-        per_row_csv(table, path / "rows.csv")
-        assert (path / "bulk.csv").read_bytes() == (path / "rows.csv").read_bytes()
 
 
 def dict_count_mapping(values) -> dict:
