@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 
 class MetricError(ValueError):
-    """Degenerate input for a metric (empty, or single-class where both are needed)."""
+    """Malformed input for a metric (mismatched lengths, non-finite scores,
+    labels other than 0/1) or degenerate input (empty, or single-class where
+    both classes are needed)."""
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,8 @@ class ConfusionCounts:
 def confusion_from_arrays(predictions: np.ndarray, labels: np.ndarray) -> ConfusionCounts:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise MetricError(f"predictions of shape {predictions.shape} but labels of shape {labels.shape}")
     if predictions.size == 0:
         raise MetricError("cannot build a confusion matrix from no rows")
     return ConfusionCounts(
@@ -56,8 +61,10 @@ def scalar_metrics(c: ConfusionCounts) -> tuple[float, float, float, float]:
     return precision, recall, f1, accuracy
 
 
-def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative (tp, fp) after each distinct descending score, ties grouped."""
+def _sweep(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (tp, fp) after each distinct descending score, ties grouped;
+    the last entries are the positive and negative totals."""
+    scores, labels = _coerce_scores(scores, labels)
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
@@ -67,49 +74,84 @@ def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return tp, fp
 
 
-def roc_curve(scores, labels) -> tuple[list[tuple[float, float]], float]:
-    """(FPR, TPR) points from (0,0) to (1,1) and the trapezoid area.
+def _coerce_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Finite float64 scores and 0/1 int64 labels, one of each per row."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or labels.ndim != 1:
+        raise MetricError("scores and labels must be one-dimensional")
+    if scores.size != labels.size:
+        raise MetricError(f"{scores.size} scores but {labels.size} labels")
+    if scores.size == 0:
+        raise MetricError("no rows")
+    if not np.isfinite(scores).all():
+        raise MetricError("scores must be finite")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise MetricError("labels must be 0 or 1")
+    return scores, labels.astype(np.int64)
+
+
+def roc_curve(scores, labels) -> tuple[np.ndarray, float]:
+    """(FPR, TPR) points from (0,0) to (1,1), as a read-only `(m, 2)`
+    float64 array, and the trapezoid area.
 
     Ties collapse to one threshold step so the area equals the pairwise
     concordance probability with half-credit for tied pairs. Single-class
     input is an error: the area is undefined.
     """
-    scores, labels = _coerce_scores(scores, labels)
-    P = int(labels.sum())
-    N = labels.size - P
-    if P == 0 or N == 0:
-        raise MetricError("ROC needs at least one positive and one negative label")
-    tp, fp = _sweep(scores, labels)
-    tpr = np.concatenate(([0.0], tp / P))
-    fpr = np.concatenate(([0.0], fp / N))
-    auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
-    return list(zip(fpr.tolist(), tpr.tolist())), auc
+    return _roc(*_sweep(scores, labels))
 
 
-def pr_curve(scores, labels) -> tuple[list[tuple[float, float]], float]:
-    """(recall, precision) points and the average-precision area.
+def pr_curve(scores, labels) -> tuple[np.ndarray, float]:
+    """(recall, precision) points from (0,1), as a read-only `(m, 2)`
+    float64 array, and the average-precision area.
 
     The area is the step-wise sum (R_i - R_{i-1}) * P_i over descending-score
     threshold steps; no linear interpolation.
     """
-    scores, labels = _coerce_scores(scores, labels)
-    P = int(labels.sum())
+    return _pr(*_sweep(scores, labels))
+
+
+def _roc(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, float]:
+    P, N = tp[-1], fp[-1]
+    if P == 0 or N == 0:
+        raise MetricError("ROC needs at least one positive and one negative label")
+    tpr = np.concatenate(([0.0], tp / P))
+    fpr = np.concatenate(([0.0], fp / N))
+    auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
+    return _read_only(np.column_stack((fpr, tpr))), auc
+
+
+def _pr(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, float]:
+    P = tp[-1]
     if P == 0:
         raise MetricError("PR needs at least one positive label")
-    tp, fp = _sweep(scores, labels)
     recall = tp / P
     precision = tp / (tp + fp)
     auc = float(np.sum((recall - np.concatenate(([0.0], recall[:-1]))) * precision))
-    points = [(0.0, 1.0)] + list(zip(recall.tolist(), precision.tolist()))
-    return points, auc
+    points = np.column_stack((np.concatenate(([0.0], recall)), np.concatenate(([1.0], precision))))
+    return _read_only(points), auc
 
 
-def _coerce_scores(scores, labels):
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.size == 0:
-        raise MetricError("no rows")
-    return scores, labels
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _curve_array(points) -> np.ndarray:
+    """`points` as a read-only `(m, 2)` float64 array of its own, `(0, 2)`
+    when empty. The coordinates must be real numbers: `np.array` alone would
+    turn None into NaN, True into 1.0 and "0.5" into 0.5."""
+    values = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    if values.dtype.kind not in "fiu" and not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values.ravel().tolist()
+    ):
+        raise ValueError("curve coordinates must be real numbers")
+    if values.shape == (0,):
+        values = values.reshape(0, 2)
+    if values.ndim != 2 or values.shape[1] != 2:
+        raise ValueError("curve points must have two coordinates")
+    return _read_only(np.array(values, dtype=np.float64))
 
 
 def timed_fit(fit: Callable[[], object]) -> tuple[object, float]:
@@ -119,8 +161,18 @@ def timed_fit(fit: Callable[[], object]) -> tuple[object, float]:
     return result, (time.perf_counter() - start) / 60.0
 
 
-@dataclass(frozen=True)
+#: How `json.dumps` writes the floats whose `repr` is not JSON.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_CURVES = ("roc_points", "pr_points")
+
+
+@dataclass(frozen=True, eq=False)
 class EvalReport:
+    """Evaluation report. `roc_points` and `pr_points` are read-only
+    `(m, 2)` float64 arrays; any sequence of number pairs given for them is
+    copied into one."""
+
     counts: ConfusionCounts
     precision: float
     recall: float
@@ -128,12 +180,29 @@ class EvalReport:
     accuracy: float
     auc_roc: float
     auc_pr: float
-    roc_points: tuple[tuple[float, float], ...]
-    pr_points: tuple[tuple[float, float], ...]
+    roc_points: np.ndarray
+    pr_points: np.ndarray
     fit_minutes: float = 0.0
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in _CURVES:
+            object.__setattr__(self, name, _curve_array(getattr(self, name)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvalReport):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+            if f.name in _CURVES
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+        )
+
     def to_dict(self) -> dict:
+        return self._dict(self.roc_points.tolist(), self.pr_points.tolist())
+
+    def _dict(self, roc_points, pr_points) -> dict:
         return {
             "counts": {"tp": self.counts.tp, "fp": self.counts.fp, "tn": self.counts.tn, "fn": self.counts.fn},
             "precision": self.precision,
@@ -142,8 +211,8 @@ class EvalReport:
             "accuracy": self.accuracy,
             "auc_roc": self.auc_roc,
             "auc_pr": self.auc_pr,
-            "roc_points": [list(p) for p in self.roc_points],
-            "pr_points": [list(p) for p in self.pr_points],
+            "roc_points": roc_points,
+            "pr_points": pr_points,
             "fit_minutes": self.fit_minutes,
             "metadata": dict(self.metadata),
         }
@@ -151,12 +220,26 @@ class EvalReport:
     def to_json(self) -> str:
         """`json.dumps(self.to_dict(), indent=2)`, with the two curves written
         as blocks of text rather than through the pure-Python encoder that
-        `indent` selects."""
-        fields = []
-        for key, value in self.to_dict().items():
-            text = _curve_json(value) if key in ("roc_points", "pr_points") else _nested_json(value)
-            fields.append(f"  {json.dumps(key)}: {text}")
-        return "{\n" + ",\n".join(fields) + "\n}"
+        `indent` selects. The four coordinate columns are rendered by one
+        `float_reprs` call, so a value shared by both curves (ROC tpr and PR
+        recall are both tp / P) is formatted once."""
+        roc, pr = self.roc_points, self.pr_points
+        columns = np.concatenate((roc[:, 0], roc[:, 1], pr[:, 0], pr[:, 1]))
+        texts = float_reprs(columns)
+        for i in np.flatnonzero(~np.isfinite(columns)).tolist():
+            texts[i] = _JSON_NONFINITE[texts[i]]
+        m, k = len(roc), 2 * len(roc) + len(pr)
+        doc = self._dict(_curve_pieces(texts[:m], texts[m : 2 * m]), _curve_pieces(texts[2 * m : k], texts[k:]))
+        pieces = ["{\n"]
+        for key, value in doc.items():
+            pieces.append(f"  {json.dumps(key)}: ")
+            if key in _CURVES:
+                pieces.extend(value)
+            else:
+                pieces.append(_nested_json(value))
+            pieces.append(",\n")
+        pieces[-1] = "\n}"
+        return "".join(pieces)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
@@ -168,8 +251,8 @@ class EvalReport:
             accuracy=d["accuracy"],
             auc_roc=d["auc_roc"],
             auc_pr=d["auc_pr"],
-            roc_points=tuple(tuple(p) for p in d["roc_points"]),
-            pr_points=tuple(tuple(p) for p in d["pr_points"]),
+            roc_points=d["roc_points"],
+            pr_points=d["pr_points"],
             fit_minutes=d.get("fit_minutes", 0.0),
             metadata=d.get("metadata", {}),
         )
@@ -182,11 +265,13 @@ def evaluate_scores(
     fit_minutes: float = 0.0,
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Full report: confusion counts, scalar metrics, and both curves."""
+    """Full report: confusion counts, scalar metrics, and both curves, which
+    share one threshold sweep."""
     counts = confusion_from_arrays(predictions, labels)
     precision, recall, f1, accuracy = scalar_metrics(counts)
-    roc_points, auc_roc = roc_curve(scores, labels)
-    pr_points, auc_pr = pr_curve(scores, labels)
+    tp, fp = _sweep(scores, labels)
+    roc_points, auc_roc = _roc(tp, fp)
+    pr_points, auc_pr = _pr(tp, fp)
     return EvalReport(
         counts=counts,
         precision=precision,
@@ -195,20 +280,20 @@ def evaluate_scores(
         accuracy=accuracy,
         auc_roc=auc_roc,
         auc_pr=auc_pr,
-        roc_points=tuple(roc_points),
-        pr_points=tuple(pr_points),
+        roc_points=roc_points,
+        pr_points=pr_points,
         fit_minutes=fit_minutes,
         metadata=metadata or {},
     )
 
 
-def curve_to_csv(points: Sequence[tuple[float, float]], path, header: tuple[str, str]) -> None:
-    """Two-column CSV export for plotting; each value is written as its
-    `repr`."""
-    xs, ys = _point_texts(points, repr)
+def curve_to_csv(points, path, header: tuple[str, str]) -> None:
+    """Two-column CSV export of an `(m, 2)` curve for plotting; each value is
+    written as its `repr`."""
+    texts = float_reprs(_curve_array(points).ravel())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
-        fh.writelines(map("{},{}\n".format, xs, ys))
+        fh.writelines(map("{},{}\n".format, texts[0::2], texts[1::2]))
 
 
 def float_reprs(values) -> list[str]:
@@ -221,39 +306,21 @@ def float_reprs(values) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _point_texts(points, text_of) -> tuple[list[str], list[str]]:
-    """The texts of the first and of the second coordinates of 2-D points.
-    Finite floats go through `float_reprs` when every value is an exact
-    float; every other value is formatted by `text_of` itself, since JSON
-    writes NaN and the infinities unlike `repr`."""
-    if not points:
-        return [], []
-    if set(map(len, points)) != {2}:
-        raise ValueError("curve points must have two coordinates")
-    xs, ys = zip(*points)
-    values = xs + ys
-    if set(map(type, values)) == {float}:
-        array = np.array(values, dtype=np.float64)
-        texts = float_reprs(array)
-        odd = np.flatnonzero(~np.isfinite(array)).tolist()
-    else:
-        texts = [None] * len(values)
-        odd = range(len(values))
-    for i in odd:
-        texts[i] = text_of(values[i])
-    return texts[: len(xs)], texts[len(xs) :]
-
-
 def _nested_json(value) -> str:
     """`value` as `json.dumps` with `indent=2` writes it one level down."""
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _curve_json(points: list) -> str:
-    """`_nested_json(points)` for a curve, a list of points, written as one
-    block of text when every point is a pair."""
-    if not points or set(map(len, points)) != {2}:
-        return _nested_json(points)
-    xs, ys = _point_texts(points, json.dumps)
-    body = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(xs, ys)))
-    return "[\n    [\n      " + body + "\n    ]\n  ]"
+def _curve_pieces(xs: list[str], ys: list[str]) -> list[str]:
+    """The texts whose join is `_nested_json` of a curve, given the JSON
+    texts of its coordinates; the document is joined once, with no string
+    per point."""
+    if not xs:
+        return ["[]"]
+    pieces = ["\n    ],\n    [\n      "] * (4 * len(xs) + 1)
+    pieces[0] = "[\n    [\n      "
+    pieces[1::4] = xs
+    pieces[2::4] = [",\n      "] * len(xs)
+    pieces[3::4] = ys
+    pieces[-1] = "\n    ]\n  ]"
+    return pieces

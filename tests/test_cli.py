@@ -753,11 +753,14 @@ class TestOutputBytes:
     """sha256 of the report and predictions CSV that `evaluate` writes for an
     lr model, and of the `.tbl` bytes of a default-pipeline transform,
     recorded before vector columns were stored as matrices; vector rendering
-    and `.tbl` encoding must not change them."""
+    and `.tbl` encoding must not change them. The ROC and PR curve CSVs were
+    pinned before the curves were held as arrays."""
 
     DIGESTS = {
         "report.json": "91da495693ff10d1995b7b5f7144eba3e2ca36374211e31635444fc553494ea0",
         "preds.csv": "ba9bcf52643e5b0e01a2fcf1e5fa0edd3edd921ccf29d3c26a5135deb2a45446",
+        "roc.csv": "6c7625cb10dafd344e772775133f1685c109a718394b425d4a3207f4966c7bd3",
+        "pr.csv": "929b45a421e686b2d7626f4cdac9c1260643a8075c6eee413b9f08aadb80f05a",
         "transformed.tbl": "9f0c7a052b07553d6e1d548b9f4096b15ff949207aa715bcb0785b0d34c6f283",
     }
 
@@ -771,10 +774,11 @@ class TestOutputBytes:
         assert main(["train", "--data", str(d / "data.tbl"), "--model", "lr", "--seed", "1",
                      "--test-out", str(d / "test.tbl"), "--out", str(d / "lr.bin")]) == 0
         assert main(["evaluate", "--model", str(d / "lr.bin"), "--data", str(d / "test.tbl"),
-                     "--out", str(d / "report.json"), "--predictions", str(d / "preds.csv")]) == 0
+                     "--out", str(d / "report.json"), "--predictions", str(d / "preds.csv"),
+                     "--roc-csv", str(d / "roc.csv"), "--pr-csv", str(d / "pr.csv")]) == 0
         return d
 
-    @pytest.mark.parametrize("name", ["report.json", "preds.csv"])
+    @pytest.mark.parametrize("name", ["report.json", "preds.csv", "roc.csv", "pr.csv"])
     def test_evaluate_output_digest(self, evaluated, name):
         assert hashlib.sha256((evaluated / name).read_bytes()).hexdigest() == self.DIGESTS[name]
 

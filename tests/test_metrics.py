@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -46,6 +47,15 @@ class TestConfusion:
     def test_empty_errors(self):
         with pytest.raises(MetricError):
             confusion_from_arrays(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize(
+        "predictions, labels",
+        [([1], [1, 0, 1]), ([1, 0, 1], [1, 0]), ([[1, 0]], [1, 0])],
+    )
+    def test_mismatched_shapes_rejected(self, predictions, labels):
+        # [1] against three labels used to broadcast into counts for three rows
+        with pytest.raises(MetricError):
+            confusion_from_arrays(np.array(predictions), np.array(labels))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -108,9 +118,10 @@ class TestRoc:
         scores = np.round(rng.random(50), 1)
         labels = rng.integers(0, 2, size=50)
         points, _ = roc_curve(scores, labels)
-        assert points[0] == (0.0, 0.0) and points[-1] == (1.0, 1.0)
-        fpr = [p[0] for p in points]
-        tpr = [p[1] for p in points]
+        assert points.dtype == np.float64 and points.shape[1] == 2 and not points.flags.writeable
+        assert points[0].tolist() == [0.0, 0.0] and points[-1].tolist() == [1.0, 1.0]
+        fpr = points[:, 0].tolist()
+        tpr = points[:, 1].tolist()
         assert fpr == sorted(fpr) and tpr == sorted(tpr)
 
     @settings(max_examples=60, deadline=None)
@@ -156,8 +167,48 @@ class TestPr:
 
     def test_points_start_at_full_precision(self):
         points, _ = pr_curve([0.9, 0.1], [1, 0])
-        assert points[0] == (0.0, 1.0)
-        assert points[-1][0] == 1.0
+        assert points.dtype == np.float64 and not points.flags.writeable
+        assert points[0].tolist() == [0.0, 1.0]
+        assert points[-1, 0] == 1.0
+
+
+class TestMetricInputs:
+    """Both curves reject malformed input with `MetricError`: labels are not
+    cut to the scores' length, and no NaN score or non-0/1 label yields an
+    area."""
+
+    @pytest.mark.parametrize("curve", [roc_curve, pr_curve])
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            ([0.1, 0.2], [1, 0, 1]),
+            ([0.1, 0.2, 0.3], [1, 0]),
+            ([[0.1, 0.2], [0.3, 0.4]], [[1, 0], [0, 1]]),
+            ([[0.1, 0.2, 0.3]], [1, 0, 1]),
+            ([0.1, 0.2, 0.3], [[1, 0, 1]]),
+            ([0.1, float("nan"), 0.3], [1, 0, 1]),
+            ([0.1, float("inf"), 0.3], [1, 0, 1]),
+            ([0.1, 0.2, -float("inf")], [1, 0, 1]),
+            ([0.1, 0.2, 0.3], [2, 0, 1]),
+            ([0.1, 0.2, 0.3], [-1, 0, 1]),
+            ([0.1, 0.2, 0.3], [0.5, 0, 1]),
+            ([], []),
+        ],
+    )
+    def test_malformed_input_raises(self, curve, scores, labels):
+        with pytest.raises(MetricError):
+            curve(scores, labels)
+
+    def test_boolean_and_float_labels_accepted(self):
+        scores = [0.9, 0.8, 0.4, 0.3]
+        expected = roc_curve(scores, [1, 1, 0, 1])
+        for labels in ([True, True, False, True], [1.0, 1.0, 0.0, 1.0]):
+            points, auc = roc_curve(scores, labels)
+            assert points.tobytes() == expected[0].tobytes() and auc == expected[1]
+
+    def test_evaluate_scores_rejects_nan_score(self):
+        with pytest.raises(MetricError):
+            evaluate_scores(np.array([0.1, np.nan]), np.array([0, 1]), np.array([0, 1]))
 
 
 class TestDuplicationInvariance:
@@ -206,6 +257,24 @@ class TestEvalReport:
         report = evaluate_scores(scores, labels, (scores > 0.5).astype(int), fit_minutes=1.25)
         back = EvalReport.from_dict(json.loads(report.to_json()))
         assert back == report
+        moved = report.roc_points.copy()
+        moved[1, 0] = np.nextafter(moved[1, 0], 2.0)
+        assert back != dataclasses.replace(report, roc_points=moved)
+        assert back != dataclasses.replace(report, pr_points=report.pr_points[:-1])
+
+    def test_curves_are_the_curve_functions_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        scores = np.round(rng.random(500), 2)
+        labels = rng.integers(0, 2, size=500)
+        labels[:2] = [0, 1]
+        report = evaluate_scores(scores, labels, (scores > 0.5).astype(int))
+        roc_points, auc_roc = roc_curve(scores, labels)
+        pr_points, auc_pr = pr_curve(scores, labels)
+        assert report.roc_points.tobytes() == roc_points.tobytes()
+        assert report.pr_points.tobytes() == pr_points.tobytes()
+        assert report.roc_points.shape == roc_points.shape and report.pr_points.shape == pr_points.shape
+        assert (report.auc_roc, report.auc_pr) == (auc_roc, auc_pr)
+        assert not report.roc_points.flags.writeable and not report.pr_points.flags.writeable
 
     def test_metrics_recomputable_from_counts(self):
         rng = np.random.default_rng(4)
@@ -238,8 +307,8 @@ def report_with(roc_points, pr_points=((0.0, 1.0),), metadata=None):
         accuracy=float("nan"),
         auc_roc=1e-300,
         auc_pr=-0.0,
-        roc_points=tuple(roc_points),
-        pr_points=tuple(pr_points),
+        roc_points=roc_points,
+        pr_points=pr_points,
         fit_minutes=0.0,
         metadata=metadata or {},
     )
@@ -260,13 +329,36 @@ class TestReportEncoding:
             (((float("nan"), 0.0), (float("inf"), -float("inf"))), ((1.0, float("nan")),), None),
             (((0.0, 0.0), (1.0, 1.0)), (), {"family": "rf", "nested": {"a": [1, 2.5, None], "b": {}}}),
             (((0.0, 0.0),), ((1.0, 1.0),), {"name": "Café ☂ \"q\" \n", "in_sample": True}),
-            (((np.float64(0.25), 0.5), (True, None)), ((1.0, 1.0),), None),
-            (((0.0, 0.5, 1.0), (1.0,)), ((1.0, 1.0),), None),
+            (((np.float64(0.25), 0.5), (np.int64(1), 2)), ((1.0, 1.0),), None),
+            (np.array([[0.5, 0.25], [0.25, 0.5]]), np.array([[0.25, 0.25]]), None),
+            (np.zeros((0, 2)), np.array([[1, 1], [0, 1]]), None),
         ],
     )
     def test_matches_json_dumps(self, roc_points, pr_points, metadata):
         report = report_with(roc_points, pr_points, metadata)
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((0.0, 0.5, 1.0), (1.0,)),
+            ((0.0, 0.5, 1.0),),
+            ((0.0, 0.5), (True, 1.0)),
+            ((0.25, 0.5), (1.0, None)),
+            (("0.5", 1.0),),
+            ((0.0, 1.0), [0.5, [1.0]]),
+            (0.0, 1.0),
+            [[]],
+            np.zeros((2, 3)),
+            np.array([[True, False]]),
+            np.array([[None, 1.0]], dtype=object),
+        ],
+    )
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(ValueError):
+            report_with(points)
+        with pytest.raises(ValueError):
+            report_with(((0.0, 1.0),), points)
 
     def test_evaluated_report_matches_json_dumps(self):
         rng = np.random.default_rng(5)
@@ -290,6 +382,27 @@ class TestReportEncoding:
         report = report_with(points, points[::-1])
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_array_curves_match_json_dumps(self, data):
+        """Edge floats, repeated within a curve and shared by both curves,
+        must get the same texts as the encoder's, whichever curve and column
+        the one `repr` of a value was made for."""
+        edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 0.1, 1 / 3, 1.0,
+                                float("nan"), float("inf"), -float("inf")])
+        value = st.one_of(edge, st.floats())
+        roc = np.array(data.draw(st.lists(value, max_size=16)), dtype=np.float64)
+        roc = roc[: roc.size // 2 * 2].reshape(-1, 2)
+        shared = data.draw(st.lists(st.sampled_from(roc.ravel().tolist() or [0.0]), max_size=8))
+        pr_values = shared + data.draw(st.lists(value, max_size=8))
+        pr = np.array(data.draw(st.permutations(pr_values)), dtype=np.float64)
+        pr = pr[: pr.size // 2 * 2].reshape(-1, 2)
+        report = report_with(roc, pr)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        back = EvalReport.from_dict(json.loads(report.to_json()))
+        for name in ("roc_points", "pr_points"):
+            assert np.array_equal(getattr(back, name), getattr(report, name), equal_nan=True)
+
     @pytest.mark.parametrize(
         "points",
         [
@@ -299,6 +412,7 @@ class TestReportEncoding:
         ],
     )
     def test_curve_csv_matches_per_point_loop(self, tmp_path, points):
+        points = np.array(points, dtype=np.float64).reshape(-1, 2)
         curve_to_csv(points, tmp_path / "curve.csv", ("fpr", "tpr"))
-        expected = "fpr,tpr\n" + "".join(f"{a!r},{b!r}\n" for a, b in points)
+        expected = "fpr,tpr\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist())
         assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == expected
