@@ -1,13 +1,17 @@
 """Command-line surface: ingest, sample, split, synth, train, evaluate,
-benchmark, importance, predict.
+benchmark, importance, predict, header.
 
 All randomness flows from --seed; identical invocations produce identical
-output files (no timestamps are written anywhere).
+output files (no timestamps are written anywhere). The parser is built once
+per process, and `main` looks the command up as `cmd_<name>` each time it
+runs one, so a function put in place of a `cmd_*` attribute of this module
+(as the benchmark's tracer does) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,9 +27,9 @@ from .datasets import (
     sample_rows,
     train_test_split,
 )
-from .metrics import EvalReport, MetricError, curve_to_csv, float_reprs
-from .models import ModelError, feature_importances
-from .persist import ModelFileError, load_model, read_header, save_model
+from .metrics import EvalReport, curve_to_csv, float_reprs
+from .models import feature_importances
+from .persist import load_model, read_header, save_model
 from .selection import (
     CVConfig,
     SelectionError,
@@ -35,30 +39,33 @@ from .selection import (
     default_grid,
     evaluate_transformed,
 )
-from .stages import FittedPipeline, PipelineError, PipelineSpec, default_pipeline_spec
-from .table import DataTable, TableError, read_csv, schema_from_json, schema_to_json, write_csv
+from .stages import FittedPipeline, PipelineSpec, default_pipeline_spec
+from .table import DataTable, read_csv, schema_from_json, schema_to_json, write_csv
 
 
 class CliError(Exception):
     pass
 
 
-def _load_table(path) -> DataTable:
+def _load(path, what: str, parse):
+    """`parse` applied to the bytes of the `what` file at `path`. A missing
+    file, or a document of the wrong shape (a missing key, a list where an
+    object belongs), is a `CliError` that names the file."""
     p = Path(path)
     if not p.exists():
-        raise CliError(f"no such table file: {p}")
-    return DataTable.from_json_bytes(p.read_bytes())
+        raise CliError(f"no such {what} file: {p}")
+    try:
+        return parse(p.read_bytes())
+    except (KeyError, IndexError, TypeError, AttributeError, RecursionError) as exc:
+        raise CliError(f"{p}: malformed {what}: {exc!r}") from exc
+
+
+def _load_table(path) -> DataTable:
+    return _load(path, "table", DataTable.from_json_bytes)
 
 
 def _save_table(table: DataTable, path) -> None:
     Path(path).write_bytes(table.to_json_bytes())
-
-
-def _read_text(path, what: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"no such {what} file: {p}")
-    return p.read_text(encoding="utf-8")
 
 
 def _print_table(rows: list[tuple[str, str]], headers: tuple[str, str]) -> None:
@@ -72,7 +79,7 @@ def _print_table(rows: list[tuple[str, str]], headers: tuple[str, str]) -> None:
 
 
 def cmd_ingest(args) -> int:
-    schema = schema_from_json(_read_text(args.schema, "schema"))
+    schema = _load(args.schema, "schema", schema_from_json)
     table = read_csv(args.input, schema, delimiter=args.delimiter, header=not args.no_header)
     if args.derive_label:
         positives = [v for v in args.positive_values.split(",") if v]
@@ -106,7 +113,7 @@ def cmd_split(args) -> int:
 def cmd_synth(args) -> int:
     if args.kind == "benefits":
         if args.spec:
-            spec = SynthSpec.from_json(_read_text(args.spec, "synth spec"))
+            spec = _load(args.spec, "synth spec", SynthSpec.from_json)
         else:
             spec = SynthSpec(row_count=args.rows, positive_rate=args.positive_rate, seed=args.seed)
         table = generate_synthetic(spec)
@@ -121,25 +128,27 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _resolve_pipeline_spec(args, table: DataTable) -> PipelineSpec:
+def _split_spec_config(args, table: DataTable) -> tuple[DataTable, DataTable, PipelineSpec, CVConfig]:
+    """The train/test split, pipeline spec and CV config that `train` and
+    `benchmark` take from their shared flags."""
+    train_part, test_part = train_test_split(table, args.test_fraction, args.seed)
     if args.pipeline:
-        return PipelineSpec.from_json(_read_text(args.pipeline, "pipeline spec"))
-    exclude = tuple(c for c in args.exclude.split(",") if c)
-    return default_pipeline_spec(table, exclude=exclude)
+        spec = _load(args.pipeline, "pipeline spec", PipelineSpec.from_json)
+    else:
+        spec = default_pipeline_spec(train_part, exclude=tuple(c for c in args.exclude.split(",") if c))
+    if args.cv_config:
+        config = _load(args.cv_config, "CV config", CVConfig.from_json)
+    else:
+        config = CVConfig(folds=args.folds, metric=args.metric, seed=args.seed, parallelism=args.threads)
+    return train_part, test_part, spec, config
 
 
-def _resolve_cv_config(args) -> CVConfig:
-    if getattr(args, "cv_config", None):
-        return CVConfig.from_json(_read_text(args.cv_config, "CV config"))
-    return CVConfig(folds=args.folds, metric=args.metric, seed=args.seed, parallelism=args.threads)
-
-
-def _resolve_grid(family: str, grid_path) -> list:
-    if not grid_path:
-        return default_grid(family)
-    doc = json.loads(_read_text(grid_path, "grid"))
+def _resolve_grid(family: str, doc) -> list:
+    """A family's grid from one grid document, `{"axes", "base"}` or the
+    axes alone: the form of a `train --grid` file and of each entry of a
+    `benchmark --grids` file."""
     if not isinstance(doc, dict):
-        raise SelectionError(f"grid file must hold a JSON object, got {doc!r}")
+        raise SelectionError(f"the {family} grid must be a JSON object, got {doc!r}")
     axes = doc.get("axes", doc)
     base_over = doc.get("base", {}) if "axes" in doc else {}
     if not isinstance(base_over, dict):
@@ -148,16 +157,24 @@ def _resolve_grid(family: str, grid_path) -> list:
     return build_param_grid(base, axes)
 
 
+def _grids(data: bytes) -> dict:
+    doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise SelectionError(f"grids file must hold a JSON object of family -> grid, got {doc!r}")
+    return {family: _resolve_grid(family, grid) for family, grid in doc.items()}
+
+
 def cmd_train(args) -> int:
     family = models.check_family(args.model)
     table = _load_table(args.data)
     source_fp = table.fingerprint()
-    train_part, test_part = train_test_split(table, args.test_fraction, args.seed)
+    train_part, test_part, spec, config = _split_spec_config(args, table)
+    if args.grid:
+        grid = _load(args.grid, "grid", lambda data: _resolve_grid(family, json.loads(data)))
+    else:
+        grid = default_grid(family)
     if args.test_out:
         _save_table(test_part, args.test_out)
-    spec = _resolve_pipeline_spec(args, train_part)
-    grid = _resolve_grid(family, args.grid)
-    config = _resolve_cv_config(args)
     cv = cross_validate(spec, family, grid, train_part, config)
     save_model(
         cv.model,
@@ -230,6 +247,10 @@ def cmd_evaluate(args) -> int:
     in_sample = fp in (header.get("data_fingerprint"), header.get("source_fingerprint"))
     metadata = {"in_sample": in_sample, "family": fitted.family, "data_fingerprint": fp}
     report, rows_out = _score(fitted, table, metadata, args.predictions)
+    # Only the batch's row count is used from here on: the decoded table is
+    # released before the report is encoded, so the two are never held at once.
+    rows_in = table.row_count
+    del table
     c = report.counts
     _print_table(
         [
@@ -244,7 +265,7 @@ def cmd_evaluate(args) -> int:
     )
     if in_sample:
         print("note: evaluated in-sample (data matches the model's training data)")
-    _note_dropped(table.row_count, rows_out)
+    _note_dropped(rows_in, rows_out)
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
         print(f"wrote {args.out}")
@@ -275,17 +296,8 @@ def cmd_benchmark(args) -> int:
     families = tuple(f for f in args.models.split(",") if f)
     for f in families:
         models.check_family(f)
-    train_part, test_part = train_test_split(table, args.test_fraction, args.seed)
-    spec = _resolve_pipeline_spec(args, train_part)
-    grids = None
-    if args.grids:
-        doc = json.loads(_read_text(args.grids, "grids"))
-        if not isinstance(doc, dict):
-            raise SelectionError(f"grids file must hold a JSON object of family -> axes, got {doc!r}")
-        grids = {
-            fam: build_param_grid(models.default_params(fam), axes) for fam, axes in doc.items()
-        }
-    config = _resolve_cv_config(args)
+    train_part, test_part, spec, config = _split_spec_config(args, table)
+    grids = _load(args.grids, "grids", _grids) if args.grids else None
     report = benchmark(train_part, test_part, spec, families, config, grids)
     text = report.to_text()
     print(text)
@@ -333,6 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The split, pipeline and CV flags of `train` and `benchmark`.
+    cv = argparse.ArgumentParser(add_help=False)
+    cv.add_argument("--pipeline", help="pipeline spec JSON (default: derived from the schema)")
+    cv.add_argument("--test-fraction", type=float, default=0.3)
+    cv.add_argument("--folds", type=int, default=3)
+    cv.add_argument("--metric", choices=("auc_roc", "auc_pr"), default="auc_roc")
+    cv.add_argument("--cv-config", help="CV configuration JSON (overrides the fold/metric/seed/thread flags)")
+    cv.add_argument("--exclude", default=DEFAULT_LABEL_SOURCE,
+                    help="comma-separated columns kept out of the derived default pipeline")
+    cv.add_argument("--seed", type=int, default=1)
+    cv.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility (>= 1); folds run in order, so it changes neither speed nor results")
+
     p = sub.add_parser("ingest", help="parse a CSV against a schema into a table snapshot")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
@@ -342,14 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-source", default=DEFAULT_LABEL_SOURCE)
     p.add_argument("--positive-values", default=",".join(DEFAULT_POSITIVE_VALUES))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("sample", help="seeded without-replacement row sample")
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("split", help="seeded train/test partition")
     p.add_argument("--data", required=True)
@@ -357,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic table")
     p.add_argument("--kind", choices=("benefits", "xor"), default="benefits")
@@ -369,25 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
     p.add_argument("--schema-out")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="split, cross-validate a family over a grid, refit, save")
+    p = sub.add_parser("train", parents=[cv], help="split, cross-validate a family over a grid, refit, save")
     p.add_argument("--data", required=True)
-    p.add_argument("--pipeline", help="pipeline spec JSON (default: derived from the schema)")
     p.add_argument("--model", required=True, help="one of " + ",".join(models.FAMILY_ORDER))
     p.add_argument("--grid", help="grid JSON: axes (and optional base overrides)")
-    p.add_argument("--test-fraction", type=float, default=0.3)
     p.add_argument("--test-out", help="save the held-out split for later evaluation")
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--metric", choices=("auc_roc", "auc_pr"), default="auc_roc")
-    p.add_argument("--cv-config", help="CV configuration JSON (overrides the fold/metric/seed/thread flags)")
-    p.add_argument("--exclude", default=DEFAULT_LABEL_SOURCE,
-                   help="comma-separated columns kept out of the derived default pipeline")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility (>= 1); folds run in order, so it changes neither speed nor results")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a labeled table and print the metric table")
     p.add_argument("--model", required=True)
@@ -396,59 +406,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", help="write per-row features,prediction,trueLabel CSV here")
     p.add_argument("--roc-csv", help="export the ROC curve as two-column CSV")
     p.add_argument("--pr-csv", help="export the PR curve as two-column CSV")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="write per-row predictions for a table")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("benchmark", help="cross-validated sweep over model families")
+    p = sub.add_parser("benchmark", parents=[cv], help="cross-validated sweep over model families")
     p.add_argument("--data", required=True)
     p.add_argument("--models", default=",".join(models.FAMILY_ORDER))
-    p.add_argument("--pipeline")
     p.add_argument("--grids", help="JSON mapping family -> grid axes")
-    p.add_argument("--test-fraction", type=float, default=0.3)
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--metric", choices=("auc_roc", "auc_pr"), default="auc_roc")
-    p.add_argument("--cv-config", help="CV configuration JSON (overrides the fold/metric/seed/thread flags)")
-    p.add_argument("--exclude", default=DEFAULT_LABEL_SOURCE,
-                   help="comma-separated columns kept out of the derived default pipeline")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility (>= 1); folds run in order, so it changes neither speed nor results")
     p.add_argument("--out-json")
     p.add_argument("--out-text")
-    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("importance", help="ranked feature importances of a tree-family model")
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_importance)
 
     p = sub.add_parser("header", help="print a model file's header metadata")
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_header)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        CliError,
-        TableError,
-        PipelineError,
-        SelectionError,
-        MetricError,
-        ModelError,
-        ModelFileError,
-        FileNotFoundError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+        return globals()[f"cmd_{args.command}"](args)
+    except (CliError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

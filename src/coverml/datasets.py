@@ -116,6 +116,14 @@ class SynthSpec:
     weak_signal: float = 0.06
 
     def __post_init__(self):
+        for name in ("row_count", "seed", "exclusion_categories"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("positive_rate", "signal_strength", "weak_signal"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.row_count < 1:
             raise ValueError("row_count must be positive")
         if not 0.0 < self.positive_rate < 1.0:
@@ -123,6 +131,8 @@ class SynthSpec:
         if self.exclusion_categories < 4:
             raise ValueError("need at least 4 high-signal categories")
         for name, card in self.weak_cardinalities.items():
+            if isinstance(card, bool) or not isinstance(card, int):
+                raise ValueError(f"cardinality of {name!r} must be an integer, got {card!r}")
             if card < 1:
                 raise ValueError(f"cardinality of {name!r} must be >= 1")
         if not 0.0 <= self.signal_strength <= 1.0:

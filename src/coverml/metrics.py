@@ -307,7 +307,16 @@ def float_reprs(values) -> list[str]:
 
 
 def _nested_json(value) -> str:
-    """`value` as `json.dumps` with `indent=2` writes it one level down."""
+    """`value` as `json.dumps` with `indent=2` writes it one level down. A
+    scalar, or an object of scalars under text keys, is written with the C
+    encoder: the pure-Python encoder that `indent` selects leaves reference
+    cycles behind, which only the cyclic garbage collector frees."""
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if isinstance(value, dict) and value and all(
+        isinstance(k, str) and not isinstance(v, (dict, list, tuple)) for k, v in value.items()
+    ):
+        return "{\n    " + ",\n    ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in value.items()) + "\n  }"
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 

@@ -92,22 +92,10 @@ class Tree:
     def to_dict(self) -> dict:
         """Nested nodes: n; counts and prob ("gini") or value ("sse"); and at
         a split, feature, threshold, decrease, left and right."""
-        n, stat, feature, threshold, decrease, left, right = (
+        columns = tuple(
             a.tolist() for a in (self.n, self.stat, self.feature, self.threshold, self.decrease, self.left, self.right)
         )
-
-        def node(i: int) -> dict:
-            if self.task == "gini":
-                c1 = int(stat[i])
-                d = {"n": n[i], "counts": [n[i] - c1, c1], "prob": c1 / n[i]}
-            else:
-                d = {"n": n[i], "value": stat[i]}
-            if feature[i] >= 0:
-                d.update(feature=feature[i], threshold=threshold[i], decrease=decrease[i])
-                d.update(left=node(left[i]), right=node(right[i]))
-            return d
-
-        return node(0)
+        return _node_dict(0, self.task, columns)
 
     @classmethod
     def from_dict(cls, root: dict, task: str, n_features: int) -> "Tree":
@@ -117,29 +105,49 @@ class Tree:
         children, counts or prob that disagree with n, or a threshold,
         decrease or value that is not a number."""
         nodes = []  # n, stat, feature, threshold, decrease, left, right, depth
-
-        def read(d: dict, depth: int) -> int:
-            if depth > MAX_DEPTH:
-                raise ValueError(f"tree deeper than {MAX_DEPTH} levels")
-            n = _whole(d["n"], 1, np.inf)
-            if task == "gini":
-                stat = _whole(d["counts"][1], 0, n + 1)
-                if d["counts"] != [n - stat, stat] or _number(d["prob"]) != stat / n:
-                    raise ValueError(f"tree node counts {d['counts']!r} and prob {d['prob']!r} disagree with n={n}")
-            else:
-                stat = _number(d["value"])
-            i = len(nodes)
-            nodes.append([n, float(stat), -1, 0.0, 0.0, -1, -1, depth])
-            if "feature" in d:
-                if not (isinstance(d.get("left"), dict) and isinstance(d.get("right"), dict)):
-                    raise ValueError("tree split without both children")
-                nodes[i][2:5] = _whole(d["feature"], 0, n_features), _number(d["threshold"]), _number(d["decrease"])
-                nodes[i][5:7] = read(d["left"], depth + 1), read(d["right"], depth + 1)
-            return i
-
-        read(root, 0)
+        _read_node(root, 0, task, n_features, nodes)
         # Leaves' 0.0 thresholds and decreases make those columns float64.
         return cls(task, *(np.asarray(column) for column in zip(*nodes)))
+
+
+def _node_dict(i: int, task: str, columns: tuple) -> dict:
+    """Node `i` and its subtree as `Tree.to_dict` writes them. A module-level
+    function, not a closure, so a save leaves no reference cycle holding the
+    column lists."""
+    n, stat, feature, threshold, decrease, left, right = columns
+    if task == "gini":
+        c1 = int(stat[i])
+        d = {"n": n[i], "counts": [n[i] - c1, c1], "prob": c1 / n[i]}
+    else:
+        d = {"n": n[i], "value": stat[i]}
+    if feature[i] >= 0:
+        d.update(feature=feature[i], threshold=threshold[i], decrease=decrease[i])
+        d.update(left=_node_dict(left[i], task, columns), right=_node_dict(right[i], task, columns))
+    return d
+
+
+def _read_node(d: dict, depth: int, task: str, n_features: int, nodes: list) -> int:
+    """Append the node `d` and, in pre-order, its subtree to `nodes`; returns
+    the node's index. A module-level function, not a closure, so a load
+    leaves no reference cycle holding the decoded nodes."""
+    if depth > MAX_DEPTH:
+        raise ValueError(f"tree deeper than {MAX_DEPTH} levels")
+    n = _whole(d["n"], 1, np.inf)
+    if task == "gini":
+        stat = _whole(d["counts"][1], 0, n + 1)
+        if d["counts"] != [n - stat, stat] or _number(d["prob"]) != stat / n:
+            raise ValueError(f"tree node counts {d['counts']!r} and prob {d['prob']!r} disagree with n={n}")
+    else:
+        stat = _number(d["value"])
+    i = len(nodes)
+    nodes.append([n, float(stat), -1, 0.0, 0.0, -1, -1, depth])
+    if "feature" in d:
+        if not (isinstance(d.get("left"), dict) and isinstance(d.get("right"), dict)):
+            raise ValueError("tree split without both children")
+        nodes[i][2:5] = _whole(d["feature"], 0, n_features), _number(d["threshold"]), _number(d["decrease"])
+        nodes[i][5:7] = (_read_node(d["left"], depth + 1, task, n_features, nodes),
+                         _read_node(d["right"], depth + 1, task, n_features, nodes))
+    return i
 
 
 def _whole(x, low, high) -> int:

@@ -26,6 +26,14 @@ class PipelineError(ValueError):
     """Stage misconfiguration or a schema/value failure during fit/transform."""
 
 
+def _names(d: dict, key: str) -> tuple[str, ...]:
+    """A stage's column list: `d[key]` must be an array of column names."""
+    names = d[key]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise PipelineError(f"stage field {key!r} must be an array of column names, got {names!r}")
+    return tuple(names)
+
+
 def _check_policy(policy: str) -> str:
     if policy not in INVALID_POLICIES:
         raise PipelineError(f"handle_invalid must be one of {INVALID_POLICIES}, got {policy!r}")
@@ -219,7 +227,7 @@ class VectorAssembler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VectorAssembler":
-        return cls(tuple(d["inputs"]), d["output"])
+        return cls(_names(d, "inputs"), d["output"])
 
 
 # -- vector indexing ---------------------------------------------------------------
@@ -241,6 +249,8 @@ class VectorIndexer:
 
     def __post_init__(self):
         _check_policy(self.handle_invalid)
+        if isinstance(self.max_categories, bool) or not isinstance(self.max_categories, int):
+            raise PipelineError(f"max_categories must be an integer, got {self.max_categories!r}")
         if self.max_categories < 1:
             raise PipelineError("max_categories must be >= 1")
 
@@ -411,8 +421,8 @@ class MinMaxModel:
 
 _ESTIMATOR_PARSERS = {
     "string_index": lambda d: StringIndexer(d["input"], d["output"], d.get("handle_invalid", "keep")),
-    "impute_mean": lambda d: MeanImputer(tuple(d["columns"])),
-    "assemble": lambda d: VectorAssembler(tuple(d["inputs"]), d["output"]),
+    "impute_mean": lambda d: MeanImputer(_names(d, "columns")),
+    "assemble": VectorAssembler.from_dict,
     "vector_index": lambda d: VectorIndexer(
         d["input"], d["output"], d.get("max_categories", 20), d.get("handle_invalid", "skip")
     ),

@@ -22,6 +22,11 @@ KINDS = CSV_KINDS + ("vector",)
 
 _COMPACT = (",", ":")
 
+#: CSV dialect. `read_csv` takes another delimiter as an option; the quote
+#: character, and the delimiter `write_csv` writes, are fixed.
+DELIMITER = ","
+QUOTECHAR = '"'
+
 
 class TableError(ValueError):
     """Schema or value violation in a table operation."""
@@ -38,17 +43,19 @@ class ColumnSpec:
     nullable: bool = True
 
     def __post_init__(self):
-        if not self.name:
-            raise TableError("column name must be nonempty")
+        if not isinstance(self.name, str) or not self.name:
+            raise TableError(f"column name must be nonempty text, got {self.name!r}")
         if self.kind not in KINDS:
             raise TableError(f"unknown column kind {self.kind!r}")
+        if not isinstance(self.nullable, bool):
+            raise TableError(f"column {self.name!r}: nullable must be true or false, got {self.nullable!r}")
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "nullable": self.nullable}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ColumnSpec":
-        return cls(d["name"], d["kind"], bool(d.get("nullable", True)))
+        return cls(d["name"], d["kind"], d.get("nullable", True))
 
 
 def validate_schema(schema: Sequence[ColumnSpec]) -> tuple[ColumnSpec, ...]:
@@ -567,8 +574,7 @@ def read_csv(
     path,
     schema: Sequence[ColumnSpec],
     *,
-    delimiter: str = ",",
-    quotechar: str = '"',
+    delimiter: str = DELIMITER,
     header: bool = True,
 ) -> DataTable:
     """Parse a CSV file against a declared schema.
@@ -588,7 +594,7 @@ def read_csv(
 
     columns: dict[str, list] = {s.name: [] for s in schema}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter, quotechar=quotechar)
+        reader = csv.reader(fh, delimiter=delimiter, quotechar=QUOTECHAR)
         positions: list[tuple[ColumnSpec, int]] = []
         if header:
             try:
@@ -628,13 +634,13 @@ def _render_cell(spec: ColumnSpec, value) -> str:
     return value
 
 
-def write_csv(table: DataTable, path, *, delimiter: str = ",", quotechar: str = '"') -> None:
+def write_csv(table: DataTable, path) -> None:
     """Write a table to CSV; floats use repr so a re-parse is value-identical."""
     for s in table.schema:
         if s.kind == "vector":
             raise TableError("vector columns cannot be written to CSV")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, quotechar=quotechar)
+        writer = csv.writer(fh, delimiter=DELIMITER, quotechar=QUOTECHAR)
         writer.writerow(table.column_names)
         cols = [table.column(name) for name in table.column_names]
         specs = list(table.schema)

@@ -389,6 +389,98 @@ class TestMalformedModelFile:
         assert "Traceback" not in err
 
 
+AB_SCHEMA = {"columns": [{"name": "a", "kind": "numeric"}, {"name": "b", "kind": "numeric"}]}
+TBL_HEAD = {"format": "coverml-table", "version": 1, "schema": [{"name": "a", "kind": "numeric", "nullable": True}]}
+
+
+class TestMalformedInputFiles:
+    """Every JSON input document is read one way: a malformed one ends the
+    command with one `error:` line and no output file. The data has the
+    one-letter numeric columns `a` and `b`, so a column list given as the
+    string "ab" would otherwise name real columns."""
+
+    @pytest.fixture()
+    def small(self, tmp_path):
+        a = [float(i % 7) for i in range(60)]
+        table = DataTable(
+            [ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric"), ColumnSpec("y", "label", nullable=False)],
+            {"a": a, "b": [float(i % 5) for i in range(60)], "y": [int(v > 3) for v in a]},
+        )
+        (tmp_path / "data.tbl").write_bytes(table.to_json_bytes())
+        (tmp_path / "data.csv").write_text("a,b\n,1.0\n2.0,3.0\n")
+        (tmp_path / "grid.json").write_text(json.dumps({"axes": {}}))
+        return tmp_path
+
+    def check(self, capsys, out, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"stages": [{"type": "string_index"}]},
+            {"stages": [5]},
+            [],
+            {"stages": [{"type": "vector_index", "input": "v", "output": "w", "max_categories": "20"}]},
+            {"stages": [{"type": "impute_mean", "columns": "ab"},
+                        {"type": "assemble", "inputs": ["a", "b"], "output": "features"}]},
+            {"stages": [{"type": "assemble", "inputs": "ab", "output": "features"}]},
+        ],
+    )
+    def test_pipeline_spec(self, small, capsys, doc):
+        (small / "spec.json").write_text(json.dumps(doc))
+        self.check(capsys, small / "m.bin", "train", "--data", str(small / "data.tbl"), "--model", "lr",
+                   "--grid", str(small / "grid.json"), "--pipeline", str(small / "spec.json"),
+                   "--out", str(small / "m.bin"))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"columns": [{"name": "a"}]},
+            {"columns": [{"name": "a", "kind": "numeric", "nullable": "no"}, {"name": "b", "kind": "numeric"}]},
+        ],
+    )
+    def test_schema(self, small, capsys, doc):
+        (small / "schema.json").write_text(json.dumps(doc))
+        self.check(capsys, small / "out.tbl", "ingest", "--input", str(small / "data.csv"),
+                   "--schema", str(small / "schema.json"), "--out", str(small / "out.tbl"))
+
+    @pytest.mark.parametrize("doc", [{"rows": 5}, [1], {"row_count": "5"}, {"row_count": 5.5}])
+    def test_synth_spec(self, small, capsys, doc):
+        (small / "synth.json").write_text(json.dumps(doc))
+        self.check(capsys, small / "s.tbl", "synth", "--spec", str(small / "synth.json"),
+                   "--out", str(small / "s.tbl"))
+
+    @pytest.mark.parametrize("doc", [[], TBL_HEAD])
+    def test_table(self, small, capsys, doc):
+        (small / "bad.tbl").write_text(json.dumps(doc))
+        self.check(capsys, small / "s.tbl", "sample", "--data", str(small / "bad.tbl"),
+                   "--fraction", "0.5", "--out", str(small / "s.tbl"))
+
+    def test_nesting_past_the_recursion_limit(self, small, capsys):
+        (small / "schema.json").write_text("[" * 100_000 + "]" * 100_000)
+        self.check(capsys, small / "out.tbl", "ingest", "--input", str(small / "data.csv"),
+                   "--schema", str(small / "schema.json"), "--out", str(small / "out.tbl"))
+
+    def test_well_formed_inputs_still_run(self, small, capsys):
+        (small / "schema.json").write_text(json.dumps(AB_SCHEMA))
+        code, out, err = run(capsys, "ingest", "--input", str(small / "data.csv"),
+                             "--schema", str(small / "schema.json"), "--out", str(small / "out.tbl"))
+        assert code == 0, err
+        assert "nulls[a]: 1" in out
+        spec = {"stages": [{"type": "impute_mean", "columns": ["a"]},
+                           {"type": "assemble", "inputs": ["a", "b"], "output": "features"}]}
+        (small / "spec.json").write_text(json.dumps(spec))
+        code, _, err = run(capsys, "train", "--data", str(small / "data.tbl"), "--model", "lr",
+                           "--grid", str(small / "grid.json"), "--pipeline", str(small / "spec.json"),
+                           "--out", str(small / "m.bin"))
+        assert code == 0, err
+
+
 class TestBenchmark:
     def test_subset_order_and_agreement(self, workdir, capsys):
         grids = workdir / "grids.json"
@@ -460,6 +552,34 @@ class TestBenchmark:
         rows = out.splitlines()[1:]
         assert [r.split() for r in rows] == [[f.upper(), "FAILED", "-", "-", "-", "-"] for f in FAMILY_ORDER]
         assert err.splitlines() == [f"error: {f}: cross-validation data has no label column" for f in FAMILY_ORDER]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"axes": {"max_depth": [3]}}, {"base": {"max_depth": 3}, "axes": {}}],
+    )
+    def test_grids_entry_takes_the_train_grid_form(self, workdir, capsys, entry):
+        """An entry of `--grids` is read as a `train --grid` document, so the
+        `{"axes", "base"}` form selects what the bare axes select."""
+        rows = []
+        for grids in ({"dt": {"max_depth": [3]}}, {"dt": entry}):
+            (workdir / "grids.json").write_text(json.dumps(grids))
+            code, _, err = run(capsys, "benchmark", "--data", str(workdir / "data.tbl"), "--models", "dt",
+                               "--grids", str(workdir / "grids.json"), "--folds", "2",
+                               "--out-json", str(workdir / "bench.json"))
+            assert code == 0, err
+            (row,) = json.loads((workdir / "bench.json").read_text())["rows"]
+            del row["fit_minutes"]
+            rows.append(row)
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("doc", [[1], {"lr": [0.1]}, {"lr": {"axes": {"reg_param": 0.1}}}])
+    def test_malformed_grids_is_an_error_line(self, workdir, capsys, doc):
+        (workdir / "grids.json").write_text(json.dumps(doc))
+        code, _, err = run(capsys, "benchmark", "--data", str(workdir / "data.tbl"), "--models", "lr",
+                           "--grids", str(workdir / "grids.json"), "--out-json", str(workdir / "bench.json"))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (workdir / "bench.json").exists()
 
     def test_unknown_family_rejected(self, workdir, capsys):
         code, _, err = run(

@@ -147,6 +147,23 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SynthSpec(row_count=10, signal_strength=1.5)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"row_count": 5.5},
+            {"row_count": "5"},
+            {"row_count": True},
+            {"row_count": 10, "seed": 1.0},
+            {"row_count": 10, "exclusion_categories": 5.0},
+            {"row_count": 10, "positive_rate": "0.5"},
+            {"row_count": 10, "weak_signal": None},
+            {"row_count": 10, "weak_cardinalities": {"X": 2.5}},
+        ],
+    )
+    def test_spec_field_types(self, fields):
+        with pytest.raises(ValueError, match="must be"):
+            SynthSpec(**fields)
+
     def test_spec_json_roundtrip(self):
         spec = SynthSpec(row_count=77, positive_rate=0.5, seed=3, signal_strength=0.25)
         assert SynthSpec.from_json(spec.to_json()) == spec

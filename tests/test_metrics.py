@@ -329,6 +329,9 @@ class TestReportEncoding:
             (((float("nan"), 0.0), (float("inf"), -float("inf"))), ((1.0, float("nan")),), None),
             (((0.0, 0.0), (1.0, 1.0)), (), {"family": "rf", "nested": {"a": [1, 2.5, None], "b": {}}}),
             (((0.0, 0.0),), ((1.0, 1.0),), {"name": "Café ☂ \"q\" \n", "in_sample": True}),
+            (((0.0, 0.0),), ((1.0, 1.0),), {1: "int key", "x": 2.5}),
+            (((0.0, 0.0),), ((1.0, 1.0),), {"pair": (1, 2), "none": None, "nan": float("nan")}),
+            (((0.0, 0.0),), ((1.0, 1.0),), {"none": None, "nan": float("nan"), "big": 10**30, "f": False}),
             (((np.float64(0.25), 0.5), (np.int64(1), 2)), ((1.0, 1.0),), None),
             (np.array([[0.5, 0.25], [0.25, 0.5]]), np.array([[0.25, 0.25]]), None),
             (np.zeros((0, 2)), np.array([[1, 1], [0, 1]]), None),
@@ -359,6 +362,18 @@ class TestReportEncoding:
             report_with(points)
         with pytest.raises(ValueError):
             report_with(((0.0, 1.0),), points)
+
+    def test_encoding_leaves_no_reference_cycles(self):
+        import gc
+
+        report = report_with(((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.5),), {"family": "rf", "in_sample": False})
+        gc.collect()
+        gc.disable()
+        try:
+            report.to_json()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_evaluated_report_matches_json_dumps(self):
         rng = np.random.default_rng(5)

@@ -534,6 +534,20 @@ class TestPipeline:
         with pytest.raises(PipelineError, match="one_hot"):
             PipelineSpec.from_dict({"stages": [{"type": "one_hot"}]})
 
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            {"type": "impute_mean", "columns": "Exclusions"},
+            {"type": "impute_mean", "columns": ["a", 1]},
+            {"type": "assemble", "inputs": "ab", "output": "features"},
+            {"type": "vector_index", "input": "v", "output": "w", "max_categories": "20"},
+            {"type": "vector_index", "input": "v", "output": "w", "max_categories": True},
+        ],
+    )
+    def test_stage_field_of_the_wrong_type_rejected(self, stage):
+        with pytest.raises(PipelineError):
+            PipelineSpec.from_dict({"stages": [stage]})
+
     def test_unseen_test_categories_keep_then_skip_drops_rows(self):
         # the default pipeline indexes with keep (unseen -> extra bucket k) and
         # vector-indexes with skip: a test row with a category absent from the

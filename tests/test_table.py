@@ -51,6 +51,15 @@ class TestSchema:
         schema = (ColumnSpec("a", "numeric", False), ColumnSpec("b", "categorical_text"))
         assert schema_from_json(schema_to_json(schema)) == schema
 
+    @pytest.mark.parametrize("nullable", ["no", 0, None])
+    def test_nullable_must_be_a_boolean(self, nullable):
+        with pytest.raises(TableError, match="nullable"):
+            schema_from_json(json.dumps({"columns": [{"name": "a", "kind": "numeric", "nullable": nullable}]}))
+
+    def test_name_must_be_text(self):
+        with pytest.raises(TableError):
+            ColumnSpec(5, "numeric")
+
 
 class TestDataTable:
     def test_length_mismatch(self):

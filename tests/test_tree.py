@@ -425,3 +425,18 @@ class TestSerialization:
         back = DecisionTreeModel.from_dict(model.to_dict())
         assert np.array_equal(back.probabilities(X), model.probabilities(X))
         assert back.to_dict() == model.to_dict()
+
+    def test_roundtrip_leaves_no_reference_cycles(self):
+        """Writing and reading a tree frees everything it built on return,
+        without waiting for the cyclic garbage collector."""
+        import gc
+
+        rng = np.random.default_rng(6)
+        model = train_decision_tree(rng.random((80, 4)), rng.integers(0, 2, size=80))
+        gc.collect()
+        gc.disable()
+        try:
+            DecisionTreeModel.from_dict(model.to_dict())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
