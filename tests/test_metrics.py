@@ -329,12 +329,12 @@ class TestReportEncoding:
             (((float("nan"), 0.0), (float("inf"), -float("inf"))), ((1.0, float("nan")),), None),
             (((0.0, 0.0), (1.0, 1.0)), (), {"family": "rf", "nested": {"a": [1, 2.5, None], "b": {}}}),
             (((0.0, 0.0),), ((1.0, 1.0),), {"name": "Café ☂ \"q\" \n", "in_sample": True}),
-            (((0.0, 0.0),), ((1.0, 1.0),), {1: "int key", "x": 2.5}),
-            (((0.0, 0.0),), ((1.0, 1.0),), {"pair": (1, 2), "none": None, "nan": float("nan")}),
-            (((0.0, 0.0),), ((1.0, 1.0),), {"none": None, "nan": float("nan"), "big": 10**30, "f": False}),
             (((np.float64(0.25), 0.5), (np.int64(1), 2)), ((1.0, 1.0),), None),
             (np.array([[0.5, 0.25], [0.25, 0.5]]), np.array([[0.25, 0.25]]), None),
             (np.zeros((0, 2)), np.array([[1, 1], [0, 1]]), None),
+            (((0.0, 0.0),), ((1.0, 1.0),), {1: "int key", "x": 2.5}),
+            (((0.0, 0.0),), ((1.0, 1.0),), {"pair": (1, 2), "none": None, "nan": float("nan")}),
+            (((0.0, 0.0),), ((1.0, 1.0),), {"none": None, "nan": float("nan"), "big": 10**30, "f": False}),
         ],
     )
     def test_matches_json_dumps(self, roc_points, pr_points, metadata):
