@@ -150,10 +150,7 @@ def _resolve_grid(family: str, doc) -> list:
     if not isinstance(doc, dict):
         raise SelectionError(f"the {family} grid must be a JSON object, got {doc!r}")
     axes = doc.get("axes", doc)
-    base_over = doc.get("base", {}) if "axes" in doc else {}
-    if not isinstance(base_over, dict):
-        raise SelectionError(f"grid base must be an object of field -> value, got {base_over!r}")
-    base = models.params_from_dict(family, base_over) if base_over else models.default_params(family)
+    base = models.params_from_dict(family, doc.get("base", {}) if "axes" in doc else {})
     return build_param_grid(base, axes)
 
 
@@ -196,12 +193,12 @@ def _require_pipeline(model) -> FittedPipeline:
     return model
 
 
-def _write_predictions(out_table: DataTable, path) -> None:
-    """One line per row: the quoted feature vector, the prediction and the
-    true label (empty without a `trueLabel` column), each number as its
-    `repr`. Columns are formatted a column at a time (`float_reprs`), and
-    each line is one join of its fields."""
-    features = out_table.feature_matrix("features")
+def _write_predictions(out_table: DataTable, path, features_col: str) -> None:
+    """One line per row: the quoted vector of the `features_col` column, the
+    prediction and the true label (empty without a `trueLabel` column), each
+    number as its `repr`. Columns are formatted a column at a time
+    (`float_reprs`), and each line is one join of its fields."""
+    features = out_table.feature_matrix(features_col)
     n = out_table.row_count
     fields = [float_reprs(features[:, j]) for j in range(features.shape[1])]
     if fields:
@@ -235,7 +232,7 @@ def _score(
     out = fitted.transform(table)
     report = evaluate_transformed(out, metadata=metadata)
     if predictions_path:
-        _write_predictions(out, predictions_path)
+        _write_predictions(out, predictions_path, fitted.features_col)
     return report, out.row_count
 
 
@@ -285,7 +282,7 @@ def cmd_predict(args) -> int:
     fitted = _require_pipeline(model)
     table = _load_table(args.data)
     out = fitted.transform(table)
-    _write_predictions(out, args.out)
+    _write_predictions(out, args.out, fitted.features_col)
     _note_dropped(table.row_count, out.row_count)
     print(f"wrote {args.out}")
     return 0
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", parents=[cv], help="cross-validated sweep over model families")
     p.add_argument("--data", required=True)
     p.add_argument("--models", default=",".join(models.FAMILY_ORDER))
-    p.add_argument("--grids", help="JSON mapping family -> grid axes")
+    p.add_argument("--grids", help='JSON mapping family -> grid, each {"axes", "base"} or the axes alone')
     p.add_argument("--out-json")
     p.add_argument("--out-text")
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .fields import check_types, field_checkers, read_fields
 from .rng import derived_rng
 from .table import ColumnSpec, DataTable, TableError
 
@@ -116,14 +117,7 @@ class SynthSpec:
     weak_signal: float = 0.06
 
     def __post_init__(self):
-        for name in ("row_count", "seed", "exclusion_categories"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("positive_rate", "signal_strength", "weak_signal"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        check_types(self, ValueError, "synth spec")
         if self.row_count < 1:
             raise ValueError("row_count must be positive")
         if not 0.0 < self.positive_rate < 1.0:
@@ -131,8 +125,6 @@ class SynthSpec:
         if self.exclusion_categories < 4:
             raise ValueError("need at least 4 high-signal categories")
         for name, card in self.weak_cardinalities.items():
-            if isinstance(card, bool) or not isinstance(card, int):
-                raise ValueError(f"cardinality of {name!r} must be an integer, got {card!r}")
             if card < 1:
                 raise ValueError(f"cardinality of {name!r} must be >= 1")
         if not 0.0 <= self.signal_strength <= 1.0:
@@ -141,20 +133,14 @@ class SynthSpec:
             raise ValueError("weak_signal must lie in [0, 1)")
 
     def to_json(self) -> str:
-        d = {
-            "row_count": self.row_count,
-            "positive_rate": self.positive_rate,
-            "seed": self.seed,
-            "exclusion_categories": self.exclusion_categories,
-            "weak_cardinalities": dict(self.weak_cardinalities),
-            "signal_strength": self.signal_strength,
-            "weak_signal": self.weak_signal,
-        }
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SynthSpec":
-        return cls(**json.loads(text))
+        return cls(**read_fields(cls, json.loads(text), "synth spec"))
+
+
+field_checkers(SynthSpec)
 
 
 def _category_values(column: str, cardinality: int) -> list[str]:

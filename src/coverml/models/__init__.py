@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
+from ..fields import read_fields
 from .base import ModelError, TrainedClassifier
 from .ensemble import (
     GbtModel,
@@ -57,10 +58,6 @@ def default_params(family: str):
     return params_type(family)()
 
 
-def param_field_names(family: str) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(params_type(family)))
-
-
 def params_to_dict(params) -> dict:
     return dataclasses.asdict(params)
 
@@ -81,12 +78,9 @@ def check_param_types(cls: type, values: dict) -> None:
 
 def params_from_dict(family: str, d: dict):
     cls = params_type(family)
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - valid
-    if unknown:
-        raise ModelError(f"unknown {family} parameter(s): {sorted(unknown)}")
-    check_param_types(cls, d)
-    return cls(**d)
+    kwargs = read_fields(cls, d, f"{family} parameter", ModelError)
+    check_param_types(cls, kwargs)
+    return cls(**kwargs)
 
 
 def train(family: str, X, y, params=None) -> TrainedClassifier:
@@ -124,7 +118,6 @@ __all__ = [
     "classifier_from_dict",
     "default_params",
     "feature_importances",
-    "param_field_names",
     "params_from_dict",
     "params_to_dict",
     "params_type",

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
+from .fields import check_types, field_checkers, read_fields
 from .metrics import EvalReport, MetricError, evaluate_scores, pr_curve, roc_curve, timed_fit
 from .rng import derived_rng
 from .stages import FittedPipeline, PipelineError, PipelineSpec, fit_pipeline, fit_stages
@@ -95,10 +96,7 @@ class CVConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("folds", "seed", "parallelism"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SelectionError(f"{name} must be an integer, got {value!r}")
+        check_types(self, SelectionError, "CV config")
         if self.folds < 2:
             raise SelectionError("folds must be >= 2")
         if self.metric not in EVALUATOR_METRICS:
@@ -111,14 +109,10 @@ class CVConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "CVConfig":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise SelectionError(f"CV config must be a JSON object, got {doc!r}")
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - valid
-        if unknown:
-            raise SelectionError(f"unknown CV config field(s): {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**read_fields(cls, json.loads(text), "CV config", SelectionError))
+
+
+field_checkers(CVConfig)
 
 
 @dataclass(frozen=True)

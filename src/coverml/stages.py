@@ -4,57 +4,78 @@ Estimators learn a transformer from a table; transformers are pure
 table-to-table maps that append (or, for the imputer, replace) columns.
 A pipeline fits each estimator on the cumulatively transformed table and can
 be terminated by a classifier trained on the assembled feature column.
+
+Each stage class is the one declaration of its JSON form, in pipeline specs
+and model files alike: the object holds `"type"` (the class's `TYPE`), then
+each field in declaration order under its name, except that `input_col`,
+`output_col` and `input_cols` are stored as `input`, `output` and `inputs`.
+A tuple field is written as an array and a mapping field as an array of
+`[key, value]` pairs; `VectorIndexModel.category_maps` alone is an object
+keyed by the dimension's decimal text. The constructor is the only check: it
+takes each field in memory form or in the form the file holds, checks it
+against its annotation, and then checks the stage's own conditions, so a
+stage read from a file is held to what `fit` builds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, Literal, Sequence
 
 import numpy as np
 
 from . import models
-from .models.base import finite_number
+from .fields import check_types, field_checkers, read_fields
 from .table import ColumnSpec, DataTable, TableError
 
 MISSING_TOKEN = "__MISSING__"
 INVALID_POLICIES = ("keep", "skip", "error")
+#: What an indexing stage does with a value it has not seen.
+Policy = Literal[INVALID_POLICIES]
+
+#: Stage and pipeline fields stored under another key than their name.
+_KEYS = {"input_col": "input", "output_col": "output", "input_cols": "inputs", "features_col": "features_column"}
 
 
 class PipelineError(ValueError):
     """Stage misconfiguration or a schema/value failure during fit/transform."""
 
 
-def _names(d: dict, key: str) -> tuple[str, ...]:
-    """A stage's column list: `d[key]` must be an array of column names."""
-    names = d[key]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise PipelineError(f"stage field {key!r} must be an array of column names, got {names!r}")
-    return tuple(names)
+class _Stage:
+    """The JSON form and the field checks that every stage class shares."""
 
+    TYPE: ClassVar[str]
 
-def _check_policy(policy: str) -> str:
-    if policy not in INVALID_POLICIES:
-        raise PipelineError(f"handle_invalid must be one of {INVALID_POLICIES}, got {policy!r}")
-    return policy
+    def __post_init__(self):
+        check_types(self, PipelineError, f"{self.TYPE} stage", _KEYS)
+
+    def to_dict(self) -> dict:
+        d = {"type": self.TYPE}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                value = [[k, v] for k, v in value.items()]
+            elif isinstance(value, tuple):
+                value = list(value)
+            d[_KEYS.get(f.name, f.name)] = value
+        return d
 
 
 # -- string indexing -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class StringIndexer:
+class StringIndexer(_Stage):
     """Maps category text to dense indices ordered by descending frequency,
     ties broken by ascending label text. Nulls index as a regular
     MISSING token."""
 
+    TYPE = "string_index"
     input_col: str
     output_col: str
-    handle_invalid: str = "keep"
-
-    def __post_init__(self):
-        _check_policy(self.handle_invalid)
+    handle_invalid: Policy = "keep"
 
     def fit(self, table: DataTable) -> "StringIndexModel":
         spec = table.spec(self.input_col)
@@ -73,21 +94,19 @@ class StringIndexer:
         mapping = {label: i for i, (label, _) in enumerate(ordered)}
         return StringIndexModel(self.input_col, self.output_col, mapping, self.handle_invalid)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "string_index",
-            "input": self.input_col,
-            "output": self.output_col,
-            "handle_invalid": self.handle_invalid,
-        }
-
 
 @dataclass(frozen=True)
-class StringIndexModel:
+class StringIndexModel(_Stage):
+    TYPE = "string_index_model"
     input_col: str
     output_col: str
     mapping: Mapping[str, int]
-    handle_invalid: str = "keep"
+    handle_invalid: Policy = "keep"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if sorted(self.mapping.values()) != list(range(len(self.mapping))):
+            raise PipelineError("a string index mapping must give its k labels the codes 0..k-1")
 
     def transform(self, table: DataTable) -> DataTable:
         codes, categories = table.codes(self.input_col)
@@ -110,33 +129,16 @@ class StringIndexModel:
                 raise PipelineError(f"unseen label {key!r} in column {self.input_col!r} at row {row}")
         return table.with_column(ColumnSpec(self.output_col, "numeric", nullable=False), indices)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "string_index_model",
-            "input": self.input_col,
-            "output": self.output_col,
-            "mapping": [[label, idx] for label, idx in self.mapping.items()],
-            "handle_invalid": self.handle_invalid,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StringIndexModel":
-        mapping = {}
-        for label, idx in d["mapping"]:
-            if not isinstance(label, str) or type(idx) is not int:
-                raise PipelineError(f"string index mapping pairs text with an integer index, got {[label, idx]!r}")
-            mapping[label] = idx
-        return cls(d["input"], d["output"], mapping, d["handle_invalid"])
-
 
 # -- numeric null imputation -----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MeanImputer:
+class MeanImputer(_Stage):
     """Replaces numeric nulls with the fit table's column mean (fit-time only,
     so no information flows back from transform data)."""
 
+    TYPE = "impute_mean"
     columns: tuple[str, ...]
 
     def fit(self, table: DataTable) -> "MeanImputeModel":
@@ -151,12 +153,10 @@ class MeanImputer:
             means[name] = float(np.mean(values))
         return MeanImputeModel(means)
 
-    def to_dict(self) -> dict:
-        return {"type": "impute_mean", "columns": list(self.columns)}
-
 
 @dataclass(frozen=True)
-class MeanImputeModel:
+class MeanImputeModel(_Stage):
+    TYPE = "impute_mean_model"
     means: Mapping[str, float]
 
     def transform(self, table: DataTable) -> DataTable:
@@ -167,22 +167,16 @@ class MeanImputeModel:
                 table = table.replace_column(name, np.where(nulls, mean, values))
         return table
 
-    def to_dict(self) -> dict:
-        return {"type": "impute_mean_model", "means": [[n, m] for n, m in self.means.items()]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MeanImputeModel":
-        return cls({name: finite_number(mean, f"imputer mean of {name!r}") for name, mean in d["means"]})
-
 
 # -- vector assembly -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VectorAssembler:
+class VectorAssembler(_Stage):
     """Concatenates numeric scalars and vectors into one vector column, in the
     declared input order. A transformer with no fit state."""
 
+    TYPE = "assemble"
     input_cols: tuple[str, ...]
     output_col: str
 
@@ -222,19 +216,12 @@ class VectorAssembler:
         matrix = np.column_stack(blocks) if blocks else np.zeros((table.row_count, 0))
         return table.with_column(out, matrix)
 
-    def to_dict(self) -> dict:
-        return {"type": "assemble", "inputs": list(self.input_cols), "output": self.output_col}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VectorAssembler":
-        return cls(_names(d, "inputs"), d["output"])
-
 
 # -- vector indexing ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class VectorIndexer:
+class VectorIndexer(_Stage):
     """Re-encodes low-cardinality vector dimensions to contiguous indices.
 
     A dimension is treated as categorical iff its distinct fit-time value
@@ -242,15 +229,14 @@ class VectorIndexer:
     ascending by original value.
     """
 
+    TYPE = "vector_index"
     input_col: str
     output_col: str
     max_categories: int = 20
-    handle_invalid: str = "skip"
+    handle_invalid: Policy = "skip"
 
     def __post_init__(self):
-        _check_policy(self.handle_invalid)
-        if isinstance(self.max_categories, bool) or not isinstance(self.max_categories, int):
-            raise PipelineError(f"max_categories must be an integer, got {self.max_categories!r}")
+        super().__post_init__()
         if self.max_categories < 1:
             raise PipelineError("max_categories must be >= 1")
 
@@ -267,23 +253,25 @@ class VectorIndexer:
             self.input_col, self.output_col, matrix.shape[1], category_maps, self.handle_invalid
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "vector_index",
-            "input": self.input_col,
-            "output": self.output_col,
-            "max_categories": self.max_categories,
-            "handle_invalid": self.handle_invalid,
-        }
-
 
 @dataclass(frozen=True)
-class VectorIndexModel:
+class VectorIndexModel(_Stage):
+    TYPE = "vector_index_model"
     input_col: str
     output_col: str
     size: int
     category_maps: Mapping[int, Mapping[float, int]]
-    handle_invalid: str = "skip"
+    handle_invalid: Policy = "skip"
+
+    def __post_init__(self):
+        if isinstance(self.category_maps, dict):  # a file holds the dimensions as decimal text
+            maps = {int(d) if isinstance(d, str) and d.isdecimal() else d: m for d, m in self.category_maps.items()}
+            object.__setattr__(self, "category_maps", maps)
+        super().__post_init__()
+        if self.size < 0 or any(not 0 <= dim < self.size for dim in self.category_maps):
+            raise PipelineError(f"vector index dimensions must lie in [0, {self.size}), got {list(self.category_maps)}")
+        if any(sorted(m.values()) != list(range(len(m))) for m in self.category_maps.values()):
+            raise PipelineError("a vector index category map must give its k values the codes 0..k-1")
 
     def transform(self, table: DataTable) -> DataTable:
         if table.row_count == 0:
@@ -318,41 +306,27 @@ class VectorIndexModel:
         return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), out)
 
     def to_dict(self) -> dict:
-        return {
-            "type": "vector_index_model",
-            "input": self.input_col,
-            "output": self.output_col,
-            "size": self.size,
-            "category_maps": {
-                str(dim): [[v, i] for v, i in mapping.items()]
-                for dim, mapping in self.category_maps.items()
-            },
-            "handle_invalid": self.handle_invalid,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VectorIndexModel":
-        maps = {
-            int(dim): {v: i for v, i in pairs} for dim, pairs in d["category_maps"].items()
-        }
-        return cls(d["input"], d["output"], d["size"], maps, d["handle_invalid"])
+        maps = {str(dim): [[v, i] for v, i in m.items()] for dim, m in self.category_maps.items()}
+        return {**super().to_dict(), "category_maps": maps}
 
 
 # -- min-max scaling ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MinMaxScaler:
+class MinMaxScaler(_Stage):
     """Affine per-dimension rescale of a vector column to [lo, hi] learned
     from fit data. Outputs are not clamped; a constant dimension maps to the
     midpoint (hi+lo)/2."""
 
+    TYPE = "minmax"
     input_col: str
     output_col: str
     lo: float = 0.0
     hi: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.lo < self.hi:
             raise PipelineError("minmax range must satisfy lo < hi")
 
@@ -360,33 +334,26 @@ class MinMaxScaler:
         matrix = table.feature_matrix(self.input_col)
         if matrix.shape[0] == 0:
             raise PipelineError(f"cannot fit minmax scaler on empty column {self.input_col!r}")
-        return MinMaxModel(
-            self.input_col,
-            self.output_col,
-            tuple(matrix.min(axis=0).tolist()),
-            tuple(matrix.max(axis=0).tolist()),
-            self.lo,
-            self.hi,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "minmax",
-            "input": self.input_col,
-            "output": self.output_col,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
+        mins, maxs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
+        return MinMaxModel(self.input_col, self.output_col, mins, maxs, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
-class MinMaxModel:
+class MinMaxModel(_Stage):
+    TYPE = "minmax_model"
     input_col: str
     output_col: str
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
     lo: float = 0.0
     hi: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.lo < self.hi:
+            raise PipelineError("minmax range must satisfy lo < hi")
+        if len(self.mins) != len(self.maxs):
+            raise PipelineError(f"minmax mins has {len(self.mins)} entries, maxs {len(self.maxs)}")
 
     def transform(self, table: DataTable) -> DataTable:
         if table.row_count == 0:
@@ -401,41 +368,30 @@ class MinMaxModel:
         scaled[:, constant] = (self.hi + self.lo) / 2.0
         return table.with_column(ColumnSpec(self.output_col, "vector", nullable=False), scaled)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "minmax_model",
-            "input": self.input_col,
-            "output": self.output_col,
-            "mins": list(self.mins),
-            "maxs": list(self.maxs),
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxModel":
-        return cls(d["input"], d["output"], tuple(d["mins"]), tuple(d["maxs"]), d["lo"], d["hi"])
-
 
 # -- pipeline ---------------------------------------------------------------------
 
-_ESTIMATOR_PARSERS = {
-    "string_index": lambda d: StringIndexer(d["input"], d["output"], d.get("handle_invalid", "keep")),
-    "impute_mean": lambda d: MeanImputer(_names(d, "columns")),
-    "assemble": VectorAssembler.from_dict,
-    "vector_index": lambda d: VectorIndexer(
-        d["input"], d["output"], d.get("max_categories", 20), d.get("handle_invalid", "skip")
-    ),
-    "minmax": lambda d: MinMaxScaler(d["input"], d["output"], d.get("lo", 0.0), d.get("hi", 1.0)),
-}
+#: Each stage class by its `TYPE`, with its field checkers built at import
+#: (see `fields.field_checkers`).
+_STAGE_TYPES = {cls.TYPE: cls for cls in _Stage.__subclasses__()}
+for _cls in _STAGE_TYPES.values():
+    field_checkers(_cls)
 
-_MODEL_PARSERS = {
-    "string_index_model": StringIndexModel.from_dict,
-    "impute_mean_model": MeanImputeModel.from_dict,
-    "assemble": VectorAssembler.from_dict,
-    "vector_index_model": VectorIndexModel.from_dict,
-    "minmax_model": MinMaxModel.from_dict,
-}
+
+def _read_stages(docs, method: str) -> tuple:
+    """The stages the JSON objects `docs` declare, each of a class that has
+    `method`: "fit" for the stages of a spec, "transform" for fitted ones."""
+    if not isinstance(docs, list):
+        raise PipelineError(f"stages must be a JSON array, got {docs!r}")
+    stages = []
+    for i, d in enumerate(docs):
+        kind = d.get("type") if isinstance(d, dict) else None
+        cls = _STAGE_TYPES.get(kind) if isinstance(kind, str) else None
+        if not hasattr(cls, method):
+            raise PipelineError(f"stage {i}: no stage type {kind!r} can {method}")
+        doc = {k: v for k, v in d.items() if k != "type"}
+        stages.append(cls(**read_fields(cls, doc, f"{kind} stage", PipelineError, _KEYS)))
+    return tuple(stages)
 
 
 @dataclass(frozen=True)
@@ -453,13 +409,8 @@ class PipelineSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineSpec":
-        stages = []
-        for i, sd in enumerate(d.get("stages", [])):
-            parser = _ESTIMATOR_PARSERS.get(sd.get("type"))
-            if parser is None:
-                raise PipelineError(f"unknown stage type {sd.get('type')!r} at stage {i}")
-            stages.append(parser(sd))
-        return cls(tuple(stages), d.get("features_column", "features"))
+        kwargs = read_fields(cls, d, "pipeline spec", PipelineError, _KEYS)
+        return cls(**{**kwargs, "stages": _read_stages(kwargs["stages"], "fit")})
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineSpec":
@@ -481,31 +432,17 @@ def default_pipeline_spec(table: DataTable, exclude: Sequence[str] = ()) -> Pipe
             continue
         if spec.kind == "categorical_text":
             out = spec.name + "_idx"
-            stages.append(StringIndexer(spec.name, out, "keep"))
+            stages.append(StringIndexer(spec.name, out))
             assembled.append(out)
         else:
             assembled.append(spec.name)
     if not assembled:
         raise PipelineError("no feature columns available for the default pipeline")
     stages.append(VectorAssembler(tuple(assembled), "catFeatures"))
-    stages.append(VectorIndexer("catFeatures", "idxCatFeatures", 20, "skip"))
-    stages.append(MinMaxScaler("idxCatFeatures", "normFeatures", 0.0, 1.0))
+    stages.append(VectorIndexer("catFeatures", "idxCatFeatures"))
+    stages.append(MinMaxScaler("idxCatFeatures", "normFeatures"))
     stages.append(VectorAssembler(("normFeatures",), "features"))
-    return PipelineSpec(tuple(stages), "features")
-
-
-def _stage_outputs(stage, names: dict[str, tuple[str, ...]]):
-    """Track which source columns feed each derived column, for importance
-    reporting."""
-    if isinstance(stage, (StringIndexer, StringIndexModel)):
-        names[stage.output_col] = (stage.input_col,)
-    elif isinstance(stage, VectorAssembler):
-        parts: list[str] = []
-        for c in stage.input_cols:
-            parts.extend(names.get(c, (c,)))
-        names[stage.output_col] = tuple(parts)
-    elif isinstance(stage, (VectorIndexer, VectorIndexModel, MinMaxScaler, MinMaxModel)):
-        names[stage.output_col] = names.get(stage.input_col, (stage.input_col,))
+    return PipelineSpec(tuple(stages))
 
 
 @dataclass(frozen=True)
@@ -557,32 +494,19 @@ class FittedPipeline:
             "feature_names": None if self.feature_names is None else list(self.feature_names),
         }
         if self.classifier is not None:
-            d["classifier"] = {
-                "family": self.classifier.family,
-                "model": self.classifier.to_dict(),
-            }
+            d["classifier"] = {"family": self.classifier.family, "model": self.classifier.to_dict()}
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedPipeline":
-        transformers = []
-        for td in d["transformers"]:
-            parser = _MODEL_PARSERS.get(td.get("type"))
-            if parser is None:
-                raise PipelineError(f"unknown fitted stage type {td.get('type')!r}")
-            transformers.append(parser(td))
-        classifier = None
-        if "classifier" in d:
-            classifier = models.classifier_from_dict(
-                d["classifier"]["family"], d["classifier"]["model"]
-            )
-        names = d.get("feature_names")
-        return cls(
-            tuple(transformers),
-            d.get("features_column", "features"),
-            classifier,
-            None if names is None else tuple(names),
-        )
+        kwargs = read_fields(cls, d, "fitted pipeline", PipelineError, _KEYS)
+        kwargs["transformers"] = _read_stages(kwargs["transformers"], "transform")
+        if "classifier" in kwargs:
+            family, model = kwargs["classifier"]["family"], kwargs["classifier"]["model"]
+            kwargs["classifier"] = models.classifier_from_dict(family, model)
+        if kwargs.get("feature_names") is not None:
+            kwargs["feature_names"] = tuple(kwargs["feature_names"])
+        return cls(**kwargs)
 
 
 def fit_stages(spec: PipelineSpec, table: DataTable) -> tuple[FittedPipeline, DataTable]:
@@ -597,7 +521,10 @@ def fit_stages(spec: PipelineSpec, table: DataTable) -> tuple[FittedPipeline, Da
             table = model.transform(table)
         except (TableError, PipelineError) as exc:
             raise PipelineError(f"stage {i} ({type(stage).__name__}) failed: {exc}") from exc
-        _stage_outputs(model, names)
+        if hasattr(model, "output_col"):
+            # The source columns that feed each derived column, for importance reporting.
+            inputs = model.input_cols if isinstance(model, VectorAssembler) else (model.input_col,)
+            names[model.output_col] = tuple(n for c in inputs for n in names.get(c, (c,)))
         fitted.append(model)
     return FittedPipeline(tuple(fitted), spec.features_col, None, names.get(spec.features_col)), table
 

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .fields import read_fields
 from .metrics import float_reprs
 
 #: Column kinds accepted in external schemas. "vector" additionally exists as
@@ -55,7 +56,7 @@ class ColumnSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ColumnSpec":
-        return cls(d["name"], d["kind"], d.get("nullable", True))
+        return cls(**read_fields(cls, d, "schema column", TableError))
 
 
 def validate_schema(schema: Sequence[ColumnSpec]) -> tuple[ColumnSpec, ...]:

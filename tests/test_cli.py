@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from coverml.cli import main
-from coverml.datasets import SynthSpec, generate_synthetic
+from coverml.datasets import SynthSpec, derive_label, generate_synthetic
 from coverml.persist import load_model, read_header, save_model
 from coverml.stages import FittedPipeline
 from coverml.table import ColumnSpec, DataTable
@@ -391,6 +391,10 @@ class TestMalformedModelFile:
 
 AB_SCHEMA = {"columns": [{"name": "a", "kind": "numeric"}, {"name": "b", "kind": "numeric"}]}
 TBL_HEAD = {"format": "coverml-table", "version": 1, "schema": [{"name": "a", "kind": "numeric", "nullable": True}]}
+#: Documents valid for the `small` fixture but for one misspelled optional key.
+MISSPELLED_STAGE_KEY = {"stages": [{"type": "assemble", "inputs": ["a", "b"], "output": "v"},
+                                   {"type": "vector_index", "input": "v", "output": "features", "max_categorie": 5}]}
+MISSPELLED_COLUMN_KEY = {"columns": [{"name": "a", "kind": "numeric", "nullabel": False}, {"name": "b", "kind": "numeric"}]}
 
 
 class TestMalformedInputFiles:
@@ -416,6 +420,7 @@ class TestMalformedInputFiles:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+        return err
 
     @pytest.mark.parametrize(
         "doc",
@@ -427,13 +432,17 @@ class TestMalformedInputFiles:
             {"stages": [{"type": "impute_mean", "columns": "ab"},
                         {"type": "assemble", "inputs": ["a", "b"], "output": "features"}]},
             {"stages": [{"type": "assemble", "inputs": "ab", "output": "features"}]},
+            MISSPELLED_STAGE_KEY,
         ],
     )
     def test_pipeline_spec(self, small, capsys, doc):
+        self.train_with_spec(small, capsys, doc)
+
+    def train_with_spec(self, small, capsys, doc):
         (small / "spec.json").write_text(json.dumps(doc))
-        self.check(capsys, small / "m.bin", "train", "--data", str(small / "data.tbl"), "--model", "lr",
-                   "--grid", str(small / "grid.json"), "--pipeline", str(small / "spec.json"),
-                   "--out", str(small / "m.bin"))
+        return self.check(capsys, small / "m.bin", "train", "--data", str(small / "data.tbl"), "--model", "lr",
+                          "--grid", str(small / "grid.json"), "--pipeline", str(small / "spec.json"),
+                          "--out", str(small / "m.bin"))
 
     @pytest.mark.parametrize(
         "doc",
@@ -442,12 +451,20 @@ class TestMalformedInputFiles:
             [],
             {"columns": [{"name": "a"}]},
             {"columns": [{"name": "a", "kind": "numeric", "nullable": "no"}, {"name": "b", "kind": "numeric"}]},
+            MISSPELLED_COLUMN_KEY,
         ],
     )
     def test_schema(self, small, capsys, doc):
+        self.ingest_with_schema(small, capsys, doc)
+
+    def ingest_with_schema(self, small, capsys, doc):
         (small / "schema.json").write_text(json.dumps(doc))
-        self.check(capsys, small / "out.tbl", "ingest", "--input", str(small / "data.csv"),
-                   "--schema", str(small / "schema.json"), "--out", str(small / "out.tbl"))
+        return self.check(capsys, small / "out.tbl", "ingest", "--input", str(small / "data.csv"),
+                          "--schema", str(small / "schema.json"), "--out", str(small / "out.tbl"))
+
+    def test_misspelled_key_is_named(self, small, capsys):
+        assert "'max_categorie'" in self.train_with_spec(small, capsys, MISSPELLED_STAGE_KEY)
+        assert "'nullabel'" in self.ingest_with_schema(small, capsys, MISSPELLED_COLUMN_KEY)
 
     @pytest.mark.parametrize("doc", [{"rows": 5}, [1], {"row_count": "5"}, {"row_count": 5.5}])
     def test_synth_spec(self, small, capsys, doc):
@@ -639,6 +656,26 @@ class TestPredictAndHeader:
         lines = (workdir / "p.csv").read_text().splitlines()
         assert lines[0] == "features,prediction,trueLabel"
         assert len(lines) > 100
+
+    @pytest.mark.parametrize("verb, out_flag", [("evaluate", "--predictions"), ("predict", "--out")])
+    def test_predictions_read_the_pipeline_features_column(self, tmp_path, capsys, verb, out_flag):
+        table = derive_label(generate_synthetic(SynthSpec(row_count=300, seed=2)))
+        (tmp_path / "data.tbl").write_bytes(table.to_json_bytes())
+        spec = {"stages": [{"type": "string_index", "input": "Exclusions", "output": "e"},
+                           {"type": "assemble", "inputs": ["e", "IsEHB"], "output": "feats"}],
+                "features_column": "feats"}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "grid.json").write_text(json.dumps({"axes": {}}))
+        code, _, err = run(capsys, "train", "--data", str(tmp_path / "data.tbl"), "--model", "lr",
+                           "--grid", str(tmp_path / "grid.json"), "--pipeline", str(tmp_path / "spec.json"),
+                           "--out", str(tmp_path / "m.bin"))
+        assert code == 0, err
+        code, _, err = run(capsys, verb, "--model", str(tmp_path / "m.bin"), "--data", str(tmp_path / "data.tbl"),
+                           out_flag, str(tmp_path / "p.csv"))
+        assert code == 0, err
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        assert lines[0] == "features,prediction,trueLabel" and len(lines) == 301
+        assert lines[1].startswith('"[') and lines[1].count(",") == 3
 
     def test_header_prints_metadata(self, workdir, capsys):
         train_gbt(workdir, capsys)

@@ -254,6 +254,11 @@ class TestCorruption:
     def set_model(field, value):
         return lambda payload: payload["classifier"]["model"].update({field: value})
 
+    @staticmethod
+    def on_stage(kind, mutate):
+        """Apply `mutate` to the first fitted stage of type `kind`."""
+        return lambda payload: mutate(next(t for t in payload["transformers"] if t["type"] == kind))
+
     @pytest.mark.parametrize(
         "family, mutate",
         [
@@ -276,12 +281,21 @@ class TestCorruption:
                 "lr",
                 lambda payload: payload["transformers"].insert(0, {"type": "impute_mean_model", "means": [["x", None]]}),
             ),
+            ("lr", on_stage("minmax_model", lambda s: s["mins"].__setitem__(0, "a"))),
+            ("lr", on_stage("minmax_model", lambda s: s.update(lo="x"))),
+            ("lr", on_stage("vector_index_model", lambda s: s["category_maps"].update({"99": [[0.0, 0]]}))),
+            ("lr", on_stage("minmax_model", lambda s: s["maxs"].pop())),
+            ("lr", on_stage("vector_index_model", lambda s: s.update(size="x"))),
+            ("lr", on_stage("vector_index_model", lambda s: s["category_maps"]["0"][0].__setitem__(1, "0"))),
+            ("lr", on_stage("string_index_model", lambda s: s.update(handle_invalid="bogus"))),
         ],
         ids=[
             "dt-threshold-text", "dt-no-features", "rf-features-bool", "rf-threshold-inf",
             "gbt-learning-rate-text", "gbt-base-score-null", "lr-intercept-nan", "lr-threshold-bool",
             "lr-no-weights", "svm-weight-text", "fm-w0-list", "fm-V-short", "fm-V-ragged",
             "index-text", "index-float", "impute-mean-null",
+            "minmax-min-text", "minmax-lo-text", "vector-index-dimension-past-size", "minmax-maxs-short",
+            "vector-index-size-text", "vector-index-code-text", "index-policy-unknown",
         ],
     )
     def test_crafted_model_field_rejected(self, pipeline_files, tmp_path, capsys, family, mutate):

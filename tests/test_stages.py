@@ -542,6 +542,10 @@ class TestPipeline:
             {"type": "assemble", "inputs": "ab", "output": "features"},
             {"type": "vector_index", "input": "v", "output": "w", "max_categories": "20"},
             {"type": "vector_index", "input": "v", "output": "w", "max_categories": True},
+            {"type": "minmax", "input": "v", "output": "w", "lo": "x"},
+            {"type": "vector_index", "input": "v", "output": "w", "max_categorie": 5},
+            {"type": "string_index", "output": "w"},
+            {"type": "string_index_model", "input": "s", "output": "w", "mapping": [["a", 0]]},
         ],
     )
     def test_stage_field_of_the_wrong_type_rejected(self, stage):
@@ -593,6 +597,8 @@ class TestPipeline:
         # imputed copay mean is (10+30+20)/3 = 20 -> scaled to 0.5 on [10, 30]
         assert features[1, 1] == 0.5
         assert fitted.feature_names == ("plan", "copay")
+        assert PipelineSpec.from_json(spec.to_json()) == spec
+        assert FittedPipeline.from_dict(fitted.to_dict()) == fitted
 
     def test_default_spec_excludes_label_and_given_columns(self):
         t = table_of(

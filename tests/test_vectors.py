@@ -35,7 +35,7 @@ def test_nan_rejected():
 def test_display_formats(tmp_path):
     out = vector_table([[1.0, 0.5], [-0.0, 1e-300]], "features")
     out = out.with_column(ColumnSpec("prediction", "numeric"), [1.0, 0.0])
-    _write_predictions(out, tmp_path / "p.csv")
+    _write_predictions(out, tmp_path / "p.csv", "features")
     assert (tmp_path / "p.csv").read_text().splitlines() == [
         "features,prediction,trueLabel",
         '"[1.0,0.5]",1.0,',
@@ -79,7 +79,7 @@ def predictions_table(features, preds, labels=None):
 )
 def test_predictions_match_per_row_writer(tmp_path, features, preds, labels):
     out = predictions_table(features, preds, labels)
-    _write_predictions(out, tmp_path / "bulk.csv")
+    _write_predictions(out, tmp_path / "bulk.csv", "features")
     per_row_predictions(out, tmp_path / "rows.csv")
     assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
@@ -98,7 +98,7 @@ def test_predictions_match_per_row_writer_on_repeats(tmp_path_factory, rows, wit
     path = tmp_path_factory.mktemp("preds")
     preds = [float(i % 2) for i in range(len(rows))]
     out = predictions_table(rows, preds, preds[::-1] if with_labels else None)
-    _write_predictions(out, path / "bulk.csv")
+    _write_predictions(out, path / "bulk.csv", "features")
     per_row_predictions(out, path / "rows.csv")
     assert (path / "bulk.csv").read_bytes() == (path / "rows.csv").read_bytes()
 
