@@ -11,6 +11,7 @@ runs one, so a function put in place of a `cmd_*` attribute of this module
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -181,7 +182,7 @@ def cmd_train(args) -> int:
         source_fingerprint=source_fp,
     )
     print(f"fit_minutes: {cv.fit_minutes}")
-    print(f"best_params: {json.dumps(models.params_to_dict(cv.best_params), sort_keys=True)}")
+    print(f"best_params: {json.dumps(dataclasses.asdict(cv.best_params), sort_keys=True)}")
     print(f"best_{config.metric}: {cv.best_mean_metric}")
     print(f"wrote {args.out}")
     return 0

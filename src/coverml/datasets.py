@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Mapping
+from typing import Annotated, Iterable, Mapping
 
 import numpy as np
 
@@ -106,31 +106,19 @@ class SynthSpec:
     text coverage column to derive the label from.
     """
 
-    row_count: int
-    positive_rate: float = 0.81
+    row_count: Annotated[int, "[1, inf)"]
+    positive_rate: Annotated[float, "(0, 1)"] = 0.81
     seed: int = 1
-    exclusion_categories: int = 10
-    weak_cardinalities: Mapping[str, int] = field(
+    #: At least 4: the anchor, the two rare pockets and one more.
+    exclusion_categories: Annotated[int, "[4, inf)"] = 10
+    weak_cardinalities: Mapping[str, Annotated[int, "[1, inf)"]] = field(
         default_factory=lambda: dict(DEFAULT_WEAK_CARDINALITIES)
     )
-    signal_strength: float = 1.0
-    weak_signal: float = 0.06
+    signal_strength: Annotated[float, "[0, 1]"] = 1.0
+    weak_signal: Annotated[float, "[0, 1)"] = 0.06
 
     def __post_init__(self):
         check_types(self, ValueError, "synth spec")
-        if self.row_count < 1:
-            raise ValueError("row_count must be positive")
-        if not 0.0 < self.positive_rate < 1.0:
-            raise ValueError("positive_rate must lie strictly inside (0, 1)")
-        if self.exclusion_categories < 4:
-            raise ValueError("need at least 4 high-signal categories")
-        for name, card in self.weak_cardinalities.items():
-            if card < 1:
-                raise ValueError(f"cardinality of {name!r} must be >= 1")
-        if not 0.0 <= self.signal_strength <= 1.0:
-            raise ValueError("signal_strength must lie in [0, 1]")
-        if not 0.0 <= self.weak_signal < 1.0:
-            raise ValueError("weak_signal must lie in [0, 1)")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

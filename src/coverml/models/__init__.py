@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
-from ..fields import read_fields
+from ..fields import field_checkers, read_fields
 from .base import ModelError, TrainedClassifier
 from .ensemble import (
     GbtModel,
@@ -38,6 +37,10 @@ _FAMILIES: dict[str, tuple[type, type, Callable]] = {
     "gbt": (GbtParams, GbtModel, train_gbt),
     "svm": (LinearSvmParams, LinearSvmModel, train_linear_svm),
 }
+# The field checkers are built at import (see `fields.field_checkers`).
+for _params, _model, _ in _FAMILIES.values():
+    field_checkers(_params)
+    field_checkers(_model)
 
 
 def check_family(family: str) -> str:
@@ -58,29 +61,9 @@ def default_params(family: str):
     return params_type(family)()
 
 
-def params_to_dict(params) -> dict:
-    return dataclasses.asdict(params)
-
-
-#: The Python type each annotated params field accepts. A bool is an int to
-#: Python but is accepted only by a bool field.
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
-
-
-def check_param_types(cls: type, values: dict) -> None:
-    """Reject a value whose type does not match the params field it sets."""
-    declared = {f.name: f.type for f in dataclasses.fields(cls)}
-    for name, value in values.items():
-        kind = declared[name]
-        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _FIELD_TYPES[kind]):
-            raise ModelError(f"{cls.__name__} field {name!r} takes {kind}, got {value!r}")
-
-
 def params_from_dict(family: str, d: dict):
     cls = params_type(family)
-    kwargs = read_fields(cls, d, f"{family} parameter", ModelError)
-    check_param_types(cls, kwargs)
-    return cls(**kwargs)
+    return cls(**read_fields(cls, d, f"{family} parameter", ModelError))
 
 
 def train(family: str, X, y, params=None) -> TrainedClassifier:
@@ -114,12 +97,10 @@ __all__ = [
     "RandomForestParams",
     "TrainedClassifier",
     "check_family",
-    "check_param_types",
     "classifier_from_dict",
     "default_params",
     "feature_importances",
     "params_from_dict",
-    "params_to_dict",
     "params_type",
     "train",
     "train_decision_tree",

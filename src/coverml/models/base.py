@@ -1,14 +1,32 @@
-"""Shared prediction contract for the six classifier families."""
+"""Shared prediction contract for the six classifier families, and the
+field declarations their parameters and model files share."""
 
 from __future__ import annotations
 
-import math
+import dataclasses
+from typing import Annotated
 
 import numpy as np
+
+from ..fields import check_types, read_fields
+
+#: A class-1 probability cut, the `threshold` of every family that has one.
+Probability = Annotated[float, "(0, 1)"]
+#: A count of at least one: iterations, trees, features, rows of a node.
+Count = Annotated[int, "[1, inf)"]
 
 
 class ModelError(ValueError):
     """Bad training data or a prediction-contract violation."""
+
+
+class Params:
+    """A family's hyperparameters, a frozen dataclass: each field's
+    annotation declares its type and bounds, and construction checks them,
+    so a grid cell or a params document is checked where it is built."""
+
+    def __post_init__(self):
+        check_types(self, ModelError, type(self).__name__)
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -27,49 +45,13 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def finite_number(x, what: str) -> float:
-    """x if it is a finite real number, not a bool; ValueError naming
-    `what` otherwise. For the fields of a model read from a file."""
-    if type(x) not in (int, float) or not math.isfinite(x):
-        raise ValueError(f"{what} must be a finite number, got {x!r}")
-    return x
-
-
-def positive_int(x, what: str) -> int:
-    """x if it is a positive int, not a bool; ValueError naming `what`
-    otherwise."""
-    if type(x) is not int or x < 1:
-        raise ValueError(f"{what} must be a positive integer, got {x!r}")
-    return x
-
-
-def finite_array(x, what: str, shape: tuple[int | None, ...]) -> np.ndarray:
-    """x, nested lists of finite real numbers (no bool), as a float64 array
-    of `shape`, where None stands for any positive length; ValueError naming
-    `what` otherwise."""
-    error = ValueError(f"{what} must be nested lists of finite numbers of shape {shape}")
-    leaves = [x]
-    for _ in shape:
-        if not all(isinstance(row, list) for row in leaves):
-            raise error
-        leaves = [v for row in leaves for v in row]
-    if any(type(v) not in (int, float) for v in leaves):
-        raise error
-    try:
-        array = np.array(x, dtype=np.float64)
-    except ValueError:
-        raise error from None
-    if (
-        array.ndim != len(shape)
-        or any(want not in (None, got) or got == 0 for want, got in zip(shape, array.shape))
-        or not np.isfinite(array).all()
-    ):
-        raise error
-    return array
-
-
 class TrainedClassifier:
-    """Immutable fitted model; prediction is a pure function of (model, row)."""
+    """Immutable fitted model; prediction is a pure function of (model, row).
+
+    Each family is a frozen dataclass whose fields, in declaration order, are
+    the keys of its model file. A model that `train` or `truncate` builds is
+    not checked; one read from a file is (`from_dict`).
+    """
 
     family: str = "?"
     n_features: int
@@ -120,5 +102,31 @@ class TrainedClassifier:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """Each field under its name: an array as nested lists, a tree as
+        its nested nodes (`Tree.to_dict`), a tuple as a list."""
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, d) -> "TrainedClassifier":
+        """The model `to_dict` wrote. Raises ModelError on an unknown or a
+        missing key and on a field of the wrong type or out of its bound,
+        and `_check` reads the trees and checks what holds across fields."""
+        what = f"{cls.family} model"
+        model = cls(**read_fields(cls, d, what, ModelError))
+        check_types(model, ModelError, what)
+        model._check()
+        return model
+
+    def _check(self) -> None:
+        """Read the fields that need others (trees need `n_features`) and
+        check the conditions across fields; ModelError if one fails."""
+
+
+def _plain(value):
+    """A field's value as JSON holds it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
 

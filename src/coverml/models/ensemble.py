@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
 from ..rng import derived_rng
-from .base import ModelError, TrainedClassifier, check_training_data, finite_number, positive_int
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data
 from .linear import sigmoid
-from .tree import Tree, check_max_depth, grow_trees, normalized_importance, presort
+from .tree import Depth, Tree, grow_trees, normalized_importance, presort
 
 #: Sample cells (rows × features) of the trees a forest grows in lockstep:
 #: trees of n rows and d features grow max(1, LOCKSTEP_CELLS // (n * d)) at
@@ -20,23 +21,14 @@ LOCKSTEP_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
-class RandomForestParams:
-    num_trees: int = 100
-    max_depth: int = 5
-    min_instances_per_node: int = 1
-    feature_subset_rule: str = "sqrt"
+class RandomForestParams(Params):
+    num_trees: Count = 100
+    max_depth: Depth = 5
+    min_instances_per_node: Count = 1
+    feature_subset_rule: Literal["sqrt", "all"] = "sqrt"
     bootstrap: bool = True
     seed: int = 1
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.num_trees < 1:
-            raise ValueError("num_trees must be >= 1")
-        check_max_depth(self.max_depth)
-        if self.feature_subset_rule not in ("sqrt", "all"):
-            raise ValueError("feature_subset_rule must be 'sqrt' or 'all'")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+    threshold: Probability = 0.5
 
 
 def mean_importance(trees: list[Tree], n_features: int) -> np.ndarray:
@@ -47,16 +39,23 @@ def mean_importance(trees: list[Tree], n_features: int) -> np.ndarray:
     return normalized_importance(acc)
 
 
+def _read_trees(model, task: str) -> None:
+    """Read the trees of a forest or boosted model from their nested nodes
+    (`Tree.from_dict`); ModelError if there are none."""
+    if not model.trees:
+        raise ModelError(f"{model.family} model holds no trees")
+    object.__setattr__(model, "trees", tuple(Tree.from_dict(t, task, model.n_features) for t in model.trees))
+
+
+@dataclass(frozen=True, eq=False)
 class RandomForestModel(TrainedClassifier):
     """Averages per-tree class-1 probabilities; rawScore is that mean."""
 
     family = "rf"
     nested_axis = "num_trees"
-
-    def __init__(self, trees: list[Tree], n_features: int, threshold: float):
-        self.trees = list(trees)
-        self.n_features = n_features
-        self.threshold = threshold
+    trees: tuple[Tree, ...]
+    n_features: Count
+    threshold: Probability
 
     def raw_scores(self, X):
         columns = self._check_matrix(X).T.copy()
@@ -76,18 +75,8 @@ class RandomForestModel(TrainedClassifier):
     def feature_importances(self) -> np.ndarray:
         return mean_importance(self.trees, self.n_features)
 
-    def to_dict(self) -> dict:
-        return {
-            "trees": [t.to_dict() for t in self.trees],
-            "n_features": self.n_features,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForestModel":
-        n_features = positive_int(d["n_features"], "n_features")
-        trees = [Tree.from_dict(t, "gini", n_features) for t in d["trees"]]
-        return cls(trees, n_features, finite_number(d["threshold"], "threshold"))
+    def _check(self) -> None:
+        _read_trees(self, "gini")
 
 
 def train_random_forest(X, y, params: RandomForestParams = RandomForestParams()) -> RandomForestModel:
@@ -121,49 +110,33 @@ def train_random_forest(X, y, params: RandomForestParams = RandomForestParams())
             n_subset_features=subset,
             rngs=rngs,
         )[0]
-    return RandomForestModel(trees, d, params.threshold)
+    return RandomForestModel(tuple(trees), d, params.threshold)
 
 
 @dataclass(frozen=True)
-class GbtParams:
-    num_iterations: int = 20
-    learning_rate: float = 0.1
-    max_depth: int = 5
-    min_instances_per_node: int = 1
+class GbtParams(Params):
+    num_iterations: Count = 20
+    learning_rate: Annotated[float, "[0, inf)"] = 0.1
+    max_depth: Depth = 5
+    min_instances_per_node: Count = 1
     seed: int = 1
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.num_iterations < 1:
-            raise ValueError("num_iterations must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        check_max_depth(self.max_depth)
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+    threshold: Probability = 0.5
 
 
+@dataclass(frozen=True, eq=False)
 class GbtModel(TrainedClassifier):
-    """Additive score F = F0 + lr * sum(tree outputs); probability sigmoid(2F)."""
+    """Additive score F = F0 + lr * sum(tree outputs); probability sigmoid(2F).
+    `train_losses` holds the training loss before the first stage and after
+    each."""
 
     family = "gbt"
     nested_axis = "num_iterations"
-
-    def __init__(
-        self,
-        base_score: float,
-        learning_rate: float,
-        trees: list[Tree],
-        n_features: int,
-        threshold: float,
-        train_losses: tuple[float, ...] = (),
-    ):
-        self.base_score = float(base_score)
-        self.learning_rate = float(learning_rate)
-        self.trees = list(trees)
-        self.n_features = n_features
-        self.threshold = threshold
-        self.train_losses = tuple(train_losses)
+    base_score: float
+    learning_rate: Annotated[float, "[0, inf)"]
+    trees: tuple[Tree, ...]
+    n_features: Count
+    threshold: Probability
+    train_losses: tuple[float, ...]
 
     def raw_scores(self, X):
         columns = self._check_matrix(X).T.copy()
@@ -191,27 +164,10 @@ class GbtModel(TrainedClassifier):
     def feature_importances(self) -> np.ndarray:
         return mean_importance(self.trees, self.n_features)
 
-    def to_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "learning_rate": self.learning_rate,
-            "trees": [t.to_dict() for t in self.trees],
-            "n_features": self.n_features,
-            "threshold": self.threshold,
-            "train_losses": list(self.train_losses),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GbtModel":
-        n_features = positive_int(d["n_features"], "n_features")
-        return cls(
-            finite_number(d["base_score"], "base_score"),
-            finite_number(d["learning_rate"], "learning_rate"),
-            [Tree.from_dict(t, "sse", n_features) for t in d["trees"]],
-            n_features,
-            finite_number(d["threshold"], "threshold"),
-            tuple(d.get("train_losses", ())),
-        )
+    def _check(self) -> None:
+        _read_trees(self, "sse")
+        if len(self.train_losses) != len(self.trees) + 1:
+            raise ModelError(f"gbt model has {len(self.trees)} trees but {len(self.train_losses)} train_losses")
 
 
 def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
@@ -249,4 +205,4 @@ def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
         # The leaf values of the training rows: what tree.apply(X.T) gives.
         F += params.learning_rate * fitted
         losses.append(float(np.mean(np.logaddexp(0.0, -2.0 * ys * F))))
-    return GbtModel(f0, params.learning_rate, trees, X.shape[1], params.threshold, tuple(losses))
+    return GbtModel(f0, float(params.learning_rate), tuple(trees), X.shape[1], params.threshold, tuple(losses))

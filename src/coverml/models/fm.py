@@ -8,11 +8,13 @@ naive O(k * d^2) pairwise sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from ..fields import Matrix, Vector
 from ..rng import derived_rng
-from .base import TrainedClassifier, check_training_data, finite_array, finite_number
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data
 from .linear import sigmoid
 
 
@@ -38,39 +40,27 @@ def fm_loss_and_grad(X, ys, w0, w, V):
 
 
 @dataclass(frozen=True)
-class FMParams:
-    factor_dim: int = 8
-    init_std: float = 0.01
-    step_size: float = 0.1
-    max_iter: int = 20
-    batch_size: int = 32
+class FMParams(Params):
+    factor_dim: Count = 8
+    init_std: Annotated[float, "[0, inf)"] = 0.01
+    step_size: Annotated[float, "(0, inf)"] = 0.1
+    max_iter: Count = 20
+    batch_size: Count = 32
     seed: int = 1
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        if self.factor_dim < 1:
-            raise ValueError("factor_dim must be >= 1")
-        if self.init_std < 0:
-            raise ValueError("init_std must be >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+    threshold: Probability = 0.5
 
 
+@dataclass(frozen=True, eq=False)
 class FMModel(TrainedClassifier):
     family = "fm"
+    w0: float
+    w: Vector
+    V: Matrix
+    threshold: Probability
 
-    def __init__(self, w0: float, w: np.ndarray, V: np.ndarray, threshold: float):
-        self.w0 = float(w0)
-        self.w = np.asarray(w, dtype=np.float64)
-        self.V = np.asarray(V, dtype=np.float64)
-        self.threshold = threshold
-        self.n_features = self.w.shape[0]
+    @property
+    def n_features(self) -> int:
+        return self.w.shape[0]
 
     def raw_scores(self, X):
         return fm_raw_scores(self._check_matrix(X), self.w0, self.w, self.V)
@@ -78,19 +68,9 @@ class FMModel(TrainedClassifier):
     def _probabilities_of(self, raw):
         return sigmoid(raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "w0": self.w0,
-            "w": self.w.tolist(),
-            "V": self.V.tolist(),
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FMModel":
-        w = finite_array(d["w"], "w", (None,))
-        V = finite_array(d["V"], "V", (w.size, None))
-        return cls(finite_number(d["w0"], "w0"), w, V, finite_number(d["threshold"], "threshold"))
+    def _check(self) -> None:
+        if self.V.shape[0] != self.w.size:
+            raise ModelError(f"fm model V has {self.V.shape[0]} rows, w has {self.w.size} entries")
 
 
 def train_fm(X, y, params: FMParams = FMParams()) -> FMModel:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .base import TrainedClassifier, check_training_data, finite_array, finite_number
+from ..fields import Vector
+from .base import Count, Params, Probability, TrainedClassifier, check_training_data
 
 #: Step size for SVM subgradient descent when reg_param is zero (the 1/(reg*t)
 #: schedule is undefined there).
@@ -65,54 +67,31 @@ def _destandardize(w: np.ndarray, b: float, mu: np.ndarray, sd: np.ndarray) -> t
 
 
 @dataclass(frozen=True)
-class LogisticParams:
-    max_iter: int = 10
-    reg_param: float = 0.1
-    threshold: float = 0.5
-    tol: float = 1e-6
+class LogisticParams(Params):
+    max_iter: Count = 10
+    reg_param: Annotated[float, "[0, inf)"] = 0.1
+    threshold: Probability = 0.5
+    tol: Annotated[float, "(0, inf)"] = 1e-6
     fit_intercept: bool = True
     standardization: bool = True
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.reg_param < 0:
-            raise ValueError("reg_param must be >= 0")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie strictly inside (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
-
+@dataclass(frozen=True, eq=False)
 class LogisticModel(TrainedClassifier):
     family = "lr"
+    weights: Vector
+    intercept: float
+    threshold: Probability
 
-    def __init__(self, weights: np.ndarray, intercept: float, threshold: float):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.intercept = float(intercept)
-        self.threshold = threshold
-        self.n_features = self.weights.shape[0]
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[0]
 
     def raw_scores(self, X):
         return self._check_matrix(X) @ self.weights + self.intercept
 
     def _probabilities_of(self, raw):
         return sigmoid(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(
-            finite_array(d["weights"], "weights", (None,)),
-            finite_number(d["intercept"], "intercept"),
-            finite_number(d["threshold"], "threshold"),
-        )
 
 
 def _descend(value_grad, w, b, max_iter, tol, fit_intercept):
@@ -155,42 +134,29 @@ def train_logistic(X, y, params: LogisticParams = LogisticParams()) -> LogisticM
 
 
 @dataclass(frozen=True)
-class LinearSvmParams:
-    reg_param: float = 0.1
-    max_iter: int = 100
-    tol: float = 1e-6
+class LinearSvmParams(Params):
+    reg_param: Annotated[float, "[0, inf)"] = 0.1
+    max_iter: Count = 100
+    tol: Annotated[float, "(0, inf)"] = 1e-6
     fit_intercept: bool = True
     standardization: bool = True
 
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.reg_param < 0:
-            raise ValueError("reg_param must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
-
+@dataclass(frozen=True, eq=False)
 class LinearSvmModel(TrainedClassifier):
     """Margin classifier: rawScore is the margin, no probability output."""
 
     family = "svm"
+    threshold = None
+    weights: Vector
+    intercept: float
 
-    def __init__(self, weights: np.ndarray, intercept: float):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.intercept = float(intercept)
-        self.threshold = None
-        self.n_features = self.weights.shape[0]
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[0]
 
     def raw_scores(self, X):
         return self._check_matrix(X) @ self.weights + self.intercept
-
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "intercept": self.intercept}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearSvmModel":
-        return cls(finite_array(d["weights"], "weights", (None,)), finite_number(d["intercept"], "intercept"))
 
 
 def train_linear_svm(X, y, params: LinearSvmParams = LinearSvmParams()) -> LinearSvmModel:

@@ -20,18 +20,16 @@ them as a `Tree` of node arrays, the form every later step reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .. import kernels
-from .base import TrainedClassifier, check_training_data, finite_number, positive_int
+from .base import Count, Params, Probability, TrainedClassifier, check_training_data
 
 MAX_DEPTH = 30
-
-
-def check_max_depth(max_depth: int) -> None:
-    if not 1 <= max_depth <= MAX_DEPTH:
-        raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH}], got {max_depth}")
+#: The `max_depth` of the tree families.
+Depth = Annotated[int, f"[1, {MAX_DEPTH}]"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,30 +476,22 @@ def normalized_importance(imp: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DecisionTreeParams:
-    max_depth: int = 5
-    min_instances_per_node: int = 1
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        check_max_depth(self.max_depth)
-        if self.min_instances_per_node < 1:
-            raise ValueError("min_instances_per_node must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie strictly inside (0, 1)")
+class DecisionTreeParams(Params):
+    max_depth: Depth = 5
+    min_instances_per_node: Count = 1
+    threshold: Probability = 0.5
 
 
+@dataclass(frozen=True, eq=False)
 class DecisionTreeModel(TrainedClassifier):
     family = "dt"
     nested_axis = "max_depth"
-
-    def __init__(self, tree: Tree, n_features: int, threshold: float):
-        self.tree = tree
-        self.n_features = n_features
-        self.threshold = threshold
+    root: Tree
+    n_features: Count
+    threshold: Probability
 
     def raw_scores(self, X):
-        return self.tree.apply(self._check_matrix(X).T.copy())
+        return self.root.apply(self._check_matrix(X).T.copy())
 
     def _probabilities_of(self, raw):
         return raw
@@ -509,23 +499,13 @@ class DecisionTreeModel(TrainedClassifier):
     def truncate(self, k: int) -> "DecisionTreeModel":
         """The tree cut at depth k. Growth above depth k does not read
         max_depth, so this is the tree a fit with max_depth=k grows."""
-        return DecisionTreeModel(self.tree.cut(k), self.n_features, self.threshold)
+        return DecisionTreeModel(self.root.cut(k), self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:
-        return normalized_importance(self.tree.importance(self.n_features))
+        return normalized_importance(self.root.importance(self.n_features))
 
-    def to_dict(self) -> dict:
-        return {
-            "root": self.tree.to_dict(),
-            "n_features": self.n_features,
-            "threshold": self.threshold,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTreeModel":
-        n_features = positive_int(d["n_features"], "n_features")
-        threshold = finite_number(d["threshold"], "threshold")
-        return cls(Tree.from_dict(d["root"], "gini", n_features), n_features, threshold)
+    def _check(self) -> None:
+        object.__setattr__(self, "root", Tree.from_dict(self.root, "gini", self.n_features))
 
 
 def train_decision_tree(X, y, params: DecisionTreeParams = DecisionTreeParams()) -> DecisionTreeModel:

@@ -26,6 +26,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -57,7 +58,8 @@ def build_param_grid(base, axes: dict[str, list]) -> list:
 
     Axes expand in declaration order with values in listed order, so the
     grid order is deterministic; empty axes give [base]. Axes arrive from
-    grid files, so their shape and value types are checked here.
+    grid files, so their shape is checked here; each cell's constructor
+    checks its values and names the field of a bad one.
     """
     if not isinstance(axes, dict):
         raise SelectionError(f"grid axes must be an object of field -> list of values, got {axes!r}")
@@ -70,15 +72,7 @@ def build_param_grid(base, axes: dict[str, list]) -> list:
     for name, values in axes.items():
         if not isinstance(values, (list, tuple)):
             raise SelectionError(f"grid axis {name!r} takes a list of values, got {values!r}")
-        for value in values:
-            models.check_param_types(type(base), {name: value})
-    if not axes:
-        return [base]
-    names = list(axes)
-    cells = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        cells.append(dataclasses.replace(base, **dict(zip(names, combo))))
-    return cells
+    return [dataclasses.replace(base, **dict(zip(axes, combo))) for combo in itertools.product(*axes.values())]
 
 
 def default_grid(family: str) -> list:
@@ -88,21 +82,15 @@ def default_grid(family: str) -> list:
 
 @dataclass(frozen=True)
 class CVConfig:
-    folds: int = 3
-    metric: str = "auc_roc"
+    folds: Annotated[int, "[2, inf)"] = 3
+    metric: Literal[EVALUATOR_METRICS] = "auc_roc"
     seed: int = 1
     #: Kept for existing configs and validated (>= 1); folds run one after
     #: another, so it changes neither speed nor results.
-    parallelism: int = 1
+    parallelism: Annotated[int, "[1, inf)"] = 1
 
     def __post_init__(self):
         check_types(self, SelectionError, "CV config")
-        if self.folds < 2:
-            raise SelectionError("folds must be >= 2")
-        if self.metric not in EVALUATOR_METRICS:
-            raise SelectionError(f"metric must be one of {EVALUATOR_METRICS}")
-        if self.parallelism < 1:
-            raise SelectionError("parallelism must be >= 1")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2)

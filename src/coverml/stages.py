@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from typing import ClassVar, Literal, Sequence
+from typing import Annotated, ClassVar, Literal, Sequence
 
 import numpy as np
 
@@ -232,13 +232,8 @@ class VectorIndexer(_Stage):
     TYPE = "vector_index"
     input_col: str
     output_col: str
-    max_categories: int = 20
+    max_categories: Annotated[int, "[1, inf)"] = 20
     handle_invalid: Policy = "skip"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.max_categories < 1:
-            raise PipelineError("max_categories must be >= 1")
 
     def fit(self, table: DataTable) -> "VectorIndexModel":
         matrix = table.feature_matrix(self.input_col)
@@ -259,7 +254,7 @@ class VectorIndexModel(_Stage):
     TYPE = "vector_index_model"
     input_col: str
     output_col: str
-    size: int
+    size: Annotated[int, "[0, inf)"]
     category_maps: Mapping[int, Mapping[float, int]]
     handle_invalid: Policy = "skip"
 
@@ -268,7 +263,7 @@ class VectorIndexModel(_Stage):
             maps = {int(d) if isinstance(d, str) and d.isdecimal() else d: m for d, m in self.category_maps.items()}
             object.__setattr__(self, "category_maps", maps)
         super().__post_init__()
-        if self.size < 0 or any(not 0 <= dim < self.size for dim in self.category_maps):
+        if any(not 0 <= dim < self.size for dim in self.category_maps):
             raise PipelineError(f"vector index dimensions must lie in [0, {self.size}), got {list(self.category_maps)}")
         if any(sorted(m.values()) != list(range(len(m))) for m in self.category_maps.values()):
             raise PipelineError("a vector index category map must give its k values the codes 0..k-1")

@@ -589,9 +589,18 @@ class TestBenchmark:
             rows.append(row)
         assert rows[0] == rows[1]
 
-    @pytest.mark.parametrize("doc", [[1], {"lr": [0.1]}, {"lr": {"axes": {"reg_param": 0.1}}}])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1],
+            {"lr": [0.1]},
+            {"lr": {"axes": {"reg_param": 0.1}}},
+            pytest.param('{"lr": {"axes": {"reg_param": [NaN]}}}', id="axis-nan"),
+            pytest.param('{"lr": {"base": {"reg_param": 1e400}, "axes": {}}}', id="base-1e400"),
+        ],
+    )
     def test_malformed_grids_is_an_error_line(self, workdir, capsys, doc):
-        (workdir / "grids.json").write_text(json.dumps(doc))
+        (workdir / "grids.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code, _, err = run(capsys, "benchmark", "--data", str(workdir / "data.tbl"), "--models", "lr",
                            "--grids", str(workdir / "grids.json"), "--out-json", str(workdir / "bench.json"))
         assert code == 1
@@ -729,16 +738,29 @@ class TestCvConfigAndExclude:
             ("rf", {"axes": {"num_trees": [2.5]}}),
             ("dt", {"base": {"max_depth": None}, "axes": {}}),
             ("dt", {"base": [3], "axes": {}}),
+            # Non-finite numbers, written as Python's json writes them, or as
+            # a literal too large for a float: through an axis and a base.
+            pytest.param("lr", '{"axes": {"reg_param": [NaN]}}', id="lr-axis-nan"),
+            pytest.param("svm", '{"axes": {"reg_param": [0.1, Infinity]}}', id="svm-axis-infinity"),
+            pytest.param("fm", '{"axes": {"step_size": [1e400]}}', id="fm-axis-1e400"),
+            pytest.param("gbt", '{"axes": {"learning_rate": [-Infinity]}}', id="gbt-axis-minus-infinity"),
+            pytest.param("lr", '{"base": {"reg_param": 1e400}, "axes": {}}', id="lr-base-1e400"),
+            pytest.param("fm", '{"base": {"step_size": NaN}, "axes": {}}', id="fm-base-nan"),
+            pytest.param("gbt", '{"base": {"learning_rate": Infinity}, "axes": {}}', id="gbt-base-infinity"),
         ],
     )
     def test_malformed_grid_is_an_error_line(self, workdir, capsys, family, doc):
         grid = workdir / "bad_grid.json"
-        grid.write_text(json.dumps(doc))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        grid.write_text(text)
         code, _, err = run(capsys, "train", "--data", str(workdir / "data.tbl"), "--model", family,
                            "--grid", str(grid), "--out", str(workdir / "bad.bin"))
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not (workdir / "bad.bin").exists()
+        for name in ("reg_param", "step_size", "learning_rate"):
+            if name in text:
+                assert err.count("\n") == 1 and repr(name) in err
 
     def test_exclude_keeps_custom_label_source_out_of_features(self, workdir, capsys):
         from coverml.persist import load_model
@@ -822,17 +844,25 @@ class TestTreeModelBytes:
     to presorted columns and one kernel call per node; any change to a split,
     threshold or decrease changes these. A loaded file saves back to the same
     bytes, and its importances keep the bits recorded when trees were still
-    recursive node objects (summed in pre-order, right child first)."""
+    recursive node objects (summed in pre-order, right child first). The lr,
+    svm and fm files were pinned before each family's model fields were
+    declared once, for reading and writing alike."""
 
     GRIDS = {
         "dt": {"max_depth": [10]},
         "rf": {"num_trees": [8], "max_depth": [8]},
         "gbt": {"num_iterations": [5]},
+        "lr": {"reg_param": [0.5]},
+        "svm": {"reg_param": [0.01]},
+        "fm": {"factor_dim": [4]},
     }
     DIGESTS = {
         "dt": "21bad03913bb180e4722a722854bc82aad9a099c9bebb627baa02fa451f95708",
         "rf": "c4876006b8649204b4805305a5376b6c196a8d8bc81d9cdabfc4497074074e48",
         "gbt": "82890323eed3029a9558a4073fd06e8125f6697daccb2142983f8722e6d09563",
+        "lr": "5efe84765e115f453dc8b8eaef7f5c611caae4ebf8dc871de66eecd458ca4a91",
+        "svm": "9c4c0250bca668791ef898582ed303fc0f41832c54b1bec7b29fd56d59e81920",
+        "fm": "fb80684f7d77d471b699453f7e1f3b3ae1e48336d6bc72dd279a16e7c5209d32",
     }
     IMPORTANCES = {
         "dt": "[0.4066581785739662, 0.10811837912846227, 0.16870409515476356, 0.04403074084487315, "
@@ -862,12 +892,12 @@ class TestTreeModelBytes:
                          "--grid", str(grid), "--seed", "1", "--out", str(out)]) == 0
         return out
 
-    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt", "lr", "svm", "fm"])
     def test_model_file_digest(self, data, family):
         out = self.model_file(data, family)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[family]
 
-    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt", "lr", "svm", "fm"])
     def test_load_and_save_again_is_identical(self, data, family):
         model, header = load_model(self.model_file(data, family))
         again = data / f"{family}-again.bin"

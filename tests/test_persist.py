@@ -288,6 +288,13 @@ class TestCorruption:
             ("lr", on_stage("vector_index_model", lambda s: s.update(size="x"))),
             ("lr", on_stage("vector_index_model", lambda s: s["category_maps"]["0"][0].__setitem__(1, "0"))),
             ("lr", on_stage("string_index_model", lambda s: s.update(handle_invalid="bogus"))),
+            ("lr", set_model("intercept", 10**400)),
+            ("rf", set_model("threshold", 2.0)),
+            ("rf", set_model("trees", [])),
+            ("gbt", set_model("train_losses", "abc")),
+            ("lr", set_model("bias", 0.0)),
+            ("gbt", lambda payload: payload["classifier"]["model"].pop("train_losses")),
+            ("gbt", lambda payload: payload["classifier"]["model"]["train_losses"].pop()),
         ],
         ids=[
             "dt-threshold-text", "dt-no-features", "rf-features-bool", "rf-threshold-inf",
@@ -296,6 +303,8 @@ class TestCorruption:
             "index-text", "index-float", "impute-mean-null",
             "minmax-min-text", "minmax-lo-text", "vector-index-dimension-past-size", "minmax-maxs-short",
             "vector-index-size-text", "vector-index-code-text", "index-policy-unknown",
+            "lr-intercept-huge", "rf-threshold-above-one", "rf-no-trees", "gbt-losses-text", "lr-unknown-key",
+            "gbt-no-losses", "gbt-losses-short",
         ],
     )
     def test_crafted_model_field_rejected(self, pipeline_files, tmp_path, capsys, family, mutate):
@@ -313,7 +322,7 @@ class TestCorruption:
             load_model(path)
         assert main(["evaluate", "--data", str(pipeline_files / "data.tbl"), "--model", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_unpersistable_object_rejected(self, tmp_path):
         with pytest.raises(ModelFileError):

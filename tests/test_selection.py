@@ -7,7 +7,7 @@ import pytest
 from coverml import models
 from coverml.datasets import derive_label, generate_xor
 from coverml.metrics import MetricError, pr_curve, roc_curve
-from coverml.models import GbtParams, LogisticParams, ModelError, RandomForestParams, default_params
+from coverml.models import FMParams, GbtParams, LogisticParams, ModelError, RandomForestParams, default_params
 from coverml.selection import (
     CVCell,
     CVConfig,
@@ -98,6 +98,12 @@ class TestParamGrid:
             (RandomForestParams(), {"bootstrap": [1]}),
             (LogisticParams(), {"reg_param": ["0.1"]}),
             (LogisticParams(), {"reg_param": [False]}),
+            (LogisticParams(), {"reg_param": [float("nan")]}),
+            (FMParams(), {"step_size": [float("inf")]}),
+            (GbtParams(), {"learning_rate": [1e400]}),
+            (LogisticParams(), {"reg_param": [10**400]}),
+            (GbtParams(), {"learning_rate": [-1e400]}),
+            (RandomForestParams(), {"min_instances_per_node": [0]}),
         ],
     )
     def test_mistyped_axis_values_rejected(self, base, axes):
