@@ -25,18 +25,24 @@ def fm_raw_scores(X: np.ndarray, w0: float, w: np.ndarray, V: np.ndarray) -> np.
     return linear + pair
 
 
+def _fm_grad(X, ys, w0, w, V):
+    """The gradient in (w0, w, V) of the loss of `fm_loss_and_grad`, after
+    the margins -ys * score that the loss is a function of."""
+    n = X.shape[0]
+    XX = X * X
+    XV = X @ V
+    scores = (X @ w + w0) + 0.5 * ((XV * XV).sum(axis=1) - (XX @ (V * V)).sum(axis=1))
+    neg_ys = -ys
+    neg_margins = neg_ys * scores
+    # d loss / d score
+    g = neg_ys * sigmoid(neg_margins) / n
+    return neg_margins, float(g.sum()), X.T @ g, X.T @ (g[:, None] * XV) - (XX.T @ g)[:, None] * V
+
+
 def fm_loss_and_grad(X, ys, w0, w, V):
     """Mean logistic loss over {-1,+1} labels and its gradient in (w0, w, V)."""
-    n = X.shape[0]
-    XV = X @ V
-    scores = (X @ w + w0) + 0.5 * ((XV * XV).sum(axis=1) - ((X * X) @ (V * V)).sum(axis=1))
-    loss = float(np.mean(np.logaddexp(0.0, -ys * scores)))
-    # d loss / d score
-    g = -ys * sigmoid(-ys * scores) / n
-    g_w0 = float(g.sum())
-    g_w = X.T @ g
-    g_V = X.T @ (g[:, None] * XV) - ((X * X).T @ g)[:, None] * V
-    return loss, g_w0, g_w, g_V
+    neg_margins, g_w0, g_w, g_V = _fm_grad(X, ys, w0, w, V)
+    return float(np.add.reduce(np.logaddexp(0.0, neg_margins))) / X.shape[0], g_w0, g_w, g_V
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,8 @@ class FMModel(TrainedClassifier):
 
 
 def train_fm(X, y, params: FMParams = FMParams()) -> FMModel:
-    """Seeded mini-batch gradient descent; epochs reshuffle from the seed.
+    """Seeded mini-batch gradient descent; epochs reshuffle from the seed. A
+    step computes only the gradient and updates the model in place.
 
     With init_std=0 the factor matrix starts at zero and stays there (its
     gradient vanishes), reducing the score path to plain logistic regression.
@@ -87,12 +94,15 @@ def train_fm(X, y, params: FMParams = FMParams()) -> FMModel:
     w = np.zeros(d)
     V = rng.normal(0.0, params.init_std, size=(d, params.factor_dim)) if params.init_std > 0 else np.zeros((d, params.factor_dim))
 
+    step = params.step_size
     for _ in range(params.max_iter):
         order = rng.permutation(n)
         for start in range(0, n, params.batch_size):
             batch = order[start : start + params.batch_size]
-            _, g_w0, g_w, g_V = fm_loss_and_grad(X[batch], ys[batch], w0, w, V)
-            w0 -= params.step_size * g_w0
-            w -= params.step_size * g_w
-            V -= params.step_size * g_V
+            _, g_w0, g_w, g_V = _fm_grad(X[batch], ys[batch], w0, w, V)
+            w0 -= step * g_w0
+            g_w *= step
+            w -= g_w
+            g_V *= step
+            V -= g_V
     return FMModel(w0, w, V, params.threshold)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -19,23 +20,49 @@ _MAX_BACKTRACKS = 60
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for each entry, computed from exp(-|z|) so that no
+    exponent overflows: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=d)
+    return np.where(z >= 0, d, e)
+
+
+def _logistic_loss(z, y, w, reg_param) -> float:
+    """The objective of `logistic_loss_and_grad` at scores z = X @ w + b."""
+    return float(np.add.reduce(np.logaddexp(0.0, z) - y * z)) / z.shape[0] + 0.5 * reg_param * float(w @ w)
+
+
+def _logistic_grad(X, z, y, w, reg_param, fit_intercept):
+    """The gradient in (w, b) of `logistic_loss_and_grad` at scores z = X @ w + b."""
+    n = X.shape[0]
+    resid = sigmoid(z) - y
+    gw = X.T @ resid / n + reg_param * w
+    gb = float(np.add.reduce(resid)) / n if fit_intercept else 0.0
+    return gw, gb
 
 
 def logistic_loss_and_grad(w, b, X, y, reg_param, fit_intercept):
     """Mean logistic loss + reg_param/2 * ||w||^2 (intercept unregularized)."""
-    n = X.shape[0]
     z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * reg_param * float(w @ w)
-    resid = sigmoid(z) - y
-    gw = X.T @ resid / n + reg_param * w
-    gb = float(np.mean(resid)) if fit_intercept else 0.0
-    return loss, gw, gb
+    return _logistic_loss(z, y, w, reg_param), *_logistic_grad(X, z, y, w, reg_param, fit_intercept)
+
+
+def _hinge_grad(w, b, X, ys, reg_param, fit_intercept, slack, gw) -> float:
+    """The subgradient in (w, b) of `hinge_loss_and_grad`: writes the slacks
+    1 - ys * (X @ w + b) into `slack` and the part in w into `gw`, both
+    float64 buffers, and returns the part in b."""
+    n = X.shape[0]
+    np.matmul(X, w, out=slack)
+    slack += b
+    slack *= ys
+    np.subtract(1.0, slack, out=slack)
+    coef = np.where(slack > 0.0, -ys, 0.0)
+    np.matmul(X.T, coef, out=gw)
+    gw /= n
+    gw += reg_param * w
+    return float(np.add.reduce(coef)) / n if fit_intercept else 0.0
 
 
 def hinge_loss_and_grad(w, b, X, ys, reg_param, fit_intercept):
@@ -44,13 +71,9 @@ def hinge_loss_and_grad(w, b, X, ys, reg_param, fit_intercept):
     At the hinge kink the zero subgradient branch is taken (strict margin
     violations only).
     """
-    n = X.shape[0]
-    margins = X @ w + b
-    viol = 1.0 - ys * margins > 0.0
-    loss = float(np.mean(np.maximum(0.0, 1.0 - ys * margins))) + 0.5 * reg_param * float(w @ w)
-    coef = np.where(viol, -ys, 0.0)
-    gw = X.T @ coef / n + reg_param * w
-    gb = float(np.mean(coef)) if fit_intercept else 0.0
+    slack, gw = np.empty(X.shape[0]), np.empty(X.shape[1])
+    gb = _hinge_grad(w, b, X, ys, reg_param, fit_intercept, slack, gw)
+    loss = float(np.add.reduce(np.maximum(0.0, slack))) / X.shape[0] + 0.5 * reg_param * float(w @ w)
     return loss, gw, gb
 
 
@@ -94,40 +117,38 @@ class LogisticModel(TrainedClassifier):
         return sigmoid(raw)
 
 
-def _descend(value_grad, w, b, max_iter, tol, fit_intercept):
-    """Full-batch gradient descent with Armijo backtracking; never increases
-    the objective."""
-    loss, gw, gb = value_grad(w, b)
-    for _ in range(max_iter):
-        gnorm_sq = float(gw @ gw) + gb * gb
-        if np.sqrt(gnorm_sq) < tol:
-            break
-        step = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            w_new = w - step * gw
-            b_new = b - step * gb if fit_intercept else b
-            loss_new, gw_new, gb_new = value_grad(w_new, b_new)
-            if np.isfinite(loss_new) and loss_new <= loss - _ARMIJO_C * step * gnorm_sq:
-                break
-            step *= 0.5
-        else:
-            break
-        w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
-    return w, b
-
-
 def train_logistic(X, y, params: LogisticParams = LogisticParams()) -> LogisticModel:
+    """Full-batch gradient descent with Armijo backtracking, which never
+    increases the objective. A backtracking step computes only the loss; the
+    gradient is computed once a step is taken."""
     X, y = check_training_data(X, y)
     yf = y.astype(np.float64)
     mu = sd = None
     if params.standardization:
         X, mu, sd = _standardize(X)
+    reg, fit_intercept = params.reg_param, params.fit_intercept
 
-    def value_grad(w, b):
-        return logistic_loss_and_grad(w, b, X, yf, params.reg_param, params.fit_intercept)
-
-    w = np.zeros(X.shape[1])
-    w, b = _descend(value_grad, w, 0.0, params.max_iter, params.tol, params.fit_intercept)
+    w, b = np.zeros(X.shape[1]), 0.0
+    z = X @ w + b
+    loss = _logistic_loss(z, yf, w, reg)
+    gw, gb = _logistic_grad(X, z, yf, w, reg, fit_intercept)
+    for _ in range(params.max_iter):
+        gnorm_sq = float(gw @ gw) + gb * gb
+        if math.sqrt(gnorm_sq) < params.tol:
+            break
+        step = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            w_new = w - step * gw
+            b_new = b - step * gb if fit_intercept else b
+            z = X @ w_new + b_new
+            loss_new = _logistic_loss(z, yf, w_new, reg)
+            if math.isfinite(loss_new) and loss_new <= loss - _ARMIJO_C * step * gnorm_sq:
+                break
+            step *= 0.5
+        else:
+            break
+        w, b, loss = w_new, b_new, loss_new
+        gw, gb = _logistic_grad(X, z, yf, w, reg, fit_intercept)
     if params.standardization:
         w, b = _destandardize(w, b, mu, sd)
     return LogisticModel(w, b, params.threshold)
@@ -161,21 +182,23 @@ class LinearSvmModel(TrainedClassifier):
 
 def train_linear_svm(X, y, params: LinearSvmParams = LinearSvmParams()) -> LinearSvmModel:
     """Subgradient descent on the hinge objective with step 1/(reg*t)
-    (fixed step when unregularized)."""
+    (fixed step when unregularized). A step computes only the subgradient,
+    into buffers made once, and updates w in place."""
     X, y = check_training_data(X, y)
     ys = 2.0 * y.astype(np.float64) - 1.0
     mu = sd = None
     if params.standardization:
         X, mu, sd = _standardize(X)
 
-    w = np.zeros(X.shape[1])
-    b = 0.0
+    w, b = np.zeros(X.shape[1]), 0.0
+    slack, gw = np.empty(X.shape[0]), np.empty(X.shape[1])
     for t in range(1, params.max_iter + 1):
-        _, gw, gb = hinge_loss_and_grad(w, b, X, ys, params.reg_param, params.fit_intercept)
-        if np.sqrt(float(gw @ gw) + gb * gb) < params.tol:
+        gb = _hinge_grad(w, b, X, ys, params.reg_param, params.fit_intercept, slack, gw)
+        if math.sqrt(float(gw @ gw) + gb * gb) < params.tol:
             break
         step = 1.0 / (params.reg_param * t) if params.reg_param > 0 else SVM_FIXED_STEP
-        w = w - step * gw
+        gw *= step
+        w -= gw
         if params.fit_intercept:
             b = b - step * gb
     if params.standardization:

@@ -51,6 +51,16 @@ class _Stage:
     def __post_init__(self):
         check_types(self, PipelineError, f"{self.TYPE} stage", _KEYS)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The stage whose fields, in declaration order, are `values`, each
+        already in the form the checks store (a tuple, not a list); nothing
+        is checked. Only `fit` calls this, with values it has just computed."""
+        stage = object.__new__(cls)
+        for f, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(stage, f.name, value)
+        return stage
+
     def to_dict(self) -> dict:
         d = {"type": self.TYPE}
         for f in fields(self):
@@ -92,7 +102,7 @@ class StringIndexer(_Stage):
                 counts[label] = counts.get(label, 0) + count
         ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         mapping = {label: i for i, (label, _) in enumerate(ordered)}
-        return StringIndexModel(self.input_col, self.output_col, mapping, self.handle_invalid)
+        return StringIndexModel._trusted(self.input_col, self.output_col, mapping, self.handle_invalid)
 
 
 @dataclass(frozen=True)
@@ -150,8 +160,11 @@ class MeanImputer(_Stage):
             values = values[~np.isnan(values)]
             if not values.size:
                 raise PipelineError(f"imputer column {name!r} is entirely null at fit time")
-            means[name] = float(np.mean(values))
-        return MeanImputeModel(means)
+            with np.errstate(over="ignore"):
+                means[name] = float(np.mean(values))
+            if not np.isfinite(means[name]):
+                raise PipelineError(f"imputer column {name!r} has a mean beyond the float range")
+        return MeanImputeModel._trusted(means)
 
 
 @dataclass(frozen=True)
@@ -244,7 +257,7 @@ class VectorIndexer(_Stage):
             distinct = np.unique(matrix[:, dim])
             if distinct.size <= self.max_categories:
                 category_maps[dim] = {float(v): i for i, v in enumerate(distinct)}
-        return VectorIndexModel(
+        return VectorIndexModel._trusted(
             self.input_col, self.output_col, matrix.shape[1], category_maps, self.handle_invalid
         )
 
@@ -329,8 +342,8 @@ class MinMaxScaler(_Stage):
         matrix = table.feature_matrix(self.input_col)
         if matrix.shape[0] == 0:
             raise PipelineError(f"cannot fit minmax scaler on empty column {self.input_col!r}")
-        mins, maxs = matrix.min(axis=0).tolist(), matrix.max(axis=0).tolist()
-        return MinMaxModel(self.input_col, self.output_col, mins, maxs, self.lo, self.hi)
+        mins, maxs = tuple(matrix.min(axis=0).tolist()), tuple(matrix.max(axis=0).tolist())
+        return MinMaxModel._trusted(self.input_col, self.output_col, mins, maxs, self.lo, self.hi)
 
 
 @dataclass(frozen=True)

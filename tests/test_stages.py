@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,12 @@ class TestMeanImputer:
         with pytest.raises(PipelineError):
             MeanImputer(("x",)).fit(t)
 
+    def test_mean_beyond_float_range_errors(self):
+        # The sum overflows; the stage would hold a mean no model file can carry.
+        t = table_of(x=("numeric", [1.7e308, 1.7e308, None]))
+        with pytest.raises(PipelineError, match="beyond the float range"):
+            MeanImputer(("x",)).fit(t)
+
 
 def ten_row_fixture():
     return table_of(
@@ -502,6 +510,38 @@ class TestPipeline:
         b = fit_pipeline(spec, t)
         assert a.to_dict() == b.to_dict()
         assert a.transform(t) == b.transform(t)
+
+    @given(
+        st.lists(st.sampled_from(["CA", "TX", "AK", None]), min_size=1, max_size=12),
+        st.lists(st.one_of(st.none(), st.sampled_from([-2.5, -0.0, 0.0, 1.0, 7.25])), min_size=1, max_size=12),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fitted_stages_are_what_their_checks_read(self, text, numbers, max_categories):
+        # fit builds its stages unchecked; each must equal, field for field
+        # and type for type, the stage the checking constructor and the model
+        # file reader make of the same values.
+        n = min(len(text), len(numbers))
+        if all(v is None for v in numbers[:n]):
+            numbers = [1.0] + numbers[1:]
+        t = table_of(s=("categorical_text", text[:n]), x=("numeric", numbers[:n]))
+        spec = PipelineSpec((
+            MeanImputer(("x",)),
+            StringIndexer("s", "s_idx"),
+            VectorAssembler(("s_idx", "x"), "raw"),
+            VectorIndexer("raw", "idx", max_categories=max_categories),
+            MinMaxScaler("idx", "features"),
+        ))
+        fitted = fit_pipeline(spec, t)
+        for stage in fitted.transformers:
+            checked = type(stage)(**{f: getattr(stage, f) for f in stage.__dataclass_fields__})
+            assert checked == stage
+            assert [type(getattr(checked, f)) for f in stage.__dataclass_fields__] == [
+                type(getattr(stage, f)) for f in stage.__dataclass_fields__
+            ]
+        back = FittedPipeline.from_dict(json.loads(json.dumps(fitted.to_dict())))
+        assert back.transformers == fitted.transformers
+        assert json.dumps(back.to_dict()) == json.dumps(fitted.to_dict())
 
     def test_serialization_roundtrip_bit_exact(self):
         t = ten_row_fixture()
