@@ -5,14 +5,16 @@ from __future__ import annotations
 from typing import Callable
 
 from ..fields import field_checkers, read_fields
-from .base import ModelError, TrainedClassifier
+from .base import ModelError, TrainedClassifier, only, per_sample
 from .ensemble import (
     GbtModel,
     GbtParams,
     RandomForestModel,
     RandomForestParams,
     train_gbt,
+    train_gbts,
     train_random_forest,
+    train_random_forests,
 )
 from .fm import FMModel, FMParams, train_fm
 from .importance import FeatureImportances, feature_importances, validate_importances
@@ -24,18 +26,25 @@ from .linear import (
     train_linear_svm,
     train_logistic,
 )
-from .tree import DecisionTreeModel, DecisionTreeParams, train_decision_tree
+from .tree import DecisionTreeModel, DecisionTreeParams, train_decision_tree, train_decision_trees
 
 #: Canonical family order used everywhere a full sweep is reported.
 FAMILY_ORDER = ("lr", "dt", "rf", "fm", "gbt", "svm")
 
+
+def _each(trainer: Callable) -> Callable:
+    """A batch trainer that fits one sample after another with `trainer`."""
+    return lambda samples, params: per_sample(lambda X, y: trainer(X, y, params), samples)
+
+
+#: Each family's params, model and batch trainer (see `train_batch`).
 _FAMILIES: dict[str, tuple[type, type, Callable]] = {
-    "lr": (LogisticParams, LogisticModel, train_logistic),
-    "dt": (DecisionTreeParams, DecisionTreeModel, train_decision_tree),
-    "rf": (RandomForestParams, RandomForestModel, train_random_forest),
-    "fm": (FMParams, FMModel, train_fm),
-    "gbt": (GbtParams, GbtModel, train_gbt),
-    "svm": (LinearSvmParams, LinearSvmModel, train_linear_svm),
+    "lr": (LogisticParams, LogisticModel, _each(train_logistic)),
+    "dt": (DecisionTreeParams, DecisionTreeModel, train_decision_trees),
+    "rf": (RandomForestParams, RandomForestModel, train_random_forests),
+    "fm": (FMParams, FMModel, _each(train_fm)),
+    "gbt": (GbtParams, GbtModel, train_gbts),
+    "svm": (LinearSvmParams, LinearSvmModel, _each(train_linear_svm)),
 }
 # The field checkers are built at import (see `fields.field_checkers`).
 for _params, _model, _ in _FAMILIES.values():
@@ -66,13 +75,24 @@ def params_from_dict(family: str, d: dict):
     return cls(**read_fields(cls, d, f"{family} parameter", ModelError))
 
 
-def train(family: str, X, y, params=None) -> TrainedClassifier:
+def train_batch(family: str, samples, params=None) -> list:
+    """One model per (X, y) sample, all with `params` (the family's defaults
+    when None). Each entry is the model a fit of that sample alone gives, or
+    the ModelError that sample raises. dt, rf and gbt grow the samples'
+    trees together (`models.tree.grow_trees`); the other families fit one
+    sample after another."""
     cls, _, trainer = _FAMILIES[check_family(family)]
     if params is None:
         params = cls()
     if not isinstance(params, cls):
-        raise ModelError(f"params for family {family!r} must be {cls.__name__}")
-    return trainer(X, y, params)
+        return [ModelError(f"params for family {family!r} must be {cls.__name__}") for _ in samples]
+    return trainer(samples, params)
+
+
+def train(family: str, X, y, params=None) -> TrainedClassifier:
+    """The model of `train_batch` on the one sample (X, y); raises its
+    ModelError."""
+    return only(train_batch(family, [(X, y)], params))
 
 
 def classifier_from_dict(family: str, d: dict) -> TrainedClassifier:
@@ -103,11 +123,15 @@ __all__ = [
     "params_from_dict",
     "params_type",
     "train",
+    "train_batch",
     "train_decision_tree",
+    "train_decision_trees",
     "train_fm",
     "train_gbt",
+    "train_gbts",
     "train_linear_svm",
     "train_logistic",
     "train_random_forest",
+    "train_random_forests",
     "validate_importances",
 ]

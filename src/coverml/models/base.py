@@ -45,6 +45,25 @@ def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def per_sample(fn, samples) -> list:
+    """`fn(X, y)` for each (X, y) sample, or the ModelError it raises."""
+    out = []
+    for X, y in samples:
+        try:
+            out.append(fn(X, y))
+        except ModelError as exc:
+            out.append(exc)
+    return out
+
+
+def only(batch: list):
+    """The one model of a batch of one; raises it if it is a ModelError."""
+    (model,) = batch
+    if isinstance(model, ModelError):
+        raise model
+    return model
+
+
 class TrainedClassifier:
     """Immutable fitted model; prediction is a pure function of (model, row).
 

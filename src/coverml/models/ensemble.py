@@ -9,13 +9,22 @@ from typing import Annotated, Literal
 import numpy as np
 
 from ..rng import derived_rng
-from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data, only, per_sample
 from .linear import sigmoid
-from .tree import Depth, Tree, grow_trees, normalized_importance, presort
+from .tree import (
+    BATCH_CELLS,
+    Depth,
+    FeatureDraws,
+    Tree,
+    grow_trees,
+    lockstep_groups,
+    normalized_importance,
+    presort,
+)
 
 #: Sample cells (rows × features) of the trees a forest grows in lockstep:
-#: trees of n rows and d features grow max(1, LOCKSTEP_CELLS // (n * d)) at
-#: a time. A group holds about 12.5 bytes per cell (float64 values and int32
+#: trees of n rows and d features grow at most max(1, LOCKSTEP_CELLS //
+#: (n * d)) at a time, in groups of about equal size. A group holds about 12.5 bytes per cell (float64 values and int32
 #: order rows), so at most about 26 MB whatever num_trees is.
 LOCKSTEP_CELLS = 1 << 21
 
@@ -80,37 +89,59 @@ class RandomForestModel(TrainedClassifier):
 
 
 def train_random_forest(X, y, params: RandomForestParams = RandomForestParams()) -> RandomForestModel:
-    """Bootstrap-aggregated CART trees with per-split feature subsets.
+    return only(train_random_forests([(X, y)], params))
 
-    Each tree's generator is derived from (seed, tree index), so the forest
-    is identical across runs. Trees grow in lockstep groups (`grow_trees`):
-    a tree draws its bootstrap sample and then its feature subsets from its
-    own generator in the order a tree grown alone would, so grouping does
-    not change any tree.
+
+def train_random_forests(samples, params: RandomForestParams = RandomForestParams()) -> list:
+    """A forest of bootstrap-aggregated CART trees with per-split feature
+    subsets for each (X, y) sample. Each entry is the forest a fit of its
+    sample alone gives, or the ModelError that sample raises.
+
+    Tree t of every forest has the generator derived from (seed, t), so a
+    forest is identical across runs. Trees grow in lockstep groups
+    (`grow_trees`): a tree draws its bootstrap sample and then its feature
+    subsets from its own generator in the order a tree grown alone would,
+    so grouping does not change any tree. A forest alone grows its trees in
+    groups of LOCKSTEP_CELLS sample cells (at least one tree), and the
+    trees of several forests share groups up to the larger of BATCH_CELLS
+    and the largest group a forest grows alone.
     """
-    X, y = check_training_data(X, y)
-    n, d = X.shape
-    subset = max(1, math.floor(math.sqrt(d))) if params.feature_subset_rule == "sqrt" else None
-    group = max(1, LOCKSTEP_CELLS // (n * d))
-    trees: list[Tree] = []
-    for first in range(0, params.num_trees, group):
-        rngs = [derived_rng(params.seed, 23, t) for t in range(first, min(first + group, params.num_trees))]
-        if params.bootstrap:
-            idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-            values, targets = X.T.take(idx, axis=1), y[idx]
-        else:
-            values, targets = np.broadcast_to(X.T[:, None], (d, len(rngs), n)), np.broadcast_to(y, (len(rngs), n))
-        trees += grow_trees(
+    out = per_sample(check_training_data, samples)
+    ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
+    trees: dict[int, list[Tree]] = {i: [] for i in ready}
+    jobs = [(i, t) for i in ready for t in range(params.num_trees)]
+    alone = [min(params.num_trees, max(1, LOCKSTEP_CELLS // out[i][0].size)) * out[i][0].size for i in ready]
+    budget = min(LOCKSTEP_CELLS, max([BATCH_CELLS, *alone]))
+    for group in lockstep_groups([out[i][0].shape for i, _ in jobs], budget):
+        members = [jobs[j] for j in group]
+        rngs = [derived_rng(params.seed, 23, t) for _, t in members]
+        sizes = [out[i][0].shape[0] for i, _ in members]
+        d = out[members[0][0]][0].shape[1]
+        values = np.empty((d, sum(sizes)))
+        targets = np.empty(sum(sizes))
+        at = 0
+        for (i, _), rng, n in zip(members, rngs, sizes):
+            X, y = out[i]
+            rows = rng.integers(0, n, size=n) if params.bootstrap else slice(None)
+            values[:, at : at + n] = X.T[:, rows]
+            targets[at : at + n] = y[rows]
+            at += n
+        subset = max(1, math.floor(math.sqrt(d))) if params.feature_subset_rule == "sqrt" else d
+        grown, _ = grow_trees(
             values,
-            presort(values),
+            presort(values, sizes),
             targets,
+            sizes,
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
             task="gini",
-            n_subset_features=subset,
-            rngs=rngs,
-        )[0]
-    return RandomForestModel(tuple(trees), d, params.threshold)
+            draws=FeatureDraws(rngs, d, subset) if subset < d else None,
+        )
+        for (i, _), tree in zip(members, grown):
+            trees[i].append(tree)
+    for i in ready:
+        out[i] = RandomForestModel(tuple(trees[i]), out[i][0].shape[1], params.threshold)
+    return out
 
 
 @dataclass(frozen=True)
@@ -171,38 +202,67 @@ class GbtModel(TrainedClassifier):
 
 
 def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
+    return only(train_gbts([(X, y)], params))
+
+
+def train_gbts(samples, params: GbtParams = GbtParams()) -> list:
     """Stagewise regression trees on the negative gradient of the logistic
-    loss over margins.
+    loss over margins, for each (X, y) sample: each step grows one stage of
+    every sample's sequence (`grow_trees`), BATCH_CELLS sample cells at a
+    time, or one larger sample. Each entry is the model a fit of its sample
+    alone gives, or the ModelError that sample raises.
 
     Labels map to +-1; the loss is log(1 + exp(-2*y*F)) with base score
     F0 = 0.5*ln(p/(1-p)) from the positive rate, which is undefined for
-    single-class data.
+    single-class data. A sample's losses are the mean over its own rows.
     """
-    X, y = check_training_data(X, y)
-    if y.min() == y.max():
-        raise ModelError("boosting requires both classes in the training data")
-    ys = 2.0 * y.astype(np.float64) - 1.0
-    p = float(y.mean())
-    f0 = 0.5 * math.log(p / (1.0 - p))
-    F = np.full(X.shape[0], f0, dtype=np.float64)
+    out = per_sample(check_training_data, samples)
+    for i, sample in enumerate(out):
+        if not isinstance(sample, ModelError) and sample[1].min() == sample[1].max():
+            out[i] = ModelError("boosting requires both classes in the training data")
+    ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
+    for group in lockstep_groups([out[i][0].shape for i in ready], BATCH_CELLS):
+        members = [ready[j] for j in group]
+        sizes = [out[i][0].shape[0] for i in members]
+        ends = np.cumsum(sizes).tolist()
+        rows = [slice(end - n, end) for n, end in zip(sizes, ends)]
+        ys = 2.0 * np.concatenate([out[i][1] for i in members]).astype(np.float64) - 1.0
+        f0 = []
+        for i in members:
+            p = float(out[i][1].mean())
+            f0.append(0.5 * math.log(p / (1.0 - p)))
+        F = np.repeat(f0, sizes)
 
-    # X does not change between stages, so its columns are sorted once.
-    values = np.ascontiguousarray(X.T)[:, None]
-    order = presort(values)
-    trees: list[Tree] = []
-    losses = [float(np.mean(np.logaddexp(0.0, -2.0 * ys * F)))]
-    for _ in range(params.num_iterations):
-        residuals = 2.0 * ys * sigmoid(-2.0 * ys * F)
-        (tree,), fitted = grow_trees(
-            values,
-            order.copy(),
-            residuals[None],
-            max_depth=params.max_depth,
-            min_instances=params.min_instances_per_node,
-            task="sse",
-        )
-        trees.append(tree)
-        # The leaf values of the training rows: what tree.apply(X.T) gives.
-        F += params.learning_rate * fitted
-        losses.append(float(np.mean(np.logaddexp(0.0, -2.0 * ys * F))))
-    return GbtModel(f0, float(params.learning_rate), tuple(trees), X.shape[1], params.threshold, tuple(losses))
+        # X does not change between stages, so its columns are sorted once.
+        values = np.concatenate([out[i][0].T for i in members], axis=1)
+        order = presort(values, sizes)
+        trees: list[list[Tree]] = [[] for _ in members]
+        losses = [_mean_losses(ys, F, rows)]  # per stage, each sample's
+        for _ in range(params.num_iterations):
+            residuals = 2.0 * ys * sigmoid(-2.0 * ys * F)
+            grown, fitted = grow_trees(
+                values,
+                order.copy(),
+                residuals,
+                sizes,
+                max_depth=params.max_depth,
+                min_instances=params.min_instances_per_node,
+                task="sse",
+            )
+            for sample_trees, tree in zip(trees, grown):
+                sample_trees.append(tree)
+            # The leaf values of the training rows: what tree.apply(X.T) gives.
+            F += params.learning_rate * fitted
+            losses.append(_mean_losses(ys, F, rows))
+        for j, i in enumerate(members):
+            sample_losses = tuple(stage[j] for stage in losses)
+            out[i] = GbtModel(
+                f0[j], float(params.learning_rate), tuple(trees[j]), out[i][0].shape[1], params.threshold, sample_losses
+            )
+    return out
+
+
+def _mean_losses(ys: np.ndarray, F: np.ndarray, rows: list[slice]) -> list[float]:
+    """The mean logistic loss over each sample's rows, `rows` its slices."""
+    loss = np.logaddexp(0.0, -2.0 * ys * F)
+    return [float(np.mean(loss[r])) for r in rows]

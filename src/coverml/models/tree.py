@@ -12,24 +12,64 @@ Trees grow in steps, each scoring a batch of nodes in one call of the batch
 kernels (`grow_trees`): every open node of a tree when its splits draw
 nothing (DT, GBT), so one depth level per step; otherwise the next
 depth-first nodes of each tree of a group (RF), so the trees grow in
-lockstep while each tree's generator draws its feature subsets in the order
-a recursive build would. Nodes are collected flat and each tree is cut from
-them as a `Tree` of node arrays, the form every later step reads.
+lockstep while each tree takes its feature subsets (`FeatureDraws`) in the
+order a recursive build would. One growth call grows the trees of samples
+of different sizes, such as the cross-validation folds and the refit that
+`train_decision_trees` and the forest and boosting batch trainers take at
+once. Nodes are collected flat and each tree is cut from them as a `Tree`
+of node arrays, the form every later step reads.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 
 from .. import kernels
-from .base import Count, Params, Probability, TrainedClassifier, check_training_data
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data, only, per_sample
 
 MAX_DEPTH = 30
 #: The `max_depth` of the tree families.
 Depth = Annotated[int, f"[1, {MAX_DEPTH}]"]
+
+#: Sample cells (rows × features) up to which the samples of different fits
+#: (the folds of a cross-validation and its refit) grow in one `grow_trees`
+#: call. Growth steps cost a fixed number of numpy calls, which a batch of
+#: small samples shares; a batch of large ones gains little and holds
+#: several times the arrays of one fit.
+BATCH_CELLS = 1 << 17
+
+
+def lockstep_groups(shapes: list[tuple[int, int]], budget: int) -> list[list[int]]:
+    """The indices of the samples of (rows, features) `shapes` in groups to
+    grow together: the samples of a group have one feature count and keep
+    their order, and a group holds at most `budget` cells unless one sample
+    alone holds more. The samples of a feature count go in as few groups as
+    the budget allows, of about equal cells, since a group takes as many
+    growth steps as its largest tree however few trees it holds."""
+    by_width: dict[int, list[int]] = {}
+    for i, (_, d) in enumerate(shapes):
+        by_width.setdefault(d, []).append(i)
+    groups = []
+    for d, members in by_width.items():
+        left = sum(shapes[i][0] for i in members) * d
+        count = max(1, -(-left // max(budget, 1)))
+        group, cells = [], 0
+        for i in members:
+            c = shapes[i][0] * d
+            # Close the group at the boundary nearest its share of the cells.
+            if group and (cells + c > budget or 2 * (cells + c) - c > 2 * left / count):
+                groups.append(group)
+                left -= cells
+                count = max(1, count - 1)
+                group, cells = [], 0
+            group.append(i)
+            cells += c
+        groups.append(group)
+    return groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,41 +215,63 @@ def build_tree(
     """Grow one CART tree and return its nested `Tree.to_dict` form; `task`
     is "gini" (y in {0,1}) or "sse" (real y).
 
-    When `n_subset_features` is set, each split considers a fresh random
-    subset of that many features drawn from `rng`, in depth-first order, so
-    the tree is a pure function of the generator's seed. `grow_trees` has
-    the method.
+    When `n_subset_features` is set (at least 1; d or more means every
+    feature), each split considers a fresh random subset of that many
+    features drawn from `rng`, in depth-first order, so the tree is a pure
+    function of the generator's seed. The subsets are drawn ahead on a copy
+    of `rng` (`FeatureDraws`), and `rng` is then advanced by exactly the
+    draws the tree used, so it ends where one `rng.choice` call per split
+    leaves it. `grow_trees` has the method.
     """
-    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)[:, None]
-    return grow_trees(
+    if n_subset_features is not None:
+        if n_subset_features < 1:
+            raise ValueError(f"n_subset_features must be >= 1, got {n_subset_features}")
+        if rng is None:
+            raise ValueError("feature subsetting requires an rng")
+    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    d, n = values.shape
+    draws = None
+    if n_subset_features is not None and n_subset_features < d:
+        draws = FeatureDraws([copy.deepcopy(rng)], d, n_subset_features)
+    (tree,), _ = grow_trees(
         values,
-        presort(values),
-        np.asarray(y)[None],
+        presort(values, [n]),
+        np.asarray(y),
+        [n],
         max_depth=max_depth,
         min_instances=min_instances,
         task=task,
-        n_subset_features=n_subset_features,
-        rngs=None if rng is None else [rng],
-    )[0][0].to_dict()
+        draws=draws,
+    )
+    if draws is not None:
+        draws.replay([rng])
+    return tree.to_dict()
 
 
-def presort(values: np.ndarray) -> np.ndarray:
-    """The order matrix of G samples of n rows, given their feature-major
-    values `values[f, t, r]` (feature f of sample t's row r).
+def presort(values: np.ndarray, sizes) -> np.ndarray:
+    """The order matrix of G samples, given their feature-major values:
+    `values[f, r]` is feature f of row r, and sample t holds the `sizes[t]`
+    rows from `sum(sizes[:t])` on.
 
-    Sample t's row r is row t * n + r of the group. The (d + 1, G * n)
-    result holds compact indices: row f lists each sample's rows sorted
-    stably by feature f (ties in row order), and row d lists them in row
-    order. These are the presorted attribute lists of SLIQ and SPRINT, with
-    one more list that keeps each node's rows ascending.
+    The (d + 1, N) result holds row indices: row f lists each sample's rows
+    sorted stably by feature f (ties in row order), sample after sample, and
+    row d lists them in row order. These are the presorted attribute lists
+    of SLIQ and SPRINT, with one more list that keeps each node's rows
+    ascending.
     """
-    d, g, n = values.shape
-    index_type = np.int32 if g * n <= np.iinfo(np.int32).max else np.intp
-    order = np.empty((d + 1, g * n), dtype=index_type)
-    first = (np.arange(g) * n)[:, None]
-    for f in range(d):
-        order[f] = (np.argsort(values[f], axis=1, kind="stable") + first).reshape(-1)
-    order[d] = np.arange(g * n)
+    d, size = values.shape
+    sizes = np.asarray(sizes, dtype=np.intp)
+    index_type = np.int32 if size <= np.iinfo(np.int32).max else np.intp
+    order = np.empty((d + 1, size), dtype=index_type)
+    starts = sizes.cumsum() - sizes
+    # Consecutive samples of one size sort together, one call per feature.
+    for run in np.split(np.arange(sizes.size), np.flatnonzero(np.diff(sizes)) + 1):
+        n, a = int(sizes[run[0]]), int(starts[run[0]])
+        b = a + n * run.size
+        first = np.arange(a, b, n)[:, None]
+        for f in range(d):
+            order[f, a:b] = (values[f, a:b].reshape(run.size, n).argsort(axis=1, kind="stable") + first).reshape(-1)
+    order[d] = np.arange(size)
     return order
 
 
@@ -217,17 +279,19 @@ def grow_trees(
     values: np.ndarray,
     order: np.ndarray,
     targets: np.ndarray,
+    sizes,
     *,
     max_depth: int,
     min_instances: int = 1,
     task: str = "gini",
-    n_subset_features: int | None = None,
-    rngs: list[np.random.Generator] | None = None,
+    draws: FeatureDraws | None = None,
 ) -> tuple[list[Tree], np.ndarray]:
-    """Grow one tree on each of G samples of n rows: `values` (d, G, n) as
-    `presort` takes them, `order` from `presort`, and `targets` (G, n).
-    Returns the G trees and, for each of the G * n rows, the statistic of the
-    leaf it falls in (the class-1 count for "gini", the mean for "sse").
+    """Grow one tree on each of G samples: `values` (d, N) as `presort`
+    takes them, `order` from `presort`, `targets` (N,), and `sizes` the
+    samples' row counts. Returns the G trees and, for each of the N rows,
+    the statistic of the leaf it falls in (the class-1 count for "gini", the
+    mean for "sse"). With `draws` (a `FeatureDraws` of the G trees), each
+    split considers a feature subset from it; without, every feature.
 
     A node is a segment of `order`'s columns: row f of the segment holds the
     node's rows sorted by feature f, and row d holds them ascending. Growth
@@ -237,29 +301,28 @@ def grow_trees(
     node whose children will be scored in place into the two children's
     segments. Every part of a step (the gather into the kernel input, the
     split choice, the children's statistics and stopping checks, the
-    partition) is a fixed number of numpy calls over the concatenated
-    segments, repeated only when a batch exceeds the cell caps below, so the
-    number of calls does not grow with the number of nodes. Only a draw of
-    features and a regression node's mean (np.mean, whose pairwise sum a
-    segmented sum does not reproduce) are per node.
+    partition, the feature draws) is a fixed number of numpy calls over the
+    concatenated segments, repeated only when a batch exceeds the cell caps
+    below, so the number of calls does not grow with the number of nodes or
+    samples. Only a regression node's mean (np.mean, whose pairwise sum a
+    segmented sum does not reproduce) is per node.
 
     Two schedules choose a step's batch. Trees that draw nothing take every
     open node, so a tree grows one depth level per step. Trees that draw a
-    feature subset per split (`n_subset_features` below the feature count)
-    take the next node of each tree in depth-first order, and the ones after
-    it while those have no children to score (their depth is max_depth - 1):
-    each tree keeps its own stack, and its generator draws in the order a
-    recursive build would, so the trees of a group grow in lockstep and each
-    is the tree it would be if grown alone. (A tree's subsets cannot be
-    drawn level by level: which node gets the next draw depends on the
-    splits before it.)
+    feature subset per split take the next node of each tree in depth-first
+    order, and the ones after it while those have no children to score
+    (their depth is max_depth - 1): each tree keeps its own stack and takes
+    its subsets in the order a recursive build would, so the trees of a
+    group grow in lockstep and each is the tree it would be if grown alone.
+    (A tree's subsets cannot be taken level by level: which node gets the
+    next subset depends on the splits before it.)
 
-    No kernel call holds more than d × n cells, the root call of one tree: a
-    larger batch is split into several calls, largest nodes first, and a
-    call pads each node to its longest (a node that would add more than
-    _PADDING_CELLS of padding starts the next call). A partition copies at
-    most 4 × d × n order cells at a time, as many bytes as a kernel call's
-    two inputs.
+    No kernel call holds more than d × n cells, n the largest sample's size:
+    the root call of its tree. A larger batch is split into several calls,
+    largest nodes first, and a call pads each node to its longest (a node
+    that would add more than _PADDING_CELLS of padding starts the next
+    call). A partition copies at most 4 × d × n order cells at a time, as
+    many bytes as a kernel call's two inputs.
 
     The growth partitions `order` in place.
     """
@@ -268,26 +331,21 @@ def grow_trees(
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     kernel = kernels.best_split_gini if task == "gini" else kernels.best_split_sse
-    g, n = np.shape(targets)
-    d = values.shape[0]
-    size = g * n
-    draws = n_subset_features is not None and n_subset_features < d
-    if n_subset_features is not None and rngs is None:
-        raise ValueError("feature subsetting requires an rng")
-    k = n_subset_features if draws else d
+    sizes = np.asarray(sizes, dtype=np.intp)
+    g = sizes.size
+    d, size = values.shape
     X = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)  # X[f * size + row]
-    y = np.ascontiguousarray(targets, dtype=np.float64).reshape(-1)
+    y = np.ascontiguousarray(targets, dtype=np.float64)
     flat_order = order.reshape(-1)
     goes_left = np.empty(size, dtype=bool)
-    cap = d * n  # cells of one tree's root call
+    cap = d * int(sizes.max())  # cells of the largest sample's root call
 
-    nodes = _Nodes(g * min(2 * n - 1, 2 ** (max_depth + 1) - 1))
-    nodes.add(np.arange(g), np.arange(g) * n, np.full(g, n), np.zeros(g, dtype=np.intp))
-    node_of_row = np.arange(g).repeat(n)
+    nodes = _Nodes(8 * g, int(np.minimum(2 * sizes - 1, 2 ** (max_depth + 1) - 1).sum()))
+    nodes.add(np.arange(g), sizes.cumsum() - sizes, sizes, np.zeros(g, dtype=np.intp))
+    node_of_row = np.arange(g).repeat(sizes)
     pool = nodes.open(0, y, task, max_depth, min_instances).nonzero()[0]
-    every_feature = np.broadcast_to(np.arange(d), (nodes.tree.size, d))
     while pool.size:
-        if draws:
+        if draws is not None:
             # A tree's stack is its entries of the pool in push order. A
             # recursive build scores the top next; a node at depth
             # max_depth - 1 has only leaves below it and pushes nothing, so
@@ -306,11 +364,10 @@ def grow_trees(
             taken = at >= lowest.repeat(np.diff(starts, append=pool.size))
             # From the top of each stack down: the order of the draws.
             batch, pool = pool[taken][::-1], pool[~taken]
-            feats = np.array([rngs[t].choice(d, size=k, replace=False) for t in nodes.tree.take(batch).tolist()])
-            feats.sort(axis=1)
+            feats = draws.take(nodes.tree.take(batch))
         else:
             batch, pool = pool, pool[:0]
-            feats = every_feature[: batch.size]
+            feats = np.broadcast_to(np.arange(d), (batch.size, d))
         pos, thr, dec = _score(kernel, X, y, flat_order, size, nodes, batch, feats, cap)
         split = pos >= 0
         parents, thr, dec = batch[split], thr[split], dec[split]
@@ -360,25 +417,30 @@ def grow_trees(
 
 class _Nodes:
     """Flat node records of a group of trees; children get larger ids than
-    their parents, and tree t's root has id t."""
+    their parents, and tree t's root has id t. The arrays grow by doubling,
+    up to `most` nodes."""
 
-    def __init__(self, capacity: int):
-        self.used = 0
-        self.tree = np.empty(capacity, dtype=np.intp)
-        self.start = np.empty(capacity, dtype=np.intp)
-        self.count = np.empty(capacity, dtype=np.intp)
-        self.depth = np.empty(capacity, dtype=np.intp)
-        self.stat = np.empty(capacity, dtype=np.float64)
-        self.feature = np.full(capacity, -1, dtype=np.intp)
-        self.threshold = np.zeros(capacity, dtype=np.float64)
-        self.decrease = np.zeros(capacity, dtype=np.float64)
-        self.left = np.full(capacity, -1, dtype=np.intp)
-        self.right = np.full(capacity, -1, dtype=np.intp)
+    #: Each record array and the value of a node that has not set it.
+    _FILL = {"tree": 0, "start": 0, "count": 0, "depth": 0, "stat": 0.0, "feature": -1,
+             "threshold": 0.0, "decrease": 0.0, "left": -1, "right": -1}
+
+    def __init__(self, capacity: int, most: int):
+        self.used, self.most = 0, most
+        for name, fill in self._FILL.items():
+            dtype = np.float64 if isinstance(fill, float) else np.intp
+            setattr(self, name, np.full(min(capacity, most), fill, dtype=dtype))
 
     def add(self, tree, start, count, depth) -> int:
         """Append nodes and return the id of the first."""
         first = self.used
         self.used += len(tree)
+        if self.used > self.tree.size:
+            size = min(self.most, max(2 * self.tree.size, self.used))
+            for name, fill in self._FILL.items():
+                old = getattr(self, name)
+                grown = np.full(size, fill, dtype=old.dtype)
+                grown[: old.size] = old
+                setattr(self, name, grown)
         new = slice(first, self.used)
         self.tree[new], self.start[new], self.count[new], self.depth[new] = tree, start, count, depth
         return first
@@ -470,6 +532,123 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return (start - ends + length).repeat(length) + np.arange(ends[-1] if ends.size else 0)
 
 
+#: Subsets a tree draws ahead at a time, and the cells (subsets × features)
+#: that one vectorised draw step holds.
+_DRAW_BLOCK = 64
+_DRAW_CELLS = 1 << 18
+
+
+class FeatureDraws:
+    """The feature subsets of G trees: the i-th subset that tree t takes is
+    what the i-th `rngs[t].choice(d, k, replace=False)` call gives, sorted.
+
+    `choice` draws with bounded integers, each from [0, j] for a j that
+    depends only on d and k. For d <= 10,000 or k <= d // 50 it runs Floyd's
+    algorithm, one draw for each j = d - k, ..., d - 1, and then shuffles
+    the subset, one draw for each j = k - 1, ..., 1; otherwise it shuffles
+    the tail of range(d), one draw for each j = d - 1, ..., d - k. One
+    `integers(0, bounds)` call with those bounds (j + 1) tiled makes the
+    draws of many subsets in the same order, and `_chosen` replays the
+    algorithm on them for all subsets at once. The shuffle only reorders a
+    subset, which sorting undoes, so its draws are consumed and not read.
+
+    Each tree draws a block of subsets ahead of use and another when the
+    block is used up, so its generator ends past the draws it used;
+    `replay` advances other generators by exactly the draws used.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], d: int, k: int):
+        self.rngs, self.d, self.k = list(rngs), d, k
+        self.bounds = _choice_bounds(d, k)
+        g = len(self.rngs)
+        self.block = max(1, min(_DRAW_BLOCK, _DRAW_CELLS // (g * k)))
+        self.subsets = np.empty((g, 0, k), dtype=np.intp)  # each tree's drawn subsets
+        self.next = np.zeros(g, dtype=np.intp)  # each tree's first subset not taken
+        self.end = np.zeros(g, dtype=np.intp)  # each tree's subsets drawn
+        self.taken = np.zeros(g, dtype=np.intp)  # each tree's subsets taken in all
+
+    def take(self, trees: np.ndarray) -> np.ndarray:
+        """The next subset of each tree that `trees` lists once per subset;
+        a tree's entries are consecutive and get its subsets in order."""
+        count = np.bincount(trees, minlength=len(self.rngs))
+        short = (self.next + count > self.end).nonzero()[0]
+        if short.size:
+            self._refill(short, count[short])
+        first = np.empty(trees.size, dtype=bool)
+        first[0] = True
+        np.not_equal(trees[1:], trees[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        rank = np.arange(trees.size) - starts.repeat(np.diff(starts, append=trees.size))
+        out = self.subsets[trees, self.next.take(trees) + rank]
+        self.next += count
+        self.taken += count
+        return out
+
+    def _refill(self, trees: np.ndarray, need: np.ndarray) -> None:
+        """Draw subsets for `trees` until each holds a block, or its `need`
+        if more, keeping the subsets it has not taken."""
+        width = max(self.block, int(need.max()))
+        if width > self.subsets.shape[1]:
+            wider = np.empty((len(self.rngs), width, self.k), dtype=np.intp)
+            wider[:, : self.subsets.shape[1]] = self.subsets
+            self.subsets = wider
+        kept = self.end[trees] - self.next[trees]
+        fresh = np.maximum(self.block, need) - kept
+        raw = [self.rngs[t].integers(0, np.tile(self.bounds, m)) for t, m in zip(trees.tolist(), fresh.tolist())]
+        drawn = _chosen(np.concatenate(raw).reshape(-1, self.bounds.size), self.d, self.k)
+        at = 0
+        for t, keep, m in zip(trees.tolist(), kept.tolist(), fresh.tolist()):
+            a = int(self.next[t])
+            self.subsets[t, :keep] = self.subsets[t, a : a + keep].copy()
+            self.subsets[t, keep : keep + m] = drawn[at : at + m]
+            at += m
+        self.next[trees] = 0
+        self.end[trees] = kept + fresh
+
+    def replay(self, rngs: list[np.random.Generator]) -> None:
+        """Advance each generator of `rngs`, tree t's at t, by the draws of
+        the subsets tree t has taken."""
+        for rng, m in zip(rngs, self.taken.tolist()):
+            if m:
+                rng.integers(0, np.tile(self.bounds, m))
+
+
+def _choice_bounds(d: int, k: int) -> np.ndarray:
+    """The exclusive bounds of the draws of one `choice(d, k, replace=False)`."""
+    if d > 10000 and k > d // 50:
+        return np.arange(d, d - k, -1)
+    return np.concatenate([np.arange(d - k + 1, d + 1), np.arange(k, 1, -1)])
+
+
+def _chosen(raw: np.ndarray, d: int, k: int) -> np.ndarray:
+    """The sorted subsets that `choice` makes of the draws `raw`, one row of
+    `_choice_bounds(d, k)` draws per subset, _DRAW_CELLS cells at a time."""
+    out = np.empty((raw.shape[0], k), dtype=np.intp)
+    step = max(1, _DRAW_CELLS // d)
+    for a in range(0, raw.shape[0], step):
+        r = raw[a : a + step]
+        rows = np.arange(r.shape[0])
+        if d > 10000 and k > d // 50:
+            # Swap entry j = d - 1 - t with the t-th draw, t = 0, ..., k - 1.
+            pool = np.tile(np.arange(d, dtype=np.intp), (r.shape[0], 1))
+            for t in range(k):
+                j, v = d - 1 - t, r[:, t]
+                pool[rows, j], pool[rows, v] = pool[rows, v], pool[rows, j]
+            chosen = pool[:, d - k :]
+        else:
+            # Floyd: for j = d - k, ..., d - 1, add the draw, or j if the
+            # subset already holds the draw.
+            seen = np.zeros((r.shape[0], d), dtype=bool)
+            chosen = np.empty((r.shape[0], k), dtype=np.intp)
+            for t in range(k):
+                v = r[:, t]
+                v = np.where(seen[rows, v], d - k + t, v)
+                seen[rows, v] = True
+                chosen[:, t] = v
+        out[a : a + r.shape[0]] = np.sort(chosen, axis=1)
+    return out
+
+
 def normalized_importance(imp: np.ndarray) -> np.ndarray:
     total = imp.sum()
     return imp / total if total > 0 else imp
@@ -509,14 +688,29 @@ class DecisionTreeModel(TrainedClassifier):
 
 
 def train_decision_tree(X, y, params: DecisionTreeParams = DecisionTreeParams()) -> DecisionTreeModel:
-    X, y = check_training_data(X, y)
-    values = np.ascontiguousarray(X.T)[:, None]
-    (tree,), _ = grow_trees(
-        values,
-        presort(values),
-        y[None],
-        max_depth=params.max_depth,
-        min_instances=params.min_instances_per_node,
-        task="gini",
-    )
-    return DecisionTreeModel(tree, X.shape[1], params.threshold)
+    return only(train_decision_trees([(X, y)], params))
+
+
+def train_decision_trees(samples, params: DecisionTreeParams = DecisionTreeParams()) -> list:
+    """A tree for each (X, y) sample: each step grows a depth level of every
+    sample's tree (`grow_trees`), BATCH_CELLS sample cells at a time, or one
+    larger sample. Each entry is the model a fit of its sample alone gives,
+    or the ModelError that sample raises."""
+    out = per_sample(check_training_data, samples)
+    ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
+    for group in lockstep_groups([out[i][0].shape for i in ready], BATCH_CELLS):
+        members = [ready[j] for j in group]
+        sizes = [out[i][0].shape[0] for i in members]
+        values = np.concatenate([out[i][0].T for i in members], axis=1)
+        trees, _ = grow_trees(
+            values,
+            presort(values, sizes),
+            np.concatenate([out[i][1] for i in members]),
+            sizes,
+            max_depth=params.max_depth,
+            min_instances=params.min_instances_per_node,
+            task="gini",
+        )
+        for i, tree in zip(members, trees):
+            out[i] = DecisionTreeModel(tree, out[i][0].shape[1], params.threshold)
+    return out

@@ -14,7 +14,9 @@ on the fold's training rows, and its training and validation rows are
 transformed once for every cell. Along a nested capacity axis (dt
 max_depth, rf num_trees, gbt num_iterations) one model per fold serves every
 value: smaller values score a truncation of the largest fit, which equals a
-fresh fit with that value.
+fresh fit with that value. The folds' models of one such group train as
+one batch, and when the grid is one group (every default grid is), the
+refit on the full table trains in the same batch.
 
 Reported fit_minutes cover the full cross-validation sweep including the
 final refit, not a single model fit.
@@ -85,8 +87,8 @@ class CVConfig:
     folds: Annotated[int, "[2, inf)"] = 3
     metric: Literal[EVALUATOR_METRICS] = "auc_roc"
     seed: int = 1
-    #: Kept for existing configs and validated (>= 1); folds run one after
-    #: another, so it changes neither speed nor results.
+    #: Kept for existing configs and validated (>= 1); the folds train in
+    #: one process, so it changes neither speed nor results.
     parallelism: Annotated[int, "[1, inf)"] = 1
 
     def __post_init__(self):
@@ -171,6 +173,13 @@ def _prepare_fold(spec: PipelineSpec, table: DataTable, val_idx: np.ndarray, fol
     return X, y, validation
 
 
+def _prepare_whole(spec: PipelineSpec, table: DataTable):
+    """Fit the preparation stages on the whole table: the fitted stages, and
+    the training matrix and labels, as `fit_pipeline` trains on them."""
+    prepared, out = fit_stages(spec, table)
+    return prepared, (out.feature_matrix(spec.features_col), out.label_array())
+
+
 def _validation_metric(model, X_val: np.ndarray, y_val: np.ndarray, metric: str) -> float:
     raw = model.raw_scores(X_val)
     bad = np.flatnonzero(~np.isfinite(raw))
@@ -223,13 +232,18 @@ def cross_validate(
     those matrices. Cells that differ only in the family's nested axis
     (dt `max_depth`, rf `num_trees`, gbt `num_iterations`) share one model
     per fold, trained with the group's largest value and truncated for the
-    others, which gives the same model as a fresh fit. Folds run one after
-    another: `config.parallelism` is validated but changes neither speed nor
-    results.
+    others, which gives the same model as a fresh fit. A group's models of
+    all folds train as one batch (`models.train_batch`), which grows the
+    folds' trees together; `config.parallelism` is validated but changes
+    neither speed nor results.
 
     Cell score is the arithmetic mean of the held-out fold metrics; the best
     cell is the max mean with ties broken by earliest grid order, and the
-    returned model is refit on the full table with those parameters. Cells
+    returned model is refit on the full table with those parameters. When
+    the grid is one group, the best cell is a truncation of the group's fit,
+    so the full table joins the group's batch and the refit is the
+    truncation of its model; otherwise the refit trains after the cells are
+    scored. Cells
     whose folds degenerate (single-class training portion, empty or
     single-class validation) carry an error instead of a score; if every
     cell fails the whole call raises.
@@ -242,35 +256,47 @@ def cross_validate(
 
     def run() -> tuple[tuple[CVCell, ...], int, FittedPipeline]:
         groups = _nest_groups(family, grid)
-
-        def run_fold(fold_no: int, val_idx: np.ndarray) -> list:
-            """Each cell's metric on this fold, or its error text."""
-            try:
-                X, y, validation = _prepare_fold(spec, table, val_idx, fold_no)
-            except _CELL_ERRORS as exc:
-                return [str(exc)] * len(grid)
-            outcomes: list = [None] * len(grid)
-            for params, members in groups:
-                try:
-                    model = models.train(family, X, y, params)
-                except _CELL_ERRORS as exc:
-                    for ci, _ in members:
-                        outcomes[ci] = str(exc)
-                    continue
-                for ci, k in members:
-                    if isinstance(validation, str):
-                        outcomes[ci] = validation
-                        continue
-                    try:
-                        outcomes[ci] = _validation_metric(
-                            model if k is None else model.truncate(k), *validation, config.metric
-                        )
-                    except _CELL_ERRORS as exc:
-                        outcomes[ci] = str(exc)
-            return outcomes
-
         folds = make_folds(table.row_count, config.folds, config.seed)
-        per_fold = [run_fold(fi, val_idx) for fi, val_idx in enumerate(folds)]
+        # A one-group grid's refit is a truncation of the group's fit on the
+        # whole table, so that fit trains in the group's batch. `whole` ends
+        # as its model, or as the error its preparation or fit raised, which
+        # surfaces where a refit after the cells raises it. The whole table
+        # is prepared first, while no fold's matrices are held.
+        whole = whole_sample = None
+        if len(groups) == 1:
+            try:
+                whole_stages, whole_sample = _prepare_whole(spec, table)
+            except _CELL_ERRORS as exc:
+                whole = exc
+        # Each fold's training matrix, labels and validation, or its error.
+        prepared: list = []
+        for fold_no, val_idx in enumerate(folds):
+            try:
+                prepared.append(_prepare_fold(spec, table, val_idx, fold_no))
+            except _CELL_ERRORS as exc:
+                prepared.append(str(exc))
+        ready = [fi for fi, fold in enumerate(prepared) if not isinstance(fold, str)]
+        samples = [prepared[fi][:2] for fi in ready] + ([whole_sample] if whole_sample is not None else [])
+
+        per_fold = [[fold] * len(grid) if isinstance(fold, str) else [None] * len(grid) for fold in prepared]
+        for params, members in groups:
+            fits = models.train_batch(family, samples, params)
+            if len(fits) > len(ready):
+                whole = fits.pop()
+            for fi, model in zip(ready, fits):
+                outcomes, validation = per_fold[fi], prepared[fi][2]
+                for ci, k in members:
+                    if isinstance(model, models.ModelError):
+                        outcomes[ci] = str(model)
+                    elif isinstance(validation, str):
+                        outcomes[ci] = validation
+                    else:
+                        try:
+                            outcomes[ci] = _validation_metric(
+                                model if k is None else model.truncate(k), *validation, config.metric
+                            )
+                        except _CELL_ERRORS as exc:
+                            outcomes[ci] = str(exc)
 
         cells = []
         for ci, params in enumerate(grid):
@@ -290,8 +316,14 @@ def cross_validate(
         if best_index < 0:
             details = "; ".join(f"cell {ci}: {c.error}" for ci, c in enumerate(cells))
             raise SelectionError(f"every grid cell failed: {details}")
-        refit = fit_pipeline(spec, table, classifier=(family, cells[best_index].params))
-        return tuple(cells), best_index, refit
+        if len(groups) > 1:
+            return tuple(cells), best_index, fit_pipeline(spec, table, classifier=(family, cells[best_index].params))
+        if isinstance(whole, Exception):
+            raise whole
+        k = dict(groups[0][1])[best_index]
+        return tuple(cells), best_index, dataclasses.replace(
+            whole_stages, classifier=whole if k is None else whole.truncate(k)
+        )
 
     (cells, best_index, refit), minutes = timed_fit(run)
     return CVResult(cells, best_index, refit, minutes)

@@ -59,7 +59,13 @@ class _Stage:
         stage = object.__new__(cls)
         for f, value in zip(fields(cls), values, strict=True):
             object.__setattr__(stage, f.name, value)
+        stage._derive()
         return stage
+
+    def _derive(self) -> None:
+        """Build what `transform` reads besides the fields, once per stage:
+        `_trusted` calls this, and so does `__post_init__` of a stage that
+        has something to build, after its checks."""
 
     def to_dict(self) -> dict:
         d = {"type": self.TYPE}
@@ -117,15 +123,20 @@ class StringIndexModel(_Stage):
         super().__post_init__()
         if sorted(self.mapping.values()) != list(range(len(self.mapping))):
             raise PipelineError("a string index mapping must give its k labels the codes 0..k-1")
+        self._derive()
 
-    def transform(self, table: DataTable) -> DataTable:
-        codes, categories = table.codes(self.input_col)
+    def _derive(self) -> None:
+        """Each label's index as a float; a null takes MISSING_TOKEN's."""
         index = {label: float(idx) for label, idx in self.mapping.items()}
         if MISSING_TOKEN in index:
             index[None] = index[MISSING_TOKEN]
+        object.__setattr__(self, "_index", index)
+
+    def transform(self, table: DataTable) -> DataTable:
+        codes, categories = table.codes(self.input_col)
         # NaN marks an unseen value; the last entry is the null code's.
         unseen = float(len(self.mapping)) if self.handle_invalid == "keep" else np.nan
-        lookup = np.array([index.get(label, unseen) for label in categories + (None,)], dtype=np.float64)
+        lookup = np.array([self._index.get(label, unseen) for label in categories + (None,)], dtype=np.float64)
         indices = lookup[codes]
         invalid = np.isnan(indices)
         if invalid.any():
@@ -280,6 +291,18 @@ class VectorIndexModel(_Stage):
             raise PipelineError(f"vector index dimensions must lie in [0, {self.size}), got {list(self.category_maps)}")
         if any(sorted(m.values()) != list(range(len(m))) for m in self.category_maps.values()):
             raise PipelineError("a vector index category map must give its k values the codes 0..k-1")
+        self._derive()
+
+    def _derive(self) -> None:
+        """Per categorical dimension, its values ascending, the same with a
+        NaN pad (which equals nothing, so values above every key are
+        unseen), and their codes with the unseen code last."""
+        lookups = {}
+        for dim, mapping in self.category_maps.items():
+            keys = np.array(sorted(mapping), dtype=np.float64)
+            codes = np.array([mapping[k] for k in keys.tolist()] + [len(mapping)], dtype=np.float64)
+            lookups[dim] = (keys, np.append(keys, np.nan), codes)
+        object.__setattr__(self, "_lookups", lookups)
 
     def transform(self, table: DataTable) -> DataTable:
         if table.row_count == 0:
@@ -291,14 +314,11 @@ class VectorIndexModel(_Stage):
             )
         out = matrix.copy()
         keep_mask = np.ones(matrix.shape[0], dtype=bool)
-        for dim, mapping in self.category_maps.items():
+        for dim, (keys, padded, codes) in self._lookups.items():
             col = matrix[:, dim]
-            keys = np.array(sorted(mapping), dtype=np.float64)
-            codes = np.array([mapping[k] for k in keys.tolist()] + [len(mapping)], dtype=np.float64)
             at = np.searchsorted(keys, col)
-            # The NaN pad equals nothing, so values above every key are unseen.
-            seen = np.append(keys, np.nan)[at] == col
-            out[:, dim] = np.where(seen, codes[at], float(len(mapping)))
+            seen = padded[at] == col
+            out[:, dim] = np.where(seen, codes[at], float(keys.size))
             if seen.all():
                 continue
             if self.handle_invalid == "skip":

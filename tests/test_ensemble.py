@@ -1,10 +1,13 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coverml import kernels
-from coverml.models import ensemble
+from coverml import kernels, models
+from coverml.models import ensemble, tree
 from coverml.models.base import ModelError
 from coverml.models.ensemble import (
     GbtModel,
@@ -204,6 +207,89 @@ class TestLockstep:
         forest = train_random_forest(X, y, params)
         alone = self.alone(X, y, params)
         assert [repr(t.to_dict()) for t in forest.trees] == [repr(t) for t in alone]
+
+
+def batch_sample(rng, n, d, kind):
+    """An (X, y) sample of n rows: tied values, a signed-zero column and a
+    constant column, or one class only."""
+    X = np.round(rng.random((n, d)) * 3.0, 1) - 1.0
+    if kind in ("signed-zero", "single-class"):
+        X[:, 0] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "constant" or d > 2:
+        X[:, -1] = 2.5
+    y = (rng.random(n) < 0.5).astype(int)
+    y[: 2] = 0, 1
+    if kind == "single-class":
+        y[:] = 1
+    return X, y
+
+
+def batch_params(data, family):
+    depth = data.draw(st.integers(1, 6))
+    min_instances = data.draw(st.integers(1, 4))
+    if family == "dt":
+        return DecisionTreeParams(max_depth=depth, min_instances_per_node=min_instances)
+    if family == "rf":
+        return RandomForestParams(
+            num_trees=data.draw(st.integers(1, 5)),
+            max_depth=depth,
+            min_instances_per_node=min_instances,
+            feature_subset_rule=data.draw(st.sampled_from(["sqrt", "all"])),
+            bootstrap=data.draw(st.booleans()),
+            seed=data.draw(st.integers(0, 9)),
+        )
+    return GbtParams(
+        num_iterations=data.draw(st.integers(1, 4)),
+        learning_rate=data.draw(st.sampled_from([0.1, 0.7])),
+        max_depth=depth,
+        min_instances_per_node=min_instances,
+    )
+
+
+class TestBatch:
+    """Every member of a batch (`models.train_batch`) is the model a fit of
+    its sample alone gives, bit for bit, and a sample that fails gets its own
+    ModelError while the others train."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_members_equal_fits_alone(self, data):
+        family = data.draw(st.sampled_from(["dt", "rf", "gbt"]))
+        d = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kinds = data.draw(
+            st.lists(st.sampled_from(["ties", "signed-zero", "constant", "single-class"]), min_size=1, max_size=4)
+        )
+        samples = [batch_sample(rng, data.draw(st.integers(2, 60)), d, kind) for kind in kinds]
+        params = batch_params(data, family)
+        # Budgets that put every sample alone, some together, or all together.
+        budget = data.draw(st.sampled_from([1, 60, 1 << 20]))
+        with mock.patch.object(tree, "BATCH_CELLS", budget), mock.patch.object(ensemble, "BATCH_CELLS", budget):
+            got = models.train_batch(family, samples, params)
+        assert len(got) == len(samples)
+        for (X, y), member in zip(samples, got):
+            try:
+                alone = models.train(family, X, y, params)
+            except ModelError as exc:
+                assert isinstance(member, ModelError) and str(member) == str(exc)
+                continue
+            assert repr(member.to_dict()) == repr(alone.to_dict())
+
+    def test_failing_sample_keeps_its_own_error(self):
+        rng = np.random.default_rng(3)
+        good = batch_sample(rng, 40, 3, "ties")
+        single = batch_sample(rng, 30, 3, "single-class")
+        empty = (np.zeros((0, 3)), np.zeros(0, dtype=int))
+        got = models.train_batch("gbt", [good, single, empty, good], GbtParams(num_iterations=2))
+        assert str(got[1]) == "boosting requires both classes in the training data"
+        assert str(got[2]) == "training data is empty"
+        assert repr(got[0].to_dict()) == repr(got[3].to_dict())
+        assert repr(got[0].to_dict()) == repr(train_gbt(*good, GbtParams(num_iterations=2)).to_dict())
+
+    def test_params_of_another_family_fail_every_sample(self):
+        X, y = separable(20, seed=1)
+        got = models.train_batch("rf", [(X, y), (X, y)], GbtParams())
+        assert [str(e) for e in got] == ["params for family 'rf' must be RandomForestParams"] * 2
 
 
 class TestKernelCallSize:

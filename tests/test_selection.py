@@ -447,6 +447,40 @@ class TestFoldLevelParity:
         assert "params for family 'rf' must be RandomForestParams" in got[0]
 
 
+class TestOneGroupRefit:
+    """A grid that is one nested group trains its refit in the folds' batch
+    and returns its truncation: the model `fit_pipeline` gives with the best
+    cell's params."""
+
+    @pytest.mark.parametrize(
+        "family, base, axes",
+        [
+            ("dt", default_params("dt"), {"max_depth": [6, 1, 3]}),
+            ("rf", RandomForestParams(max_depth=3), {"num_trees": [1, 4, 2]}),
+            ("gbt", GbtParams(max_depth=2), {"num_iterations": [5, 1, 3]}),
+            ("gbt", GbtParams(max_depth=2, num_iterations=3), {}),
+            ("lr", LogisticParams(), {"reg_param": [0.5, 0.5]}),
+        ],
+    )
+    @pytest.mark.parametrize("metric", ["auc_roc", "auc_pr"])
+    def test_refit_equals_fit_pipeline_with_best_params(self, family, base, axes, metric):
+        table, spec = numeric_table(seed=5)
+        config = CVConfig(folds=3, seed=4, metric=metric)
+        result = cross_validate(spec, family, build_param_grid(base, axes), table, config)
+        want = fit_pipeline(spec, table, classifier=(family, result.best_params))
+        assert repr(result.model.to_dict()) == repr(want.to_dict())
+
+    def test_whole_table_error_surfaces_after_every_cell_failed(self):
+        """Every fold trains on one class and so does the whole table: the
+        sweep raises "every grid cell failed", as a refit after the cells
+        would never run."""
+        table, spec = numeric_table(30, seed=2)
+        table = table.replace_column("label", [1] * 30)
+        grid = build_param_grid(GbtParams(max_depth=2), {"num_iterations": [1, 2]})
+        with pytest.raises(SelectionError, match="every grid cell failed"):
+            cross_validate(spec, "gbt", grid, table, CVConfig(folds=3, seed=1))
+
+
 class TestWorkDoneOnce:
     @pytest.mark.parametrize(
         "family, base, axes, groups",
@@ -458,29 +492,37 @@ class TestWorkDoneOnce:
         ],
     )
     def test_one_preparation_per_fold_and_one_fit_per_group(self, monkeypatch, family, base, axes, groups):
-        preparations, fits = [], []
-        fit_indexer, train = StringIndexer.fit, models.train
+        preparations, batches = [], []
+        fit_indexer, train_batch = StringIndexer.fit, models.train_batch
 
         def counting_fit(self, table):
             if self.input_col == "cat":
                 preparations.append(table.row_count)
             return fit_indexer(self, table)
 
-        def counting_train(family, X, y, params=None):
-            fits.append(params)
-            return train(family, X, y, params)
+        def counting_batch(family, samples, params=None):
+            batches.append((params, [len(y) for _, y in samples]))
+            return train_batch(family, samples, params)
 
         monkeypatch.setattr(StringIndexer, "fit", counting_fit)
-        monkeypatch.setattr(models, "train", counting_train)
+        monkeypatch.setattr(models, "train_batch", counting_batch)
         grid = build_param_grid(base, axes)
-        result = cross_validate(simple_spec(), family, grid, small_table(), CVConfig(folds=3, seed=3))
+        table = small_table()
+        result = cross_validate(simple_spec(), family, grid, table, CVConfig(folds=3, seed=3))
         assert len(preparations) == 3 + 1
-        assert len(fits) == 3 * groups + 1
-        assert fits[-1] == result.best_params
+        # One fit per group and fold, and one of the full table: in the
+        # group's batch when the grid is one group, else a batch of one with
+        # the best cell's params after the cells are scored.
+        fold_rows = sorted(table.row_count - len(v) for v in make_folds(table.row_count, 3, 3))
+        if groups == 1:
+            assert [sorted(rows) for _, rows in batches] == [sorted(fold_rows + [table.row_count])]
+        else:
+            assert [sorted(rows) for _, rows in batches[:-1]] == [fold_rows] * groups
+            assert batches[-1] == (result.best_params, [table.row_count])
         axis = models.model_type(family).nested_axis
         if axis is not None:
             largest = max(getattr(p, axis) for p in grid)
-            assert all(getattr(p, axis) == largest for p in fits[:-1])
+            assert all(getattr(p, axis) == largest for p, _ in batches[:groups])
 
 
 class TestBenchmark:

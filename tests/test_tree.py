@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from coverml import kernels, models
 from coverml.models.base import ModelError
-from coverml.models.tree import DecisionTreeModel, DecisionTreeParams, build_tree, train_decision_tree
+from coverml.models.tree import (
+    _DRAW_BLOCK,
+    DecisionTreeModel,
+    DecisionTreeParams,
+    FeatureDraws,
+    build_tree,
+    train_decision_tree,
+)
 
 from helpers import oracle_build_tree, tree_structure
 
@@ -440,3 +447,91 @@ class TestSerialization:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def choice_subsets(rng, d, k, count):
+    """`count` successive sorted `rng.choice(d, k, replace=False)` subsets."""
+    return [sorted(rng.choice(d, size=k, replace=False).tolist()) for _ in range(count)]
+
+
+#: (d, k) on both sides of `choice`'s switch to a tail shuffle at
+#: d > 10,000 and k > d // 50.
+DRAW_SHAPES = [(2, 1), (7, 2), (9, 3), (100, 99), (10000, 9999), (10001, 200), (10001, 201), (20000, 141), (10500, 300)]
+
+
+class TestDrawParity:
+    """FeatureDraws hands out the subsets that successive `Generator.choice`
+    calls give, and `replay` leaves a generator where those calls leave it."""
+
+    @pytest.mark.parametrize("d, k", DRAW_SHAPES)
+    def test_block_draws_equal_successive_choice_calls(self, d, k):
+        for seed in range(3):
+            # Takes of 1, 3 and then more than a block: the last refills.
+            takes = [1, 3, _DRAW_BLOCK + 5]
+            drawn = np.random.default_rng(seed)
+            draws = FeatureDraws([drawn, np.random.default_rng(seed + 100)], d, k)
+            got = [draws.take(np.zeros(m, dtype=np.intp)).tolist() for m in takes]
+            want = choice_subsets(np.random.default_rng(seed), d, k, sum(takes))
+            assert sum(got, []) == want
+
+            replayed = np.random.default_rng(seed)
+            draws.replay([replayed, np.random.default_rng(seed + 100)])
+            called = np.random.default_rng(seed)
+            choice_subsets(called, d, k, sum(takes))
+            assert replayed.integers(0, 2**62, size=4).tolist() == called.integers(0, 2**62, size=4).tolist()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_trees_draw_from_their_own_generators(self, data):
+        """Several trees take interleaved runs of subsets; each tree's are its
+        own generator's choice calls in order."""
+        d = data.draw(st.integers(2, 12))
+        k = data.draw(st.integers(1, d - 1))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+        draws = FeatureDraws([np.random.default_rng(s) for s in seeds], d, k)
+        got = [[] for _ in seeds]
+        for _ in range(data.draw(st.integers(1, 6))):
+            counts = data.draw(st.lists(st.integers(0, 70), min_size=len(seeds), max_size=len(seeds)))
+            if not sum(counts):
+                continue
+            trees = np.repeat(np.arange(len(seeds)), counts)[::-1].copy()
+            for t, subset in zip(trees.tolist(), draws.take(trees).tolist()):
+                got[t].append(subset)
+        for s, subsets in zip(seeds, got):
+            assert subsets == choice_subsets(np.random.default_rng(s), d, k, len(subsets))
+
+
+class TestSubsetArgument:
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_fewer_than_one_feature_is_rejected(self, bad):
+        X = np.random.default_rng(0).random((20, 3))
+        y = np.arange(20) % 2
+        with pytest.raises(ValueError, match="n_subset_features"):
+            build_tree(X, y, max_depth=3, n_subset_features=bad, rng=np.random.default_rng(1))
+
+    def test_at_least_d_means_every_feature(self):
+        rng = np.random.default_rng(2)
+        X = rng.random((60, 3))
+        y = rng.integers(0, 2, size=60)
+        every = build_tree(X, y, max_depth=4)
+        for k in (3, 4, 50):
+            assert repr(build_tree(X, y, max_depth=4, n_subset_features=k, rng=np.random.default_rng(5))) == repr(every)
+
+    @pytest.mark.parametrize("task", ["gini", "sse"])
+    def test_caller_generator_ends_where_choice_calls_leave_it(self, task):
+        """build_tree draws ahead on a copy; the caller's generator advances
+        by exactly the subsets the tree used, as the per-node reference's
+        choice calls advance it."""
+        rng = np.random.default_rng(8)
+        for trial in range(10):
+            X = parity_case(rng, ["plain", "ties", "signed-zero"][trial % 3])
+            n, d = X.shape
+            if d < 2:
+                continue
+            y = rng.integers(0, 2, size=n) if task == "gini" else rng.normal(size=n)
+            kwargs = dict(max_depth=int(rng.integers(1, 8)), task=task, n_subset_features=int(rng.integers(1, d)))
+            mine, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = build_tree(X, y, rng=mine, **kwargs)
+            want = reference_build_tree(X, y, rng=theirs, **kwargs)
+            assert repr(got) == repr(want)
+            assert mine.integers(0, 2**62, size=3).tolist() == theirs.integers(0, 2**62, size=3).tolist()
