@@ -120,6 +120,21 @@ class TrainedClassifier:
         the same parameters otherwise."""
         raise NotImplementedError
 
+    def nested_raw_scores(self, X: np.ndarray, ks) -> list[np.ndarray]:
+        """The raw scores of `truncate(k)` for each k of `ks`, or of this
+        model where k is None, each what that model's `raw_scores` gives.
+        This default scores them one after another; the tree families read
+        them all from one pass over their trees."""
+        return [(self if k is None else self.truncate(k)).raw_scores(X) for k in ks]
+
+    def _nested_k(self, k: int, most: int | None = None) -> int:
+        """k if `truncate` takes it: at least 1 and, when `most` is given, at
+        most `most`. ModelError naming k and the range otherwise."""
+        if k < 1 or (most is not None and k > most):
+            allowed = ">= 1" if most is None else f"in [1, {most}]"
+            raise ModelError(f"{self.family} truncate takes {self.nested_axis} {allowed}, got {k}")
+        return k
+
     def to_dict(self) -> dict:
         """Each field under its name: an array as nested lists, a tree as
         its nested nodes (`Tree.to_dict`), a tuple as a list."""

@@ -20,12 +20,14 @@ from .tree import (
     lockstep_groups,
     normalized_importance,
     presort,
+    tree_outputs,
 )
 
-#: Sample cells (rows × features) of the trees a forest grows in lockstep:
-#: trees of n rows and d features grow at most max(1, LOCKSTEP_CELLS //
-#: (n * d)) at a time, in groups of about equal size. A group holds about 12.5 bytes per cell (float64 values and int32
-#: order rows), so at most about 26 MB whatever num_trees is.
+#: Sample cells (rows × features) of the trees that grow in lockstep, of one
+#: forest or of the forests of a batch: trees of n rows and d features grow
+#: at most max(1, LOCKSTEP_CELLS // (n * d)) at a time, in groups of about
+#: equal size. A group holds about 12.5 bytes per cell (float64 values and
+#: int32 order rows), so at most about 26 MB whatever num_trees is.
 LOCKSTEP_CELLS = 1 << 21
 
 
@@ -48,6 +50,23 @@ def mean_importance(trees: list[Tree], n_features: int) -> np.ndarray:
     return normalized_importance(acc)
 
 
+def _prefix_sums(trees, X: np.ndarray, ks: list[int], start: float, weight: float | None) -> list[np.ndarray]:
+    """For each k of `ks`, `start` plus the sum of the first k trees' outputs
+    on X, each times `weight` unless it is None, from one walk of the first
+    max(ks) trees (`tree_outputs`). The outputs are added one tree at a time
+    in tree order (`np.add.accumulate` down the trees), so each sum has the
+    bits of a loop that adds k trees to `start`."""
+    sums = {k: np.empty(X.shape[0]) for k in ks}
+    for rows, (outputs,) in tree_outputs(trees[: max(ks)], X):
+        if weight is not None:
+            outputs *= weight
+        outputs[0] += start
+        np.add.accumulate(outputs, axis=0, out=outputs)
+        for k, total in sums.items():
+            total[rows] = outputs[k - 1]
+    return [sums[k] for k in ks]
+
+
 def _read_trees(model, task: str) -> None:
     """Read the trees of a forest or boosted model from their nested nodes
     (`Tree.from_dict`); ModelError if there are none."""
@@ -67,11 +86,12 @@ class RandomForestModel(TrainedClassifier):
     threshold: Probability
 
     def raw_scores(self, X):
-        columns = self._check_matrix(X).T.copy()
-        acc = np.zeros(columns.shape[1], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.apply(columns)
-        return acc / len(self.trees)
+        return self.nested_raw_scores(X, [None])[0]
+
+    def nested_raw_scores(self, X, ks):
+        """The mean over each prefix of k trees, read from one walk."""
+        ks = [len(self.trees) if k is None else self._nested_k(k, len(self.trees)) for k in ks]
+        return [total / k for total, k in zip(_prefix_sums(self.trees, self._check_matrix(X), ks, 0.0, None), ks)]
 
     def _probabilities_of(self, raw):
         return raw
@@ -79,6 +99,7 @@ class RandomForestModel(TrainedClassifier):
     def truncate(self, k: int) -> "RandomForestModel":
         """The first k trees. Each tree draws from its own generator, so they
         are the forest a fit with num_trees=k grows."""
+        self._nested_k(k, len(self.trees))
         return RandomForestModel(self.trees[:k], self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:
@@ -101,18 +122,15 @@ def train_random_forests(samples, params: RandomForestParams = RandomForestParam
     forest is identical across runs. Trees grow in lockstep groups
     (`grow_trees`): a tree draws its bootstrap sample and then its feature
     subsets from its own generator in the order a tree grown alone would,
-    so grouping does not change any tree. A forest alone grows its trees in
-    groups of LOCKSTEP_CELLS sample cells (at least one tree), and the
-    trees of several forests share groups up to the larger of BATCH_CELLS
-    and the largest group a forest grows alone.
+    so grouping does not change any tree. The trees grow in groups of up to
+    LOCKSTEP_CELLS sample cells (at least one tree), whether they come from
+    one forest or several.
     """
     out = per_sample(check_training_data, samples)
     ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
     trees: dict[int, list[Tree]] = {i: [] for i in ready}
     jobs = [(i, t) for i in ready for t in range(params.num_trees)]
-    alone = [min(params.num_trees, max(1, LOCKSTEP_CELLS // out[i][0].size)) * out[i][0].size for i in ready]
-    budget = min(LOCKSTEP_CELLS, max([BATCH_CELLS, *alone]))
-    for group in lockstep_groups([out[i][0].shape for i, _ in jobs], budget):
+    for group in lockstep_groups([out[i][0].shape for i, _ in jobs], LOCKSTEP_CELLS):
         members = [jobs[j] for j in group]
         rngs = [derived_rng(params.seed, 23, t) for _, t in members]
         sizes = [out[i][0].shape[0] for i, _ in members]
@@ -170,11 +188,12 @@ class GbtModel(TrainedClassifier):
     train_losses: tuple[float, ...]
 
     def raw_scores(self, X):
-        columns = self._check_matrix(X).T.copy()
-        F = np.full(columns.shape[1], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            F += self.learning_rate * tree.apply(columns)
-        return F
+        return self.nested_raw_scores(X, [None])[0]
+
+    def nested_raw_scores(self, X, ks):
+        """F after each prefix of k stages, read from one walk."""
+        ks = [len(self.trees) if k is None else self._nested_k(k, len(self.trees)) for k in ks]
+        return _prefix_sums(self.trees, self._check_matrix(X), ks, self.base_score, self.learning_rate)
 
     def _probabilities_of(self, raw):
         return sigmoid(2.0 * raw)
@@ -183,6 +202,7 @@ class GbtModel(TrainedClassifier):
         """The first k stages and their losses. A stage fits the residuals
         of the stages before it only, so they are what a fit with
         num_iterations=k builds."""
+        self._nested_k(k, len(self.trees))
         return GbtModel(
             self.base_score,
             self.learning_rate,
@@ -251,7 +271,7 @@ def train_gbts(samples, params: GbtParams = GbtParams()) -> list:
             )
             for sample_trees, tree in zip(trees, grown):
                 sample_trees.append(tree)
-            # The leaf values of the training rows: what tree.apply(X.T) gives.
+            # The leaf values of the training rows: the tree's outputs on X.
             F += params.learning_rate * fitted
             losses.append(_mean_losses(ys, F, rows))
         for j, i in enumerate(members):

@@ -90,23 +90,6 @@ class Tree:
     right: np.ndarray
     depth: np.ndarray
 
-    def apply(self, columns: np.ndarray) -> np.ndarray:
-        """Each row's leaf output (class-1 probability or mean), the rows
-        given feature-major: `columns` is X.T, C-contiguous."""
-        value = (self.stat / self.n if self.task == "gini" else self.stat).tolist()
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right = self.left.tolist(), self.right.tolist()
-        out = np.empty(columns.shape[1], dtype=np.float64)
-        stack = [(0, np.arange(columns.shape[1]))]
-        while stack:
-            i, rows = stack.pop()
-            if feature[i] < 0:
-                out[rows] = value[i]
-            elif rows.size:
-                mask = columns[feature[i]].take(rows) <= threshold[i]
-                stack += ((left[i], rows.compress(mask)), (right[i], rows.compress(~mask)))
-        return out
-
     def cut(self, depth: int) -> "Tree":
         """This tree with its nodes `depth` levels down made leaves."""
         leaf = self.depth >= depth
@@ -200,6 +183,58 @@ def _number(x) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"tree node holds {x!r} where a number belongs")
     return x
+
+
+#: Cells (trees × rows) of a block of `tree_outputs`: its node array and each
+#: array a level derives from it hold that many entries, and its outputs
+#: that many for each stop.
+WALK_CELLS = 1 << 15
+
+
+def tree_outputs(trees, X: np.ndarray, stops=(None,)):
+    """Walk the rows of X (n, d), C-contiguous, down all `trees` at once,
+    one level per step, and yield each block of rows as (rows, outputs):
+    `rows` a slice of X's rows, and for each stop of `stops` the
+    (len(trees), rows) outputs (class-1 probability or mean) of the node each
+    row reaches after `stop` levels, or of its leaf when the stop is None.
+
+    All trees' nodes go in one table in which a leaf's children are the leaf
+    itself, so a step moves every (tree, row) entry of the node array with
+    child[2 * node + (x <= threshold)]: left when x <= threshold, right
+    otherwise, a NaN included. A block holds at most WALK_CELLS cells of the
+    node array per output it keeps, so memory does not grow with n.
+    """
+    sizes = [tree.n.size for tree in trees]
+    starts = np.cumsum(sizes) - sizes
+    base = np.repeat(starts, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    own = np.arange(base.size)
+    left = np.where(leaf, own, np.concatenate([tree.left for tree in trees]) + base)
+    right = np.where(leaf, own, np.concatenate([tree.right for tree in trees]) + base)
+    child = np.stack([right, left], axis=1).reshape(-1)
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    value = np.concatenate([tree.stat / tree.n if tree.task == "gini" else tree.stat for tree in trees])
+    # A cut tree keeps its depths, so the walk ends below its last split.
+    levels = max((int(tree.depth[tree.feature >= 0].max(initial=-1)) + 1 for tree in trees), default=0)
+    at = [levels if stop is None else min(stop, levels) for stop in stops]
+    feature = np.where(leaf, 0, feature)
+
+    n, d = X.shape
+    flat = X.reshape(-1)
+    block = max(1, WALK_CELLS // (len(trees) * len(set(at))))
+    for a in range(0, n, block):
+        rows = slice(a, min(n, a + block))
+        row_start = np.arange(rows.start, rows.stop) * d
+        node = np.repeat(starts[:, None], rows.stop - rows.start, axis=1)
+        reached = {}
+        for level in range(levels + 1):
+            if level in at:
+                reached[level] = value.take(node)
+            if level < levels:
+                x = flat.take(feature.take(node) + row_start)
+                node = child.take(2 * node + (x <= threshold.take(node)))
+        yield rows, [reached[level] for level in at]
 
 
 def build_tree(
@@ -670,7 +705,18 @@ class DecisionTreeModel(TrainedClassifier):
     threshold: Probability
 
     def raw_scores(self, X):
-        return self.root.apply(self._check_matrix(X).T.copy())
+        return self.nested_raw_scores(X, [None])[0]
+
+    def nested_raw_scores(self, X, ks):
+        """The tree cut at each depth k: the output of the node a row reaches
+        after k levels of one walk (`tree_outputs`)."""
+        stops = [None if k is None else self._nested_k(k) for k in ks]
+        X = self._check_matrix(X)
+        out = [np.empty(X.shape[0]) for _ in ks]
+        for rows, outputs in tree_outputs([self.root], X, stops):
+            for scores, (reached,) in zip(out, outputs):
+                scores[rows] = reached
+        return out
 
     def _probabilities_of(self, raw):
         return raw
@@ -678,6 +724,7 @@ class DecisionTreeModel(TrainedClassifier):
     def truncate(self, k: int) -> "DecisionTreeModel":
         """The tree cut at depth k. Growth above depth k does not read
         max_depth, so this is the tree a fit with max_depth=k grows."""
+        self._nested_k(k)
         return DecisionTreeModel(self.root.cut(k), self.n_features, self.threshold)
 
     def feature_importances(self) -> np.ndarray:

@@ -14,9 +14,10 @@ on the fold's training rows, and its training and validation rows are
 transformed once for every cell. Along a nested capacity axis (dt
 max_depth, rf num_trees, gbt num_iterations) one model per fold serves every
 value: smaller values score a truncation of the largest fit, which equals a
-fresh fit with that value. The folds' models of one such group train as
-one batch, and when the grid is one group (every default grid is), the
-refit on the full table trains in the same batch.
+fresh fit with that value, and one walk of the fit's trees scores them all.
+The folds' models of one such group train as one batch, and when the grid
+is one group (every default grid is), the refit on the full table trains
+in the same batch.
 
 Reported fit_minutes cover the full cross-validation sweep including the
 final refit, not a single model fit.
@@ -180,14 +181,38 @@ def _prepare_whole(spec: PipelineSpec, table: DataTable):
     return prepared, (out.feature_matrix(spec.features_col), out.label_array())
 
 
-def _validation_metric(model, X_val: np.ndarray, y_val: np.ndarray, metric: str) -> float:
-    raw = model.raw_scores(X_val)
+def _validation_metric(raw: np.ndarray, y_val: np.ndarray, metric: str) -> float:
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         # The error a rawScore table column of these scores raises.
         row = int(bad[0])
         raise TableError(f"column 'rawScore' expects finite numbers, got {float(raw[row])!r} at row {row}")
     return _score_metric(metric, raw, y_val)
+
+
+def _fold_outcomes(model, validation, ks: list, metric: str) -> list:
+    """The metric on one fold of each cell that scores `truncate(k)` of
+    `model` (the model itself where k is None), or the cell's error text:
+    the fold's training error (`model` a ModelError), its validation error
+    (`validation` a string), or what scoring raises. One pass over the
+    model scores every cell (`nested_raw_scores`); an error it raises is
+    each cell's."""
+    if isinstance(model, models.ModelError):
+        return [str(model)] * len(ks)
+    if isinstance(validation, str):
+        return [validation] * len(ks)
+    X_val, y_val = validation
+    try:
+        raws = model.nested_raw_scores(X_val, ks)
+    except _CELL_ERRORS as exc:
+        return [str(exc)] * len(ks)
+    outcomes = []
+    for raw in raws:
+        try:
+            outcomes.append(_validation_metric(raw, y_val, metric))
+        except _CELL_ERRORS as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 def _nest_groups(family: str, grid: list) -> list[tuple[object, list[tuple[int, int | None]]]]:
@@ -234,8 +259,9 @@ def cross_validate(
     per fold, trained with the group's largest value and truncated for the
     others, which gives the same model as a fresh fit. A group's models of
     all folds train as one batch (`models.train_batch`), which grows the
-    folds' trees together; `config.parallelism` is validated but changes
-    neither speed nor results.
+    folds' trees together, and each fold's model scores all its cells in
+    one pass (`nested_raw_scores`); `config.parallelism` is validated but
+    changes neither speed nor results.
 
     Cell score is the arithmetic mean of the held-out fold metrics; the best
     cell is the max mean with ties broken by earliest grid order, and the
@@ -284,19 +310,9 @@ def cross_validate(
             if len(fits) > len(ready):
                 whole = fits.pop()
             for fi, model in zip(ready, fits):
-                outcomes, validation = per_fold[fi], prepared[fi][2]
-                for ci, k in members:
-                    if isinstance(model, models.ModelError):
-                        outcomes[ci] = str(model)
-                    elif isinstance(validation, str):
-                        outcomes[ci] = validation
-                    else:
-                        try:
-                            outcomes[ci] = _validation_metric(
-                                model if k is None else model.truncate(k), *validation, config.metric
-                            )
-                        except _CELL_ERRORS as exc:
-                            outcomes[ci] = str(exc)
+                scored = _fold_outcomes(model, prepared[fi][2], [k for _, k in members], config.metric)
+                for (ci, _), outcome in zip(members, scored):
+                    per_fold[fi][ci] = outcome
 
         cells = []
         for ci, params in enumerate(grid):

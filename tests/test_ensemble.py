@@ -167,6 +167,35 @@ class TestPrefixes:
             assert np.array_equal(model.truncate(k).raw_scores(X), fresh.raw_scores(X))
 
 
+class TestTruncateRange:
+    """`truncate` and `nested_raw_scores` take k in [1, the fit's own count]
+    for rf and gbt, and k >= 1 for dt."""
+
+    @pytest.mark.parametrize("family, count", [("rf", 9), ("gbt", 9)])
+    @pytest.mark.parametrize("k", [0, -1, 10, 100])
+    def test_outside_one_to_count_rejected(self, family, count, k):
+        X, y = separable(80, seed=2)
+        params = RandomForestParams(num_trees=count, max_depth=2) if family == "rf" else GbtParams(num_iterations=count)
+        model = models.train(family, X, y, params)
+        axis = model.nested_axis
+        message = rf"{family} truncate takes {axis} in \[1, {count}\], got {k}$"
+        with pytest.raises(ModelError, match=message):
+            model.truncate(k)
+        with pytest.raises(ModelError, match=message):
+            model.nested_raw_scores(X, [None, k])
+        assert len(model.truncate(count).trees) == count
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_dt_depth_below_one_rejected(self, k):
+        X, y = separable(80, seed=2)
+        model = models.train("dt", X, y, DecisionTreeParams(max_depth=3))
+        with pytest.raises(ModelError, match=rf"dt truncate takes max_depth >= 1, got {k}$"):
+            model.truncate(k)
+        with pytest.raises(ModelError, match=rf"dt truncate takes max_depth >= 1, got {k}$"):
+            model.nested_raw_scores(X, [k])
+        assert repr(model.truncate(40).to_dict()) == repr(model.to_dict())
+
+
 class TestLockstep:
     """A forest grows its trees in lockstep groups; each tree must be the one
     build_tree grows alone from the same generator."""
@@ -207,6 +236,29 @@ class TestLockstep:
         forest = train_random_forest(X, y, params)
         alone = self.alone(X, y, params)
         assert [repr(t.to_dict()) for t in forest.trees] == [repr(t) for t in alone]
+
+
+    def test_forests_of_a_cross_validation_share_one_group(self, monkeypatch):
+        """Three folds and the refit of a 700-row, 7-feature table, 20 trees
+        each: the 80 trees hold less than LOCKSTEP_CELLS, so they grow in
+        one `grow_trees` call, as one forest of 80 trees would."""
+        calls = []
+        grow = ensemble.grow_trees
+
+        def counting(values, order, targets, sizes, **kwargs):
+            calls.append(len(sizes))
+            return grow(values, order, targets, sizes, **kwargs)
+
+        monkeypatch.setattr(ensemble, "grow_trees", counting)
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(700, 7)), 2)
+        y = (X[:, 0] + rng.normal(size=700) > 0).astype(int)
+        samples = [(X[:n], y[:n]) for n in (467, 467, 466, 700)]
+        got = models.train_batch("rf", samples, RandomForestParams(num_trees=20, max_depth=7))
+        assert calls == [80]
+        assert sum(n for n in (467, 467, 466, 700)) * 20 * 7 <= ensemble.LOCKSTEP_CELLS
+        alone = train_random_forest(X[:466], y[:466], RandomForestParams(num_trees=20, max_depth=7))
+        assert repr(got[2].to_dict()) == repr(alone.to_dict())
 
 
 def batch_sample(rng, n, d, kind):
@@ -264,7 +316,9 @@ class TestBatch:
         params = batch_params(data, family)
         # Budgets that put every sample alone, some together, or all together.
         budget = data.draw(st.sampled_from([1, 60, 1 << 20]))
-        with mock.patch.object(tree, "BATCH_CELLS", budget), mock.patch.object(ensemble, "BATCH_CELLS", budget):
+        # dt and gbt batch up to BATCH_CELLS, rf up to LOCKSTEP_CELLS.
+        with mock.patch.object(tree, "BATCH_CELLS", budget), mock.patch.object(ensemble, "BATCH_CELLS", budget), \
+                mock.patch.object(ensemble, "LOCKSTEP_CELLS", budget):
             got = models.train_batch(family, samples, params)
         assert len(got) == len(samples)
         for (X, y), member in zip(samples, got):

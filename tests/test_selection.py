@@ -447,6 +447,51 @@ class TestFoldLevelParity:
         assert "params for family 'rf' must be RandomForestParams" in got[0]
 
 
+#: Grids of one nested axis each, every value from 1 up, so every fold model
+#: scores one cell per value from one pass.
+NESTED_GRIDS = {
+    "dt max_depth 1-30": ("dt", default_params("dt"), {"max_depth": list(range(1, 31))}),
+    "rf num_trees 1-20 depth 3": ("rf", RandomForestParams(max_depth=3), {"num_trees": list(range(1, 21))}),
+    "rf num_trees 1-20 depth 7": ("rf", RandomForestParams(max_depth=7), {"num_trees": list(range(1, 21))}),
+    "gbt num_iterations 1-12": ("gbt", GbtParams(), {"num_iterations": list(range(1, 13))}),
+}
+
+
+class TestNestedCellParity:
+    """Cells scored from one pass per fold model (`nested_raw_scores`)
+    against the per-(cell, fold) path: the same metrics, means, errors and
+    best index."""
+
+    @pytest.mark.parametrize("metric", ["auc_roc", "auc_pr"])
+    @pytest.mark.parametrize("case", sorted(NESTED_GRIDS))
+    def test_every_value_of_the_axis(self, case, metric):
+        family, base, axes = NESTED_GRIDS[case]
+        grid = build_param_grid(base, axes)
+        table, spec = numeric_table(120, seed=len(case))
+        config = CVConfig(folds=3, seed=5, metric=metric)
+        want = outcome(reference_cross_validate, spec, family, grid, table, config)
+        got = outcome(lambda *a: as_tuple(cross_validate(*a)), spec, family, grid, table, config)
+        assert got == want
+
+    def test_error_of_the_shared_pass_is_each_cells(self, monkeypatch):
+        """A pass that raises gives its error to every cell of the fold, as
+        each cell's own scoring would."""
+        calls = []
+
+        def failing(self, X, ks):
+            calls.append(list(ks))
+            raise ModelError(f"pass {len(calls)} failed")
+
+        monkeypatch.setattr(models.RandomForestModel, "nested_raw_scores", failing)
+        table, spec = numeric_table(seed=2)
+        grid = build_param_grid(RandomForestParams(max_depth=2), {"num_trees": [3, 1, 2]})
+        with pytest.raises(SelectionError) as raised:
+            cross_validate(spec, "rf", grid, table, CVConfig(folds=3, seed=1))
+        assert calls == [[None, 1, 2]] * 3
+        errors = "pass 1 failed; pass 2 failed; pass 3 failed"
+        assert str(raised.value) == f"every grid cell failed: cell 0: {errors}; cell 1: {errors}; cell 2: {errors}"
+
+
 class TestOneGroupRefit:
     """A grid that is one nested group trains its refit in the folds' batch
     and returns its truncation: the model `fit_pipeline` gives with the best

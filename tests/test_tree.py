@@ -1,17 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverml import kernels, models
+from coverml.models import tree as tree_module
 from coverml.models.base import ModelError
 from coverml.models.tree import (
     _DRAW_BLOCK,
+    MAX_DEPTH,
     DecisionTreeModel,
     DecisionTreeParams,
     FeatureDraws,
+    Tree,
     build_tree,
     train_decision_tree,
+    tree_outputs,
 )
 
 from helpers import oracle_build_tree, tree_structure
@@ -366,6 +372,231 @@ class TestFlatApply:
         back = models.model_type(family).from_dict(doc)
         assert repr(back.to_dict()) == repr(doc)
         assert back.raw_scores(rows).tolist() == want
+
+
+def reference_apply(tree, columns):
+    """Each row's leaf output, one node at a time: the rows given
+    feature-major (`columns` is X.T), each split sending its rows with
+    x <= threshold left and the rest right."""
+    value = (tree.stat / tree.n if tree.task == "gini" else tree.stat).tolist()
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    out = np.empty(columns.shape[1], dtype=np.float64)
+    stack = [(0, np.arange(columns.shape[1]))]
+    while stack:
+        i, rows = stack.pop()
+        if feature[i] < 0:
+            out[rows] = value[i]
+        elif rows.size:
+            mask = columns[feature[i]].take(rows) <= threshold[i]
+            stack += ((left[i], rows.compress(mask)), (right[i], rows.compress(~mask)))
+    return out
+
+
+#: Walk input cells: the tie-prone VALUES and what a table never holds.
+WALK_CELLS = st.sampled_from(VALUES + [np.nan, np.inf, -np.inf])
+#: Thresholds: the midpoints a split chooses, the values themselves and ±inf.
+WALK_THRESHOLDS = st.sampled_from(VALUES + [(a + b) / 2 for a, b in zip(VALUES, VALUES[1:])] + [np.inf, -np.inf])
+
+
+@st.composite
+def random_trees(draw, d):
+    """A Tree of random shape in pre-order: each node splits with the drawn
+    chance while above the drawn depth, up to MAX_DEPTH; a "chain" tree
+    splits once per level, so it reaches its depth with few nodes."""
+    task = draw(st.sampled_from(["gini", "sse"]))
+    depth_cap = draw(st.sampled_from([0, 1, 3, 6, MAX_DEPTH]))
+    chain = draw(st.booleans())
+    nodes = []  # n, stat, feature, threshold, left, right, depth
+
+    def grow(depth):
+        i = len(nodes)
+        n = draw(st.integers(1, 50))
+        stat = float(draw(st.integers(0, n))) if task == "gini" else draw(st.sampled_from(VALUES + [-2.75e-3]))
+        nodes.append([n, stat, -1, 0.0, -1, -1, depth])
+        if depth < depth_cap and (chain or draw(st.integers(0, 3)) > 0):
+            nodes[i][2] = draw(st.integers(0, d - 1))
+            nodes[i][3] = draw(WALK_THRESHOLDS)
+            if chain and draw(st.booleans()):
+                nodes[i][4] = len(nodes)
+                nodes.append([1, 0.0, -1, 0.0, -1, -1, depth + 1])
+                nodes[i][5] = grow(depth + 1)
+            elif chain:
+                nodes[i][4] = grow(depth + 1)
+                nodes[i][5] = len(nodes)
+                nodes.append([1, 0.0, -1, 0.0, -1, -1, depth + 1])
+            else:
+                nodes[i][4] = grow(depth + 1)
+                nodes[i][5] = grow(depth + 1)
+        return i
+
+    grow(0)
+    n, stat, feature, threshold, left, right, depth = (np.array(c) for c in zip(*nodes))
+    return Tree(task, n, stat.astype(np.float64), feature, threshold.astype(np.float64),
+                np.zeros(len(nodes)), left, right, depth)
+
+
+def walked(trees, X, stops):
+    """Each stop's (trees, rows) outputs, the blocks of `tree_outputs` put
+    together; the blocks must cover X's rows in order."""
+    out = [np.empty((len(trees), X.shape[0])) for _ in stops]
+    at = 0
+    for rows, outputs in tree_outputs(trees, X, stops):
+        assert rows.start == at and rows.stop > at
+        at = rows.stop
+        for whole, block in zip(out, outputs):
+            whole[:, rows] = block
+    assert at == X.shape[0]
+    return out
+
+
+class TestTreeWalk:
+    """The level-by-level walk over many trees (`tree_outputs`) against the
+    node-at-a-time traversal, bit for bit: every tree's leaf output and the
+    output after k levels, which is the leaf of the tree cut at depth k."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walk_equals_per_node_traversal(self, data):
+        d = data.draw(st.integers(1, 4))
+        trees = data.draw(st.lists(random_trees(d), min_size=1, max_size=5))
+        n = data.draw(st.integers(0, 30))
+        X = np.array(data.draw(st.lists(st.lists(WALK_CELLS, min_size=d, max_size=d), min_size=n, max_size=n)))
+        X = X.reshape(n, d)
+        stops = data.draw(st.lists(st.one_of(st.none(), st.integers(1, MAX_DEPTH + 2)), min_size=1, max_size=4))
+        # Budgets that cut the rows into blocks of one, a few, or one block.
+        budget = data.draw(st.sampled_from([1, 7, 64, 1 << 15]))
+        with mock.patch.object(tree_module, "WALK_CELLS", budget):
+            got = walked(trees, X, stops)
+        columns = X.T.copy()
+        for stop, outputs in zip(stops, got):
+            for t, tree in enumerate(trees):
+                want = reference_apply(tree if stop is None else tree.cut(stop), columns)
+                assert outputs[t].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [20, 21, 40])
+    @pytest.mark.parametrize("n", [0, 9, 10, 11, 19, 20, 21])
+    def test_rows_on_both_sides_of_a_block_boundary(self, n, budget):
+        """Two trees and a budget of 20 or 21 cells make blocks of 10 rows,
+        40 cells blocks of 20; one stop."""
+        rng = np.random.default_rng(n)
+        X = np.round(rng.normal(size=(200, 3)), 1)
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        trees = [train_decision_tree(X, y, DecisionTreeParams(max_depth=k)).root for k in (2, 6)]
+        query = np.round(rng.normal(size=(n, 3)), 1)
+        query[::3, 1] = np.nan
+        with mock.patch.object(tree_module, "WALK_CELLS", budget):
+            (got,) = walked(trees, query, [None])
+        for t, tree in enumerate(trees):
+            assert got[t].tobytes() == reference_apply(tree, query.T.copy()).tobytes()
+
+    def test_nan_goes_right_and_signed_zero_ties_left(self):
+        """x <= threshold goes left: NaN never does, -0.0 <= 0.0 does."""
+        tree = Tree("sse", np.array([3, 1, 2]), np.array([0.0, -1.0, 1.0]), np.array([0, -1, -1]),
+                    np.array([0.0, 0.0, 0.0]), np.zeros(3), np.array([1, -1, -1]), np.array([2, -1, -1]),
+                    np.array([0, 1, 1]))
+        X = np.array([[np.nan], [-0.0], [0.0], [np.inf], [-np.inf], [5e-324]])
+        (got,) = walked([tree], X, [None])
+        assert got[0].tolist() == [1.0, -1.0, -1.0, 1.0, -1.0, 1.0]
+
+    def test_depth_30_forest_of_mixed_depths(self):
+        """Deep dt fits on rows that need every level, walked with shallow
+        ones, at every stop."""
+        X = np.arange(400.0)[:, None] ** 1.5
+        y = (np.arange(400) // 3 + np.arange(400) // 7) % 2
+        trees = [train_decision_tree(X, y, DecisionTreeParams(max_depth=k)).root for k in (MAX_DEPTH, 1, 9, 20)]
+        assert int(trees[0].depth.max()) >= 20
+        query = np.concatenate([X, X + 0.5, [[np.nan], [-0.0]]])
+        stops = [None, *range(1, MAX_DEPTH + 1)]
+        got = walked(trees, query, stops)
+        for stop, outputs in zip(stops, got):
+            for t, tree in enumerate(trees):
+                want = reference_apply(tree if stop is None else tree.cut(stop), query.T.copy())
+                assert outputs[t].tobytes() == want.tobytes()
+
+
+def reference_nested(model, X, k):
+    """The raw scores of `model.truncate(k)` (the model where k is None),
+    each tree applied by `reference_apply` and the trees' outputs added in
+    tree order: the mean for rf, base score plus learning rate times each
+    output for gbt."""
+    columns = X.T.copy()
+    if model.family == "dt":
+        return reference_apply(model.root if k is None else model.root.cut(k), columns)
+    trees = model.trees if k is None else model.trees[:k]
+    if model.family == "rf":
+        acc = np.zeros(X.shape[0])
+        for tree in trees:
+            acc += reference_apply(tree, columns)
+        return acc / len(trees)
+    F = np.full(X.shape[0], model.base_score, dtype=np.float64)
+    for tree in trees:
+        F += model.learning_rate * reference_apply(tree, columns)
+    return F
+
+
+class TestNestedScores:
+    """`nested_raw_scores` reads every truncation's raw scores from one walk
+    of a fit; each equals `truncate(k).raw_scores` and the tree-by-tree
+    reference bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_k_equals_its_truncation(self, data):
+        family = data.draw(st.sampled_from(["dt", "rf", "gbt"]))
+        n, d = data.draw(st.integers(2, 80)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = np.round(rng.random((n, d)) * 3.0, 1) - 1.0
+        y = rng.integers(0, 2, size=n)
+        y[:2] = 0, 1
+        if family == "dt":
+            params = DecisionTreeParams(max_depth=data.draw(st.integers(1, 12)))
+            top = params.max_depth + 2  # cuts below the tree's depth change nothing
+        elif family == "rf":
+            params = models.RandomForestParams(
+                num_trees=data.draw(st.integers(1, 8)), max_depth=data.draw(st.integers(1, 6)),
+                seed=data.draw(st.integers(0, 9)),
+            )
+            top = params.num_trees
+        else:
+            params = models.GbtParams(
+                num_iterations=data.draw(st.integers(1, 8)), max_depth=data.draw(st.integers(1, 5)),
+                learning_rate=data.draw(st.sampled_from([0.1, 0.7, 0.0])),
+            )
+            top = params.num_iterations
+        model = models.train(family, X, y, params)
+        ks = data.draw(st.lists(st.one_of(st.none(), st.integers(1, top)), min_size=1, max_size=6))
+        ks += [None, *range(1, top + 1)]
+        query = np.concatenate([X, rng.normal(size=(data.draw(st.integers(0, 20)), d))])
+        query[::5, 0] = np.nan
+        budget = data.draw(st.sampled_from([3, 50, 1 << 15]))
+        with mock.patch.object(tree_module, "WALK_CELLS", budget):
+            got = model.nested_raw_scores(query, ks)
+        assert len(got) == len(ks)
+        for k, scores in zip(ks, got):
+            assert scores.tobytes() == reference_nested(model, query, k).tobytes()
+            assert scores.tobytes() == (model if k is None else model.truncate(k)).raw_scores(query).tobytes()
+
+    @pytest.mark.parametrize("family", ["lr", "svm", "fm"])
+    def test_other_families_score_each_model(self, family):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 3))
+        model = models.train(family, X, (X[:, 0] > 0).astype(int))
+        assert type(model).nested_raw_scores is models.TrainedClassifier.nested_raw_scores
+        got = model.nested_raw_scores(X, [None, None])
+        assert [g.tobytes() for g in got] == [model.raw_scores(X).tobytes()] * 2
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_zero_rows_and_single_leaf_trees(self, family):
+        """Constant features grow only roots; no rows give empty scores."""
+        X, y = np.ones((30, 2)), (np.arange(30) % 3 == 0).astype(int)
+        model = models.train(family, X, y)
+        assert all(int(t.depth.max()) == 0 for t in getattr(model, "trees", [getattr(model, "root", None)]))
+        ks = [None, 1, 2]
+        for k, scores in zip(ks, model.nested_raw_scores(X[:4], ks)):
+            assert scores.tobytes() == reference_nested(model, X[:4], k).tobytes()
+        for scores in model.nested_raw_scores(np.zeros((0, 2)), ks):
+            assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 class TestParamsAndErrors:
