@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (CliError, FileNotFoundError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

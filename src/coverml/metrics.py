@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -138,22 +137,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _curve_array(points) -> np.ndarray:
-    """`points` as a read-only `(m, 2)` float64 array of its own, `(0, 2)`
-    when empty. The coordinates must be real numbers: `np.array` alone would
-    turn None into NaN, True into 1.0 and "0.5" into 0.5."""
-    values = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
-    if values.dtype.kind not in "fiu" and not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values.ravel().tolist()
-    ):
-        raise ValueError("curve coordinates must be real numbers")
-    if values.shape == (0,):
-        values = values.reshape(0, 2)
-    if values.ndim != 2 or values.shape[1] != 2:
-        raise ValueError("curve points must have two coordinates")
-    return _read_only(np.array(values, dtype=np.float64))
-
-
 def timed_fit(fit: Callable[[], object]) -> tuple[object, float]:
     """Run a fit closure and report its wall-clock duration in minutes."""
     start = time.perf_counter()
@@ -169,9 +152,8 @@ _CURVES = ("roc_points", "pr_points")
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Evaluation report. `roc_points` and `pr_points` are read-only
-    `(m, 2)` float64 arrays; any sequence of number pairs given for them is
-    copied into one."""
+    """Evaluation report, written and never read back. `roc_points` and
+    `pr_points` are `(m, 2)` float64 arrays."""
 
     counts: ConfusionCounts
     precision: float
@@ -184,20 +166,6 @@ class EvalReport:
     pr_points: np.ndarray
     fit_minutes: float = 0.0
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in _CURVES:
-            object.__setattr__(self, name, _curve_array(getattr(self, name)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
-            if f.name in _CURVES
-            else getattr(self, f.name) == getattr(other, f.name)
-            for f in fields(self)
-        )
 
     def to_dict(self) -> dict:
         return self._dict(self.roc_points.tolist(), self.pr_points.tolist())
@@ -241,22 +209,6 @@ class EvalReport:
         pieces[-1] = "\n}"
         return "".join(pieces)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            counts=ConfusionCounts(**d["counts"]),
-            precision=d["precision"],
-            recall=d["recall"],
-            f1=d["f1"],
-            accuracy=d["accuracy"],
-            auc_roc=d["auc_roc"],
-            auc_pr=d["auc_pr"],
-            roc_points=d["roc_points"],
-            pr_points=d["pr_points"],
-            fit_minutes=d.get("fit_minutes", 0.0),
-            metadata=d.get("metadata", {}),
-        )
-
 
 def evaluate_scores(
     scores: np.ndarray,
@@ -290,7 +242,7 @@ def evaluate_scores(
 def curve_to_csv(points, path, header: tuple[str, str]) -> None:
     """Two-column CSV export of an `(m, 2)` curve for plotting; each value is
     written as its `repr`."""
-    texts = float_reprs(_curve_array(points).ravel())
+    texts = float_reprs(points.ravel())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{header[0]},{header[1]}\n")
         fh.writelines(map("{},{}\n".format, texts[0::2], texts[1::2]))

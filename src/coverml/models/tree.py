@@ -22,7 +22,6 @@ of node arrays, the form every later step reads.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -244,30 +243,12 @@ def build_tree(
     max_depth: int,
     min_instances: int = 1,
     task: str = "gini",
-    n_subset_features: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> dict:
-    """Grow one CART tree and return its nested `Tree.to_dict` form; `task`
-    is "gini" (y in {0,1}) or "sse" (real y).
-
-    When `n_subset_features` is set (at least 1; d or more means every
-    feature), each split considers a fresh random subset of that many
-    features drawn from `rng`, in depth-first order, so the tree is a pure
-    function of the generator's seed. The subsets are drawn ahead on a copy
-    of `rng` (`FeatureDraws`), and `rng` is then advanced by exactly the
-    draws the tree used, so it ends where one `rng.choice` call per split
-    leaves it. `grow_trees` has the method.
-    """
-    if n_subset_features is not None:
-        if n_subset_features < 1:
-            raise ValueError(f"n_subset_features must be >= 1, got {n_subset_features}")
-        if rng is None:
-            raise ValueError("feature subsetting requires an rng")
+    """Grow one CART tree on every feature and return its nested
+    `Tree.to_dict` form; `task` is "gini" (y in {0,1}) or "sse" (real y).
+    `grow_trees` has the method."""
     values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-    d, n = values.shape
-    draws = None
-    if n_subset_features is not None and n_subset_features < d:
-        draws = FeatureDraws([copy.deepcopy(rng)], d, n_subset_features)
+    n = values.shape[1]
     (tree,), _ = grow_trees(
         values,
         presort(values, [n]),
@@ -276,10 +257,7 @@ def build_tree(
         max_depth=max_depth,
         min_instances=min_instances,
         task=task,
-        draws=draws,
     )
-    if draws is not None:
-        draws.replay([rng])
     return tree.to_dict()
 
 
@@ -580,27 +558,29 @@ class FeatureDraws:
     `choice` draws with bounded integers, each from [0, j] for a j that
     depends only on d and k. For d <= 10,000 or k <= d // 50 it runs Floyd's
     algorithm, one draw for each j = d - k, ..., d - 1, and then shuffles
-    the subset, one draw for each j = k - 1, ..., 1; otherwise it shuffles
-    the tail of range(d), one draw for each j = d - 1, ..., d - k. One
-    `integers(0, bounds)` call with those bounds (j + 1) tiled makes the
-    draws of many subsets in the same order, and `_chosen` replays the
-    algorithm on them for all subsets at once. The shuffle only reorders a
-    subset, which sorting undoes, so its draws are consumed and not read.
+    the subset, one draw for each j = k - 1, ..., 1. One `integers(0,
+    bounds)` call with those bounds (j + 1) tiled makes the draws of many
+    subsets in the same order, and `_chosen` replays the algorithm on them
+    for all subsets at once. The shuffle only reorders a subset, which
+    sorting undoes, so its draws are consumed and not read. Outside that
+    range `choice` shuffles the tail of range(d) instead, which this class
+    does not replay; a forest's k = floor(sqrt(d)) is at most d // 50 for
+    every d > 10,000.
 
     Each tree draws a block of subsets ahead of use and another when the
-    block is used up, so its generator ends past the draws it used;
-    `replay` advances other generators by exactly the draws used.
+    block is used up, so its generator ends past the draws it used.
     """
 
     def __init__(self, rngs: list[np.random.Generator], d: int, k: int):
+        if d > 10000 and k > d // 50:
+            raise ValueError(f"choice draws {k} of {d} features by a tail shuffle, which FeatureDraws does not replay")
         self.rngs, self.d, self.k = list(rngs), d, k
-        self.bounds = _choice_bounds(d, k)
+        self.bounds = np.concatenate([np.arange(d - k + 1, d + 1), np.arange(k, 1, -1)])
         g = len(self.rngs)
         self.block = max(1, min(_DRAW_BLOCK, _DRAW_CELLS // (g * k)))
         self.subsets = np.empty((g, 0, k), dtype=np.intp)  # each tree's drawn subsets
         self.next = np.zeros(g, dtype=np.intp)  # each tree's first subset not taken
         self.end = np.zeros(g, dtype=np.intp)  # each tree's subsets drawn
-        self.taken = np.zeros(g, dtype=np.intp)  # each tree's subsets taken in all
 
     def take(self, trees: np.ndarray) -> np.ndarray:
         """The next subset of each tree that `trees` lists once per subset;
@@ -616,7 +596,6 @@ class FeatureDraws:
         rank = np.arange(trees.size) - starts.repeat(np.diff(starts, append=trees.size))
         out = self.subsets[trees, self.next.take(trees) + rank]
         self.next += count
-        self.taken += count
         return out
 
     def _refill(self, trees: np.ndarray, need: np.ndarray) -> None:
@@ -640,46 +619,24 @@ class FeatureDraws:
         self.next[trees] = 0
         self.end[trees] = kept + fresh
 
-    def replay(self, rngs: list[np.random.Generator]) -> None:
-        """Advance each generator of `rngs`, tree t's at t, by the draws of
-        the subsets tree t has taken."""
-        for rng, m in zip(rngs, self.taken.tolist()):
-            if m:
-                rng.integers(0, np.tile(self.bounds, m))
-
-
-def _choice_bounds(d: int, k: int) -> np.ndarray:
-    """The exclusive bounds of the draws of one `choice(d, k, replace=False)`."""
-    if d > 10000 and k > d // 50:
-        return np.arange(d, d - k, -1)
-    return np.concatenate([np.arange(d - k + 1, d + 1), np.arange(k, 1, -1)])
-
 
 def _chosen(raw: np.ndarray, d: int, k: int) -> np.ndarray:
-    """The sorted subsets that `choice` makes of the draws `raw`, one row of
-    `_choice_bounds(d, k)` draws per subset, _DRAW_CELLS cells at a time."""
+    """The sorted subsets that Floyd's algorithm makes of the draws `raw`,
+    one row of `FeatureDraws.bounds` draws per subset, _DRAW_CELLS cells at
+    a time: for j = d - k, ..., d - 1, add the draw, or j if the subset
+    already holds the draw."""
     out = np.empty((raw.shape[0], k), dtype=np.intp)
     step = max(1, _DRAW_CELLS // d)
     for a in range(0, raw.shape[0], step):
         r = raw[a : a + step]
         rows = np.arange(r.shape[0])
-        if d > 10000 and k > d // 50:
-            # Swap entry j = d - 1 - t with the t-th draw, t = 0, ..., k - 1.
-            pool = np.tile(np.arange(d, dtype=np.intp), (r.shape[0], 1))
-            for t in range(k):
-                j, v = d - 1 - t, r[:, t]
-                pool[rows, j], pool[rows, v] = pool[rows, v], pool[rows, j]
-            chosen = pool[:, d - k :]
-        else:
-            # Floyd: for j = d - k, ..., d - 1, add the draw, or j if the
-            # subset already holds the draw.
-            seen = np.zeros((r.shape[0], d), dtype=bool)
-            chosen = np.empty((r.shape[0], k), dtype=np.intp)
-            for t in range(k):
-                v = r[:, t]
-                v = np.where(seen[rows, v], d - k + t, v)
-                seen[rows, v] = True
-                chosen[:, t] = v
+        seen = np.zeros((r.shape[0], d), dtype=bool)
+        chosen = np.empty((r.shape[0], k), dtype=np.intp)
+        for t in range(k):
+            v = r[:, t]
+            v = np.where(seen[rows, v], d - k + t, v)
+            seen[rows, v] = True
+            chosen[:, t] = v
         out[a : a + r.shape[0]] = np.sort(chosen, axis=1)
     return out
 

@@ -8,11 +8,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .fields import read_fields
+from .fields import check_types, field_checkers, read_fields
 from .metrics import float_reprs
 
 #: Column kinds accepted in external schemas. "vector" additionally exists as
@@ -40,16 +40,13 @@ class CsvFormatError(TableError):
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
-    kind: str
+    kind: Literal[KINDS]
     nullable: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise TableError(f"column name must be nonempty text, got {self.name!r}")
-        if self.kind not in KINDS:
-            raise TableError(f"unknown column kind {self.kind!r}")
-        if not isinstance(self.nullable, bool):
-            raise TableError(f"column {self.name!r}: nullable must be true or false, got {self.nullable!r}")
+        check_types(self, TableError, "schema column")
+        if not self.name:
+            raise TableError("schema column field 'name' must be nonempty text, got ''")
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "nullable": self.nullable}
@@ -57,6 +54,9 @@ class ColumnSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ColumnSpec":
         return cls(**read_fields(cls, d, "schema column", TableError))
+
+
+field_checkers(ColumnSpec)
 
 
 def validate_schema(schema: Sequence[ColumnSpec]) -> tuple[ColumnSpec, ...]:
@@ -585,6 +585,8 @@ def read_csv(
     columns in order. Unparseable numeric/boolean cells become nulls in
     nullable columns and errors otherwise.
     """
+    if len(delimiter) != 1:
+        raise CsvFormatError(f"delimiter must be one character, got {delimiter!r}")
     schema = validate_schema(schema)
     for s in schema:
         if s.kind == "vector":

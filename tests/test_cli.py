@@ -497,6 +497,38 @@ class TestMalformedInputFiles:
                            "--out", str(small / "m.bin"))
         assert code == 0, err
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_of_other_than_one_character(self, small, capsys, delimiter):
+        (small / "schema.json").write_text(json.dumps(AB_SCHEMA))
+        err = self.check(capsys, small / "out.tbl", "ingest", "--input", str(small / "data.csv"),
+                         "--schema", str(small / "schema.json"), "--delimiter", delimiter,
+                         "--out", str(small / "out.tbl"))
+        assert err == f"error: delimiter must be one character, got {delimiter!r}\n"
+
+    @pytest.mark.parametrize("where", ["ingest --input", "ingest --out", "train --data", "evaluate --out"])
+    def test_directory_for_a_file(self, small, capsys, where):
+        """A directory where a file is read or written: exit 1 and one
+        `error:` line, not a traceback."""
+        folder = small / "folder"
+        folder.mkdir()
+        (small / "schema.json").write_text(json.dumps(AB_SCHEMA))
+        ingest = ["ingest", "--input", str(small / "data.csv"), "--schema", str(small / "schema.json"),
+                  "--out", str(small / "out.tbl")]
+        spec = {"stages": [{"type": "assemble", "inputs": ["a", "b"], "output": "features"}]}
+        (small / "spec.json").write_text(json.dumps(spec))
+        train = ["train", "--data", str(small / "data.tbl"), "--model", "lr", "--grid", str(small / "grid.json"),
+                 "--pipeline", str(small / "spec.json"), "--out", str(small / "m.bin")]
+        evaluate = ["evaluate", "--model", str(small / "m.bin"), "--data", str(small / "data.tbl"),
+                    "--out", str(small / "report.json")]
+        command, flag = where.split()
+        if command == "evaluate":
+            assert run(capsys, *train)[0] == 0
+        argv = {"ingest": ingest, "train": train, "evaluate": evaluate}[command]
+        argv[argv.index(flag) + 1] = str(folder)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBenchmark:
     def test_subset_order_and_agreement(self, workdir, capsys):

@@ -19,8 +19,10 @@ from coverml.models.ensemble import (
 )
 from coverml.models.importance import feature_importances, validate_importances
 from coverml.models.linear import train_logistic
-from coverml.models.tree import DecisionTreeParams, build_tree, train_decision_tree
+from coverml.models.tree import DecisionTreeParams, train_decision_tree
 from coverml.rng import derived_rng
+
+from test_tree import reference_build_tree, subset_tree
 
 
 def separable(n=200, seed=0):
@@ -198,12 +200,15 @@ class TestTruncateRange:
 
 class TestLockstep:
     """A forest grows its trees in lockstep groups; each tree must be the one
-    build_tree grows alone from the same generator."""
+    `grow_trees` grows alone from the same generator, with a one-tree
+    `FeatureDraws`, and the one the per-node reference grows with a
+    `Generator.choice` call per split."""
 
     @staticmethod
-    def alone(X, y, params):
-        """Each tree grown by itself: its generator draws the bootstrap
-        sample, then the feature subsets."""
+    def alone(X, y, params, grow):
+        """Each tree grown by itself with `grow`, `subset_tree` or
+        `reference_build_tree`: its generator draws the bootstrap sample,
+        then the feature subsets."""
         n, d = X.shape
         subset = int(np.sqrt(d)) if params.feature_subset_rule == "sqrt" else None
         trees = []
@@ -211,7 +216,7 @@ class TestLockstep:
             rng = derived_rng(params.seed, 23, t)
             idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
             trees.append(
-                build_tree(
+                grow(
                     X[idx],
                     y[idx],
                     max_depth=params.max_depth,
@@ -220,7 +225,7 @@ class TestLockstep:
                     rng=rng,
                 )
             )
-        return trees
+        return [repr(tree) for tree in trees]
 
     @pytest.mark.parametrize("group", [1, 2, 7])
     @pytest.mark.parametrize("bootstrap, rule", [(True, "sqrt"), (False, "sqrt"), (True, "all"), (False, "all")])
@@ -234,9 +239,9 @@ class TestLockstep:
         # Groups of `group` trees: 7 trees make groups of 1, of 2 (2+2+2+1) or one of all 7.
         monkeypatch.setattr(ensemble, "LOCKSTEP_CELLS", group * X.size)
         forest = train_random_forest(X, y, params)
-        alone = self.alone(X, y, params)
-        assert [repr(t.to_dict()) for t in forest.trees] == [repr(t) for t in alone]
-
+        alone = self.alone(X, y, params, subset_tree)
+        assert [repr(t.to_dict()) for t in forest.trees] == alone
+        assert alone == self.alone(X, y, params, reference_build_tree)
 
     def test_forests_of_a_cross_validation_share_one_group(self, monkeypatch):
         """Three folds and the refit of a 700-row, 7-feature table, 20 trees

@@ -32,11 +32,11 @@ def make_table(**cols):
 
 class TestSchema:
     def test_unknown_kind(self):
-        with pytest.raises(TableError):
+        with pytest.raises(TableError, match="schema column field 'kind' must be one of .*, got 'text'"):
             ColumnSpec("x", "text")
 
     def test_empty_name(self):
-        with pytest.raises(TableError):
+        with pytest.raises(TableError, match="schema column field 'name' must be nonempty text, got ''"):
             ColumnSpec("", "numeric")
 
     def test_duplicate_names(self):
@@ -53,11 +53,11 @@ class TestSchema:
 
     @pytest.mark.parametrize("nullable", ["no", 0, None])
     def test_nullable_must_be_a_boolean(self, nullable):
-        with pytest.raises(TableError, match="nullable"):
+        with pytest.raises(TableError, match="schema column field 'nullable' must be bool, got"):
             schema_from_json(json.dumps({"columns": [{"name": "a", "kind": "numeric", "nullable": nullable}]}))
 
     def test_name_must_be_text(self):
-        with pytest.raises(TableError):
+        with pytest.raises(TableError, match="schema column field 'name' must be str, got 5"):
             ColumnSpec(5, "numeric")
 
 

@@ -16,6 +16,8 @@ from coverml.models.tree import (
     FeatureDraws,
     Tree,
     build_tree,
+    grow_trees,
+    presort,
     train_decision_tree,
     tree_outputs,
 )
@@ -200,6 +202,19 @@ def reference_build_tree(X, y, *, max_depth, min_instances=1, task="gini", n_sub
     return grow(np.arange(X.shape[0]), 0)
 
 
+def subset_tree(X, y, *, n_subset_features, rng, **kwargs):
+    """The tree `grow_trees` grows on (X, y) alone, each split considering
+    the next subset of `n_subset_features` features of a one-tree
+    `FeatureDraws` on `rng` (every feature when None or d or more), in the
+    nested form `reference_build_tree` returns."""
+    values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    d, n = values.shape
+    k = n_subset_features or d
+    draws = FeatureDraws([rng], d, k) if k < d else None
+    (tree,), _ = grow_trees(values, presort(values, [n]), np.asarray(y), [n], draws=draws, **kwargs)
+    return tree.to_dict()
+
+
 def parity_case(rng, kind):
     n, d = int(rng.integers(1, 160)), int(rng.integers(1, 7))
     X = rng.random((n, d))
@@ -219,7 +234,9 @@ def parity_case(rng, kind):
 
 
 class TestPresortedParity:
-    """build_tree against per-node argsort + scan: the same trees, bit for bit."""
+    """build_tree, and `grow_trees` with a one-tree `FeatureDraws`, against
+    per-node argsort + scan with a `Generator.choice` call per split: the
+    same trees, bit for bit."""
 
     @pytest.mark.parametrize("task", ["gini", "sse"])
     @pytest.mark.parametrize("kind", ["plain", "ties", "constant", "bootstrap", "signed-zero", "deep"])
@@ -240,10 +257,12 @@ class TestPresortedParity:
                 max_depth=30 if kind == "deep" else int(rng.integers(1, 31)),
                 min_instances=int(rng.integers(1, 4)),
                 task=task,
-                n_subset_features=subset,
             )
-            got = build_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
-            want = reference_build_tree(X, y, rng=np.random.default_rng(seed), **kwargs)
+            if subset is None:
+                got = build_tree(X, y, **kwargs)
+            else:
+                got = subset_tree(X, y, n_subset_features=subset, rng=np.random.default_rng(seed), **kwargs)
+            want = reference_build_tree(X, y, n_subset_features=subset, rng=np.random.default_rng(seed), **kwargs)
             assert repr(got) == repr(want)  # every field; -0.0 differs from 0.0 here
 
 
@@ -264,7 +283,7 @@ class TestPresortedParity:
         rng = np.random.default_rng(7)
         X = rng.random((300, 5))
         y = rng.integers(0, 2, size=300)
-        root = build_tree(X, y, max_depth=6, n_subset_features=subset, rng=np.random.default_rng(1))
+        root = subset_tree(X, y, n_subset_features=subset, rng=np.random.default_rng(1), max_depth=6)
 
         def internal(node, depth=0):
             if "feature" not in node:
@@ -685,17 +704,21 @@ def choice_subsets(rng, d, k, count):
     return [sorted(rng.choice(d, size=k, replace=False).tolist()) for _ in range(count)]
 
 
-#: (d, k) on both sides of `choice`'s switch to a tail shuffle at
-#: d > 10,000 and k > d // 50.
+#: (d, k) on both sides of `choice`'s switch from Floyd's algorithm to a
+#: tail shuffle at d > 10,000 and k > d // 50.
 DRAW_SHAPES = [(2, 1), (7, 2), (9, 3), (100, 99), (10000, 9999), (10001, 200), (10001, 201), (20000, 141), (10500, 300)]
 
 
 class TestDrawParity:
     """FeatureDraws hands out the subsets that successive `Generator.choice`
-    calls give, and `replay` leaves a generator where those calls leave it."""
+    calls give, and refuses the shapes that `choice` draws otherwise."""
 
     @pytest.mark.parametrize("d, k", DRAW_SHAPES)
     def test_block_draws_equal_successive_choice_calls(self, d, k):
+        if d > 10000 and k > d // 50:
+            with pytest.raises(ValueError, match="tail shuffle"):
+                FeatureDraws([np.random.default_rng(0)], d, k)
+            return
         for seed in range(3):
             # Takes of 1, 3 and then more than a block: the last refills.
             takes = [1, 3, _DRAW_BLOCK + 5]
@@ -704,12 +727,6 @@ class TestDrawParity:
             got = [draws.take(np.zeros(m, dtype=np.intp)).tolist() for m in takes]
             want = choice_subsets(np.random.default_rng(seed), d, k, sum(takes))
             assert sum(got, []) == want
-
-            replayed = np.random.default_rng(seed)
-            draws.replay([replayed, np.random.default_rng(seed + 100)])
-            called = np.random.default_rng(seed)
-            choice_subsets(called, d, k, sum(takes))
-            assert replayed.integers(0, 2**62, size=4).tolist() == called.integers(0, 2**62, size=4).tolist()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -730,39 +747,3 @@ class TestDrawParity:
                 got[t].append(subset)
         for s, subsets in zip(seeds, got):
             assert subsets == choice_subsets(np.random.default_rng(s), d, k, len(subsets))
-
-
-class TestSubsetArgument:
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_fewer_than_one_feature_is_rejected(self, bad):
-        X = np.random.default_rng(0).random((20, 3))
-        y = np.arange(20) % 2
-        with pytest.raises(ValueError, match="n_subset_features"):
-            build_tree(X, y, max_depth=3, n_subset_features=bad, rng=np.random.default_rng(1))
-
-    def test_at_least_d_means_every_feature(self):
-        rng = np.random.default_rng(2)
-        X = rng.random((60, 3))
-        y = rng.integers(0, 2, size=60)
-        every = build_tree(X, y, max_depth=4)
-        for k in (3, 4, 50):
-            assert repr(build_tree(X, y, max_depth=4, n_subset_features=k, rng=np.random.default_rng(5))) == repr(every)
-
-    @pytest.mark.parametrize("task", ["gini", "sse"])
-    def test_caller_generator_ends_where_choice_calls_leave_it(self, task):
-        """build_tree draws ahead on a copy; the caller's generator advances
-        by exactly the subsets the tree used, as the per-node reference's
-        choice calls advance it."""
-        rng = np.random.default_rng(8)
-        for trial in range(10):
-            X = parity_case(rng, ["plain", "ties", "signed-zero"][trial % 3])
-            n, d = X.shape
-            if d < 2:
-                continue
-            y = rng.integers(0, 2, size=n) if task == "gini" else rng.normal(size=n)
-            kwargs = dict(max_depth=int(rng.integers(1, 8)), task=task, n_subset_features=int(rng.integers(1, d)))
-            mine, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
-            got = build_tree(X, y, rng=mine, **kwargs)
-            want = reference_build_tree(X, y, rng=theirs, **kwargs)
-            assert repr(got) == repr(want)
-            assert mine.integers(0, 2**62, size=3).tolist() == theirs.integers(0, 2**62, size=3).tolist()
