@@ -21,7 +21,6 @@ from .metrics import (
     pr_curve,
     roc_curve,
     scalar_metrics,
-    timed_fit,
 )
 from .selection import CVConfig, benchmark, build_param_grid, cross_validate
 from .stages import FittedPipeline, PipelineSpec, default_pipeline_spec, fit_pipeline
@@ -53,7 +52,6 @@ __all__ = [
     "roc_curve",
     "sample_rows",
     "scalar_metrics",
-    "timed_fit",
     "train_test_split",
     "write_csv",
 ]

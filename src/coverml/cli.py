@@ -11,9 +11,11 @@ runs one, so a function put in place of a `cmd_*` attribute of this module
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .metrics import EvalReport, curve_to_csv, float_reprs
 from .models import feature_importances
 from .persist import load_model, read_header, save_model
 from .selection import (
+    EVALUATOR_METRICS,
     CVConfig,
     SelectionError,
     benchmark,
@@ -69,11 +72,38 @@ def _save_table(table: DataTable, path) -> None:
     Path(path).write_bytes(table.to_json_bytes())
 
 
-def _print_table(rows: list[tuple[str, str]], headers: tuple[str, str]) -> None:
-    width = max(len(headers[0]), *(len(r[0]) for r in rows))
-    print(f"{headers[0].ljust(width)}  {headers[1]}")
-    for name, value in rows:
-        print(f"{name.ljust(width)}  {value}")
+@contextlib.contextmanager
+def _outputs():
+    """Yield `write(path, fn)`, which writes the output file at `path` with
+    `fn(path)`, or nothing when `path` is not given. If the block raises,
+    the files its writes created or finished are removed before the error
+    propagates, so a failed command leaves none of its outputs behind; a
+    path no write opened stays."""
+    ours = []
+
+    def write(path, fn) -> None:
+        if not path:
+            return
+        if not os.path.lexists(path):
+            ours.append(path)  # whatever appears at the path is this run's
+        fn(path)
+        ours.append(path)
+
+    try:
+        yield write
+    except BaseException:
+        for path in ours:
+            with contextlib.suppress(OSError):
+                Path(path).unlink()
+        raise
+
+
+def _print_table(rows: list[tuple[str, ...]], headers: tuple[str, ...]) -> None:
+    """`headers` and `rows` in columns two spaces apart, each but the last
+    padded to its widest entry."""
+    widths = [max(len(row[i]) for row in (headers, *rows)) for i in range(len(headers) - 1)]
+    for row in (headers, *rows):
+        print("  ".join([cell.ljust(width) for cell, width in zip(row, widths)] + [row[-1]]))
 
 
 # -- commands ---------------------------------------------------------------
@@ -104,8 +134,9 @@ def cmd_sample(args) -> int:
 def cmd_split(args) -> int:
     table = _load_table(args.data)
     train, test = train_test_split(table, args.test_fraction, args.seed)
-    _save_table(train, args.train_out)
-    _save_table(test, args.test_out)
+    with _outputs() as write:
+        write(args.train_out, functools.partial(_save_table, train))
+        write(args.test_out, functools.partial(_save_table, test))
     print(f"train: {train.row_count} rows -> {args.train_out}")
     print(f"test:  {test.row_count} rows -> {args.test_out}")
     return 0
@@ -120,11 +151,10 @@ def cmd_synth(args) -> int:
         table = generate_synthetic(spec)
     else:
         table = generate_xor(args.rows, args.seed, flip_rate=args.flip_rate)
-    _save_table(table, args.out)
-    if args.csv_out:
-        write_csv(table, args.csv_out)
-    if args.schema_out:
-        Path(args.schema_out).write_text(schema_to_json(table.schema), encoding="utf-8")
+    with _outputs() as write:
+        write(args.out, functools.partial(_save_table, table))
+        write(args.csv_out, functools.partial(write_csv, table))
+        write(args.schema_out, lambda path: Path(path).write_text(schema_to_json(table.schema), encoding="utf-8"))
     print(f"generated {table.row_count} rows ({args.kind}) -> {args.out}")
     return 0
 
@@ -171,16 +201,12 @@ def cmd_train(args) -> int:
         grid = _load(args.grid, "grid", lambda data: _resolve_grid(family, json.loads(data)))
     else:
         grid = default_grid(family)
-    if args.test_out:
-        _save_table(test_part, args.test_out)
     cv = cross_validate(spec, family, grid, train_part, config)
-    save_model(
-        cv.model,
-        args.out,
-        seed=args.seed,
-        data_fingerprint=train_part.fingerprint(),
-        source_fingerprint=source_fp,
-    )
+    with _outputs() as write:
+        write(args.test_out, functools.partial(_save_table, test_part))
+        write(args.out, lambda path: save_model(
+            cv.model, path, seed=args.seed, data_fingerprint=train_part.fingerprint(), source_fingerprint=source_fp
+        ))
     print(f"fit_minutes: {cv.fit_minutes}")
     print(f"best_params: {json.dumps(dataclasses.asdict(cv.best_params), sort_keys=True)}")
     print(f"best_{config.metric}: {cv.best_mean_metric}")
@@ -223,17 +249,16 @@ def _note_dropped(rows_in: int, rows_out: int) -> None:
 
 
 def _score(
-    fitted: FittedPipeline, table: DataTable, metadata: dict, predictions_path
+    fitted: FittedPipeline, table: DataTable, metadata: dict, predictions_path, write
 ) -> tuple[EvalReport, int]:
     """One pipeline pass over `table`: the evaluation report and the number
-    of rows that came out, with the predictions CSV written from the same
-    output when a path is given. The transformed table is released on
-    return, before the report is serialized, so peak memory stays at that of
-    a single pass."""
+    of rows that came out, with the predictions CSV written (by `write`, as
+    `_outputs` gives it) from the same output when a path is given. The
+    transformed table is released on return, before the report is
+    serialized, so peak memory stays at that of a single pass."""
     out = fitted.transform(table)
     report = evaluate_transformed(out, metadata=metadata)
-    if predictions_path:
-        _write_predictions(out, predictions_path, fitted.features_col)
+    write(predictions_path, lambda path: _write_predictions(out, path, fitted.features_col))
     return report, out.row_count
 
 
@@ -244,11 +269,15 @@ def cmd_evaluate(args) -> int:
     fp = table.fingerprint()
     in_sample = fp in (header.get("data_fingerprint"), header.get("source_fingerprint"))
     metadata = {"in_sample": in_sample, "family": fitted.family, "data_fingerprint": fp}
-    report, rows_out = _score(fitted, table, metadata, args.predictions)
-    # Only the batch's row count is used from here on: the decoded table is
-    # released before the report is encoded, so the two are never held at once.
-    rows_in = table.row_count
-    del table
+    with _outputs() as write:
+        report, rows_out = _score(fitted, table, metadata, args.predictions, write)
+        # Only the batch's row count is used from here on: the decoded table is
+        # released before the report is encoded, so the two are never held at once.
+        rows_in = table.row_count
+        del table
+        write(args.out, lambda path: Path(path).write_text(report.to_json(), encoding="utf-8"))
+        write(args.roc_csv, lambda path: curve_to_csv(report.roc_points, path, ("fpr", "tpr")))
+        write(args.pr_csv, lambda path: curve_to_csv(report.pr_points, path, ("recall", "precision")))
     c = report.counts
     _print_table(
         [
@@ -264,17 +293,9 @@ def cmd_evaluate(args) -> int:
     if in_sample:
         print("note: evaluated in-sample (data matches the model's training data)")
     _note_dropped(rows_in, rows_out)
-    if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
-        print(f"wrote {args.out}")
-    if args.predictions:
-        print(f"wrote {args.predictions}")
-    if args.roc_csv:
-        curve_to_csv(report.roc_points, args.roc_csv, ("fpr", "tpr"))
-        print(f"wrote {args.roc_csv}")
-    if args.pr_csv:
-        curve_to_csv(report.pr_points, args.pr_csv, ("recall", "precision"))
-        print(f"wrote {args.pr_csv}")
+    for path in (args.out, args.predictions, args.roc_csv, args.pr_csv):
+        if path:
+            print(f"wrote {path}")
     return 0
 
 
@@ -298,14 +319,13 @@ def cmd_benchmark(args) -> int:
     grids = _load(args.grids, "grids", _grids) if args.grids else None
     report = benchmark(train_part, test_part, spec, families, config, grids)
     text = report.to_text()
+    with _outputs() as write:
+        write(args.out_json, lambda path: Path(path).write_text(report.to_json(), encoding="utf-8"))
+        write(args.out_text, lambda path: Path(path).write_text(text + "\n", encoding="utf-8"))
     print(text)
     for row in report.rows:
         if row.error is not None:
             print(f"error: {row.family}: {row.error}", file=sys.stderr)
-    if args.out_json:
-        Path(args.out_json).write_text(report.to_json(), encoding="utf-8")
-    if args.out_text:
-        Path(args.out_text).write_text(text + "\n", encoding="utf-8")
     return 1 if report.failed else 0
 
 
@@ -318,13 +338,7 @@ def cmd_importance(args) -> int:
     else:
         ranking = feature_importances(model)
     rows = [(str(rank), name, f"{value:.9f}") for rank, name, value in ranking.ranked()]
-    widths = [
-        max(len("Ranking"), *(len(r[0]) for r in rows)),
-        max(len("Feature"), *(len(r[1]) for r in rows)),
-    ]
-    print(f"{'Ranking'.ljust(widths[0])}  {'Feature'.ljust(widths[1])}  Importance value")
-    for rank, name, value in rows:
-        print(f"{rank.ljust(widths[0])}  {name.ljust(widths[1])}  {value}")
+    _print_table(rows, ("Ranking", "Feature", "Importance value"))
     return 0
 
 
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--pipeline", help="pipeline spec JSON (default: derived from the schema)")
     cv.add_argument("--test-fraction", type=float, default=0.3)
     cv.add_argument("--folds", type=int, default=3)
-    cv.add_argument("--metric", choices=("auc_roc", "auc_pr"), default="auc_roc")
+    cv.add_argument("--metric", choices=EVALUATOR_METRICS, default="auc_roc")
     cv.add_argument("--cv-config", help="CV configuration JSON (overrides the fold/metric/seed/thread flags)")
     cv.add_argument("--exclude", default=DEFAULT_LABEL_SOURCE,
                     help="comma-separated columns kept out of the derived default pipeline")

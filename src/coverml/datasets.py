@@ -21,9 +21,9 @@ def derive_label(
     table: DataTable,
     source_col: str = DEFAULT_LABEL_SOURCE,
     positive_values: Iterable[str] = DEFAULT_POSITIVE_VALUES,
-    label_name: str = "label",
 ) -> DataTable:
-    """Append a 0/1 label column: 1 where the source value is positive.
+    """Append a 0/1 label column named "label": 1 where the source value is
+    positive.
 
     Booleans compare through their "true"/"false" spelling; nulls are never
     positive, so the output column has no nulls.
@@ -40,7 +40,7 @@ def derive_label(
     texts = [("true" if v else "false") if isinstance(v, bool) else v for v in values]
     # The last entry is the null code's: a null is never positive.
     hits = np.array([text in positive for text in texts] + [False])
-    return table.with_column(ColumnSpec(label_name, "label", nullable=False), hits[codes].astype(np.int8))
+    return table.with_column(ColumnSpec("label", "label", nullable=False), hits[codes].astype(np.int8))
 
 
 def sample_rows(table: DataTable, fraction: float, seed: int) -> DataTable:
@@ -202,13 +202,9 @@ def generate_synthetic(spec: SynthSpec) -> DataTable:
     return DataTable(schema, columns)
 
 
-def generate_xor(
-    row_count: int,
-    seed: int,
-    flip_rate: float = 0.1,
-    noise_cardinality: int = 5,
-) -> DataTable:
-    """Interaction-driven table: the label is the XOR of two balanced columns.
+def generate_xor(row_count: int, seed: int, flip_rate: float = 0.1) -> DataTable:
+    """Interaction-driven table: the label is the XOR of two balanced columns,
+    beside two noise columns of five values each.
 
     Each informative column is marginally uninformative, so linear models
     rank no better than chance while depth>=2 trees recover the signal.
@@ -233,8 +229,8 @@ def generate_xor(
     columns = {
         "FeatureA": [f"A{v}" for v in a],
         "FeatureB": [f"B{v}" for v in b],
-        "NoiseA": [f"N{v}" for v in rng.integers(0, noise_cardinality, size=row_count)],
-        "NoiseB": [f"M{v}" for v in rng.integers(0, noise_cardinality, size=row_count)],
+        "NoiseA": [f"N{v}" for v in rng.integers(0, 5, size=row_count)],
+        "NoiseB": [f"M{v}" for v in rng.integers(0, 5, size=row_count)],
         DEFAULT_LABEL_SOURCE: ["Covered" if v else "NotCovered" for v in labels],
     }
     return DataTable(schema, columns)

@@ -95,7 +95,7 @@ def _checker(tp):
     return lambda v: v if isinstance(v, (tp, dict)) else _mistyped()
 
 
-def _finite(v) -> bool:
+def finite(v) -> bool:
     """Whether v is an int or a float of finite size: NaN compares false,
     and a JSON integer may be too large for a float."""
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
@@ -104,7 +104,7 @@ def _finite(v) -> bool:
 _SCALARS = {
     str: lambda v: v if isinstance(v, str) else _mistyped(),
     int: lambda v: v if type(v) is int else _mistyped(),
-    float: lambda v: v if _finite(v) else _mistyped(),
+    float: lambda v: v if finite(v) else _mistyped(),
     bool: lambda v: v if type(v) is bool else _mistyped(),
 }
 
@@ -147,7 +147,7 @@ def _array(rank: int, v) -> np.ndarray:
         if not all(isinstance(row, list) and row for row in leaves):
             raise _Mistyped
         leaves = [x for row in leaves for x in row]
-    if not all(map(_finite, leaves)):
+    if not all(map(finite, leaves)):
         raise _Mistyped
     try:
         return np.array(v, dtype=np.float64)

@@ -1,11 +1,9 @@
-"""Confusion metrics, ROC and PR curves with areas, and fit timing."""
+"""Confusion metrics, ROC and PR curves with areas, and the report."""
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -118,7 +116,7 @@ def _roc(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, float]:
     tpr = np.concatenate(([0.0], tp / P))
     fpr = np.concatenate(([0.0], fp / N))
     auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
-    return _read_only(np.column_stack((fpr, tpr))), auc
+    return read_only(np.column_stack((fpr, tpr))), auc
 
 
 def _pr(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, float]:
@@ -129,19 +127,13 @@ def _pr(tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, float]:
     precision = tp / (tp + fp)
     auc = float(np.sum((recall - np.concatenate(([0.0], recall[:-1]))) * precision))
     points = np.column_stack((np.concatenate(([0.0], recall)), np.concatenate(([1.0], precision))))
-    return _read_only(points), auc
+    return read_only(points), auc
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
+def read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only in place."""
     array.flags.writeable = False
     return array
-
-
-def timed_fit(fit: Callable[[], object]) -> tuple[object, float]:
-    """Run a fit closure and report its wall-clock duration in minutes."""
-    start = time.perf_counter()
-    result = fit()
-    return result, (time.perf_counter() - start) / 60.0
 
 
 #: How `json.dumps` writes the floats whose `repr` is not JSON.

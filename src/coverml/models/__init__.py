@@ -5,15 +5,13 @@ from __future__ import annotations
 from typing import Callable
 
 from ..fields import field_checkers, read_fields
-from .base import ModelError, TrainedClassifier, only, per_sample
+from .base import ModelError, TrainedClassifier, per_sample
 from .ensemble import (
     GbtModel,
     GbtParams,
     RandomForestModel,
     RandomForestParams,
-    train_gbt,
     train_gbts,
-    train_random_forest,
     train_random_forests,
 )
 from .fm import FMModel, FMParams, train_fm
@@ -26,7 +24,7 @@ from .linear import (
     train_linear_svm,
     train_logistic,
 )
-from .tree import DecisionTreeModel, DecisionTreeParams, train_decision_tree, train_decision_trees
+from .tree import DecisionTreeModel, DecisionTreeParams, train_decision_trees
 
 #: Canonical family order used everywhere a full sweep is reported.
 FAMILY_ORDER = ("lr", "dt", "rf", "fm", "gbt", "svm")
@@ -92,7 +90,10 @@ def train_batch(family: str, samples, params=None) -> list:
 def train(family: str, X, y, params=None) -> TrainedClassifier:
     """The model of `train_batch` on the one sample (X, y); raises its
     ModelError."""
-    return only(train_batch(family, [(X, y)], params))
+    (model,) = train_batch(family, [(X, y)], params)
+    if isinstance(model, ModelError):
+        raise model
+    return model
 
 
 def classifier_from_dict(family: str, d: dict) -> TrainedClassifier:
@@ -124,14 +125,11 @@ __all__ = [
     "params_type",
     "train",
     "train_batch",
-    "train_decision_tree",
     "train_decision_trees",
     "train_fm",
-    "train_gbt",
     "train_gbts",
     "train_linear_svm",
     "train_logistic",
-    "train_random_forest",
     "train_random_forests",
     "validate_importances",
 ]

@@ -56,14 +56,6 @@ def per_sample(fn, samples) -> list:
     return out
 
 
-def only(batch: list):
-    """The one model of a batch of one; raises it if it is a ModelError."""
-    (model,) = batch
-    if isinstance(model, ModelError):
-        raise model
-    return model
-
-
 class TrainedClassifier:
     """Immutable fitted model; prediction is a pure function of (model, row).
 
@@ -123,8 +115,8 @@ class TrainedClassifier:
     def nested_raw_scores(self, X: np.ndarray, ks) -> list[np.ndarray]:
         """The raw scores of `truncate(k)` for each k of `ks`, or of this
         model where k is None, each what that model's `raw_scores` gives.
-        This default scores them one after another; the tree families read
-        them all from one pass over their trees."""
+        This default scores them one after another; rf and gbt read them all
+        from one walk of their trees."""
         return [(self if k is None else self.truncate(k)).raw_scores(X) for k in ks]
 
     def _nested_k(self, k: int, most: int | None = None) -> int:

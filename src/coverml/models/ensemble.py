@@ -9,7 +9,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from ..rng import derived_rng
-from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data, only, per_sample
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data, per_sample
 from .linear import sigmoid
 from .tree import (
     BATCH_CELLS,
@@ -57,7 +57,7 @@ def _prefix_sums(trees, X: np.ndarray, ks: list[int], start: float, weight: floa
     in tree order (`np.add.accumulate` down the trees), so each sum has the
     bits of a loop that adds k trees to `start`."""
     sums = {k: np.empty(X.shape[0]) for k in ks}
-    for rows, (outputs,) in tree_outputs(trees[: max(ks)], X):
+    for rows, outputs in tree_outputs(trees[: max(ks)], X):
         if weight is not None:
             outputs *= weight
         outputs[0] += start
@@ -107,10 +107,6 @@ class RandomForestModel(TrainedClassifier):
 
     def _check(self) -> None:
         _read_trees(self, "gini")
-
-
-def train_random_forest(X, y, params: RandomForestParams = RandomForestParams()) -> RandomForestModel:
-    return only(train_random_forests([(X, y)], params))
 
 
 def train_random_forests(samples, params: RandomForestParams = RandomForestParams()) -> list:
@@ -219,10 +215,6 @@ class GbtModel(TrainedClassifier):
         _read_trees(self, "sse")
         if len(self.train_losses) != len(self.trees) + 1:
             raise ModelError(f"gbt model has {len(self.trees)} trees but {len(self.train_losses)} train_losses")
-
-
-def train_gbt(X, y, params: GbtParams = GbtParams()) -> GbtModel:
-    return only(train_gbts([(X, y)], params))
 
 
 def train_gbts(samples, params: GbtParams = GbtParams()) -> list:

@@ -38,6 +38,8 @@ def validate_importances(values, tol: float = VALIDATOR_TOL) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("importances must be a nonempty vector")
+    if not np.isfinite(arr).all():
+        raise ValueError("importances must be finite")
     if (arr < 0).any():
         raise ValueError("importances must be nonnegative")
     total = float(arr.sum())

@@ -28,7 +28,8 @@ from typing import Annotated
 import numpy as np
 
 from .. import kernels
-from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data, only, per_sample
+from ..fields import finite
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data, per_sample
 
 MAX_DEPTH = 30
 #: The `max_depth` of the tree families.
@@ -97,9 +98,10 @@ class Tree:
 
     def importance(self, n_features: int) -> np.ndarray:
         """n * impurity decrease summed per feature, in pre-order with the
-        right child first: the order fixes the sums' last bits."""
+        right child first: the order fixes the sums' last bits. A product
+        too large for a float is inf, without a warning."""
         imp = np.zeros(n_features, dtype=np.float64)
-        gain = (self.n * np.maximum(self.decrease, 0.0)).tolist()
+        gain = [n * max(dec, 0.0) for n, dec in zip(self.n.tolist(), self.decrease.tolist())]
         feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
         stack = [0]
         while stack:
@@ -123,7 +125,7 @@ class Tree:
         ValueError on a node that `to_dict` does not write: one deeper than
         MAX_DEPTH, a feature outside [0, n_features), a split without both
         children, counts or prob that disagree with n, or a threshold,
-        decrease or value that is not a number."""
+        decrease or value that is not a finite number."""
         nodes = []  # n, stat, feature, threshold, decrease, left, right, depth
         _read_node(root, 0, task, n_features, nodes)
         # Leaves' 0.0 thresholds and decreases make those columns float64.
@@ -178,30 +180,28 @@ def _whole(x, low, high) -> int:
 
 
 def _number(x) -> float:
-    """x if it is a number; ValueError otherwise."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"tree node holds {x!r} where a number belongs")
+    """x if it is a finite number; ValueError otherwise."""
+    if not finite(x):
+        raise ValueError(f"tree node holds {x!r} where a finite number belongs")
     return x
 
 
-#: Cells (trees × rows) of a block of `tree_outputs`: its node array and each
-#: array a level derives from it hold that many entries, and its outputs
-#: that many for each stop.
+#: Cells (trees × rows) of a block of `tree_outputs`: its node array, each
+#: array a level derives from it and its outputs hold that many entries.
 WALK_CELLS = 1 << 15
 
 
-def tree_outputs(trees, X: np.ndarray, stops=(None,)):
+def tree_outputs(trees, X: np.ndarray):
     """Walk the rows of X (n, d), C-contiguous, down all `trees` at once,
     one level per step, and yield each block of rows as (rows, outputs):
-    `rows` a slice of X's rows, and for each stop of `stops` the
-    (len(trees), rows) outputs (class-1 probability or mean) of the node each
-    row reaches after `stop` levels, or of its leaf when the stop is None.
+    `rows` a slice of X's rows and `outputs` the (len(trees), rows) outputs
+    (class-1 probability or mean) of the leaf each row reaches.
 
     All trees' nodes go in one table in which a leaf's children are the leaf
     itself, so a step moves every (tree, row) entry of the node array with
     child[2 * node + (x <= threshold)]: left when x <= threshold, right
     otherwise, a NaN included. A block holds at most WALK_CELLS cells of the
-    node array per output it keeps, so memory does not grow with n.
+    node array, so memory does not grow with n.
     """
     sizes = [tree.n.size for tree in trees]
     starts = np.cumsum(sizes) - sizes
@@ -216,24 +216,19 @@ def tree_outputs(trees, X: np.ndarray, stops=(None,)):
     value = np.concatenate([tree.stat / tree.n if tree.task == "gini" else tree.stat for tree in trees])
     # A cut tree keeps its depths, so the walk ends below its last split.
     levels = max((int(tree.depth[tree.feature >= 0].max(initial=-1)) + 1 for tree in trees), default=0)
-    at = [levels if stop is None else min(stop, levels) for stop in stops]
     feature = np.where(leaf, 0, feature)
 
     n, d = X.shape
     flat = X.reshape(-1)
-    block = max(1, WALK_CELLS // (len(trees) * len(set(at))))
+    block = max(1, WALK_CELLS // len(trees))
     for a in range(0, n, block):
         rows = slice(a, min(n, a + block))
         row_start = np.arange(rows.start, rows.stop) * d
         node = np.repeat(starts[:, None], rows.stop - rows.start, axis=1)
-        reached = {}
-        for level in range(levels + 1):
-            if level in at:
-                reached[level] = value.take(node)
-            if level < levels:
-                x = flat.take(feature.take(node) + row_start)
-                node = child.take(2 * node + (x <= threshold.take(node)))
-        yield rows, [reached[level] for level in at]
+        for _ in range(levels):
+            x = flat.take(feature.take(node) + row_start)
+            node = child.take(2 * node + (x <= threshold.take(node)))
+        yield rows, value.take(node)
 
 
 def build_tree(
@@ -366,11 +361,7 @@ def grow_trees(
             # tree's stack from the top down to the first entry not at depth
             # max_depth - 1, inclusive.
             pool = pool[nodes.tree.take(pool).argsort(kind="stable")]
-            trees = nodes.tree.take(pool)
-            first = np.empty(pool.size, dtype=bool)
-            first[0] = True
-            np.not_equal(trees[1:], trees[:-1], out=first[1:])
-            starts = first.nonzero()[0]
+            starts = _run_starts(nodes.tree.take(pool))
             at = np.arange(pool.size)
             pushes = nodes.depth.take(pool) != max_depth - 1
             lowest = np.maximum.reduceat(np.where(pushes, at, -1), starts)
@@ -539,6 +530,15 @@ def _partition(order, goes_left, start, count, n_left, cap):
         i = j
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The index at which each run of equal consecutive entries of the
+    nonempty `a` starts."""
+    first = np.empty(a.size, dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first.nonzero()[0]
+
+
 def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The concatenation of arange(s, s + l) over the pairs (s, l)."""
     ends = length.cumsum()
@@ -589,10 +589,7 @@ class FeatureDraws:
         short = (self.next + count > self.end).nonzero()[0]
         if short.size:
             self._refill(short, count[short])
-        first = np.empty(trees.size, dtype=bool)
-        first[0] = True
-        np.not_equal(trees[1:], trees[:-1], out=first[1:])
-        starts = first.nonzero()[0]
+        starts = _run_starts(trees)
         rank = np.arange(trees.size) - starts.repeat(np.diff(starts, append=trees.size))
         out = self.subsets[trees, self.next.take(trees) + rank]
         self.next += count
@@ -643,7 +640,7 @@ def _chosen(raw: np.ndarray, d: int, k: int) -> np.ndarray:
 
 def normalized_importance(imp: np.ndarray) -> np.ndarray:
     total = imp.sum()
-    return imp / total if total > 0 else imp
+    return imp / total if 0 < total < np.inf else imp
 
 
 @dataclass(frozen=True)
@@ -662,17 +659,10 @@ class DecisionTreeModel(TrainedClassifier):
     threshold: Probability
 
     def raw_scores(self, X):
-        return self.nested_raw_scores(X, [None])[0]
-
-    def nested_raw_scores(self, X, ks):
-        """The tree cut at each depth k: the output of the node a row reaches
-        after k levels of one walk (`tree_outputs`)."""
-        stops = [None if k is None else self._nested_k(k) for k in ks]
         X = self._check_matrix(X)
-        out = [np.empty(X.shape[0]) for _ in ks]
-        for rows, outputs in tree_outputs([self.root], X, stops):
-            for scores, (reached,) in zip(out, outputs):
-                scores[rows] = reached
+        out = np.empty(X.shape[0])
+        for rows, (outputs,) in tree_outputs([self.root], X):
+            out[rows] = outputs
         return out
 
     def _probabilities_of(self, raw):
@@ -689,10 +679,6 @@ class DecisionTreeModel(TrainedClassifier):
 
     def _check(self) -> None:
         object.__setattr__(self, "root", Tree.from_dict(self.root, "gini", self.n_features))
-
-
-def train_decision_tree(X, y, params: DecisionTreeParams = DecisionTreeParams()) -> DecisionTreeModel:
-    return only(train_decision_trees([(X, y)], params))
 
 
 def train_decision_trees(samples, params: DecisionTreeParams = DecisionTreeParams()) -> list:

@@ -14,7 +14,8 @@ on the fold's training rows, and its training and validation rows are
 transformed once for every cell. Along a nested capacity axis (dt
 max_depth, rf num_trees, gbt num_iterations) one model per fold serves every
 value: smaller values score a truncation of the largest fit, which equals a
-fresh fit with that value, and one walk of the fit's trees scores them all.
+fresh fit with that value; rf and gbt score them all from one walk of the
+fit's trees.
 The folds' models of one such group train as one batch, and when the grid
 is one group (every default grid is), the refit on the full table trains
 in the same batch.
@@ -28,14 +29,15 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Annotated, Literal
 
 import numpy as np
 
 from . import models
 from .fields import check_types, field_checkers, read_fields
-from .metrics import EvalReport, MetricError, evaluate_scores, pr_curve, roc_curve, timed_fit
+from .metrics import EvalReport, MetricError, evaluate_scores, pr_curve, roc_curve
 from .rng import derived_rng
 from .stages import FittedPipeline, PipelineError, PipelineSpec, fit_pipeline, fit_stages
 from .table import DataTable, TableError
@@ -194,9 +196,8 @@ def _fold_outcomes(model, validation, ks: list, metric: str) -> list:
     """The metric on one fold of each cell that scores `truncate(k)` of
     `model` (the model itself where k is None), or the cell's error text:
     the fold's training error (`model` a ModelError), its validation error
-    (`validation` a string), or what scoring raises. One pass over the
-    model scores every cell (`nested_raw_scores`); an error it raises is
-    each cell's."""
+    (`validation` a string), or what scoring raises. `nested_raw_scores`
+    scores every cell; an error it raises is each cell's."""
     if isinstance(model, models.ModelError):
         return [str(model)] * len(ks)
     if isinstance(validation, str):
@@ -259,9 +260,9 @@ def cross_validate(
     per fold, trained with the group's largest value and truncated for the
     others, which gives the same model as a fresh fit. A group's models of
     all folds train as one batch (`models.train_batch`), which grows the
-    folds' trees together, and each fold's model scores all its cells in
-    one pass (`nested_raw_scores`); `config.parallelism` is validated but
-    changes neither speed nor results.
+    folds' trees together, and each fold's model scores all its cells
+    (`nested_raw_scores`); `config.parallelism` is validated but changes
+    neither speed nor results.
 
     Cell score is the arithmetic mean of the held-out fold metrics; the best
     cell is the max mean with ties broken by earliest grid order, and the
@@ -280,69 +281,66 @@ def cross_validate(
     if table.label_column() is None:
         raise TableError("cross-validation data has no label column")
 
-    def run() -> tuple[tuple[CVCell, ...], int, FittedPipeline]:
-        groups = _nest_groups(family, grid)
-        folds = make_folds(table.row_count, config.folds, config.seed)
-        # A one-group grid's refit is a truncation of the group's fit on the
-        # whole table, so that fit trains in the group's batch. `whole` ends
-        # as its model, or as the error its preparation or fit raised, which
-        # surfaces where a refit after the cells raises it. The whole table
-        # is prepared first, while no fold's matrices are held.
-        whole = whole_sample = None
-        if len(groups) == 1:
-            try:
-                whole_stages, whole_sample = _prepare_whole(spec, table)
-            except _CELL_ERRORS as exc:
-                whole = exc
-        # Each fold's training matrix, labels and validation, or its error.
-        prepared: list = []
-        for fold_no, val_idx in enumerate(folds):
-            try:
-                prepared.append(_prepare_fold(spec, table, val_idx, fold_no))
-            except _CELL_ERRORS as exc:
-                prepared.append(str(exc))
-        ready = [fi for fi, fold in enumerate(prepared) if not isinstance(fold, str)]
-        samples = [prepared[fi][:2] for fi in ready] + ([whole_sample] if whole_sample is not None else [])
+    start = time.perf_counter()
+    groups = _nest_groups(family, grid)
+    folds = make_folds(table.row_count, config.folds, config.seed)
+    # A one-group grid's refit is a truncation of the group's fit on the
+    # whole table, so that fit trains in the group's batch. `whole` ends
+    # as its model, or as the error its preparation or fit raised, which
+    # surfaces where a refit after the cells raises it. The whole table
+    # is prepared first, while no fold's matrices are held.
+    whole = whole_sample = None
+    if len(groups) == 1:
+        try:
+            whole_stages, whole_sample = _prepare_whole(spec, table)
+        except _CELL_ERRORS as exc:
+            whole = exc
+    # Each fold's training matrix, labels and validation, or its error.
+    prepared: list = []
+    for fold_no, val_idx in enumerate(folds):
+        try:
+            prepared.append(_prepare_fold(spec, table, val_idx, fold_no))
+        except _CELL_ERRORS as exc:
+            prepared.append(str(exc))
+    ready = [fi for fi, fold in enumerate(prepared) if not isinstance(fold, str)]
+    samples = [prepared[fi][:2] for fi in ready] + ([whole_sample] if whole_sample is not None else [])
 
-        per_fold = [[fold] * len(grid) if isinstance(fold, str) else [None] * len(grid) for fold in prepared]
-        for params, members in groups:
-            fits = models.train_batch(family, samples, params)
-            if len(fits) > len(ready):
-                whole = fits.pop()
-            for fi, model in zip(ready, fits):
-                scored = _fold_outcomes(model, prepared[fi][2], [k for _, k in members], config.metric)
-                for (ci, _), outcome in zip(members, scored):
-                    per_fold[fi][ci] = outcome
+    per_fold = [[fold] * len(grid) if isinstance(fold, str) else [None] * len(grid) for fold in prepared]
+    for params, members in groups:
+        fits = models.train_batch(family, samples, params)
+        if len(fits) > len(ready):
+            whole = fits.pop()
+        for fi, model in zip(ready, fits):
+            scored = _fold_outcomes(model, prepared[fi][2], [k for _, k in members], config.metric)
+            for (ci, _), outcome in zip(members, scored):
+                per_fold[fi][ci] = outcome
 
-        cells = []
-        for ci, params in enumerate(grid):
-            outcomes = [fold[ci] for fold in per_fold]
-            errors = [o for o in outcomes if isinstance(o, str)]
-            if errors:
-                cells.append(CVCell(params, None, None, "; ".join(errors)))
-            else:
-                cells.append(CVCell(params, tuple(outcomes), float(np.mean(outcomes))))
+    cells = []
+    for ci, params in enumerate(grid):
+        outcomes = [fold[ci] for fold in per_fold]
+        errors = [o for o in outcomes if isinstance(o, str)]
+        if errors:
+            cells.append(CVCell(params, None, None, "; ".join(errors)))
+        else:
+            cells.append(CVCell(params, tuple(outcomes), float(np.mean(outcomes))))
 
-        best_index = -1
-        for ci, cell in enumerate(cells):
-            if cell.mean_metric is None:
-                continue
-            if best_index < 0 or cell.mean_metric > cells[best_index].mean_metric:
-                best_index = ci
-        if best_index < 0:
-            details = "; ".join(f"cell {ci}: {c.error}" for ci, c in enumerate(cells))
-            raise SelectionError(f"every grid cell failed: {details}")
-        if len(groups) > 1:
-            return tuple(cells), best_index, fit_pipeline(spec, table, classifier=(family, cells[best_index].params))
-        if isinstance(whole, Exception):
-            raise whole
+    best_index = -1
+    for ci, cell in enumerate(cells):
+        if cell.mean_metric is None:
+            continue
+        if best_index < 0 or cell.mean_metric > cells[best_index].mean_metric:
+            best_index = ci
+    if best_index < 0:
+        details = "; ".join(f"cell {ci}: {c.error}" for ci, c in enumerate(cells))
+        raise SelectionError(f"every grid cell failed: {details}")
+    if len(groups) > 1:
+        refit = fit_pipeline(spec, table, classifier=(family, cells[best_index].params))
+    elif isinstance(whole, Exception):
+        raise whole
+    else:
         k = dict(groups[0][1])[best_index]
-        return tuple(cells), best_index, dataclasses.replace(
-            whole_stages, classifier=whole if k is None else whole.truncate(k)
-        )
-
-    (cells, best_index, refit), minutes = timed_fit(run)
-    return CVResult(cells, best_index, refit, minutes)
+        refit = dataclasses.replace(whole_stages, classifier=whole if k is None else whole.truncate(k))
+    return CVResult(tuple(cells), best_index, refit, (time.perf_counter() - start) / 60.0)
 
 
 # -- benchmark ------------------------------------------------------------------
@@ -365,7 +363,6 @@ class BenchmarkRow:
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: tuple[BenchmarkRow, ...]
-    reports: dict = field(default_factory=dict, compare=False)
 
     @property
     def failed(self) -> bool:
@@ -429,14 +426,12 @@ def benchmark(
     metrics, one row per family in the requested order. A family that fails
     keeps its row (with the error) and the sweep continues."""
     rows = []
-    reports = {}
     for family in families:
         models.check_family(family)
         grid = (grids or {}).get(family) or default_grid(family)
         try:
             cv = cross_validate(spec, family, grid, train_table, config)
             report = evaluate_fitted(cv.model, test_table, fit_minutes=cv.fit_minutes)
-            reports[family] = report
             rows.append(
                 BenchmarkRow(
                     family=family,
@@ -449,4 +444,4 @@ def benchmark(
             )
         except (SelectionError, MetricError, PipelineError, models.ModelError, TableError) as exc:
             rows.append(BenchmarkRow(family=family, error=str(exc)))
-    return BenchmarkReport(tuple(rows), reports)
+    return BenchmarkReport(tuple(rows))

@@ -13,7 +13,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from .fields import check_types, field_checkers, read_fields
-from .metrics import float_reprs
+from .metrics import float_reprs, read_only
 
 #: Column kinds accepted in external schemas. "vector" additionally exists as
 #: an engine-internal kind for assembled feature columns and cannot be
@@ -126,7 +126,7 @@ def _checked_matrix(name: str, values) -> np.ndarray:
     nan_rows = np.flatnonzero(np.isnan(matrix).any(axis=1))
     if nan_rows.size:
         raise TableError(f"vector column {name!r} holds NaN at row {int(nan_rows[0])}")
-    return _frozen(matrix)
+    return read_only(matrix)
 
 
 def _bad_row(name: str, rows) -> TableError:
@@ -144,11 +144,6 @@ def _bad_row(name: str, rows) -> TableError:
             return TableError(f"vector column {name!r} has a row of size {values.size} at row {i}, expected {width}")
         width = values.size
     return TableError(f"vector column {name!r} must be 2-dimensional")
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 class _Text:
@@ -184,7 +179,7 @@ def _stored(spec: ColumnSpec, values: Sequence):
     float64 array with NaN for null (numeric), int8 codes (boolean, label)
     or a `_Text` (categorical_text)."""
     if spec.kind == "numeric":
-        return _frozen(np.array(values, dtype=np.float64))
+        return read_only(np.array(values, dtype=np.float64))
     if spec.kind == "categorical_text":
         return _text(values, tuple(v for v in dict.fromkeys(values) if v is not None))
     return _coded(values, _CODE_VALUES[spec.kind], np.int8)
@@ -200,7 +195,7 @@ def _coded(values: Sequence, categories: tuple, dtype) -> np.ndarray:
     """The read-only code of each value: its index in `categories`, -1 for None."""
     index = dict(zip(categories, range(len(categories))))
     index[None] = -1
-    return _frozen(np.fromiter(map(index.__getitem__, values), dtype=dtype, count=len(values)))
+    return read_only(np.fromiter(map(index.__getitem__, values), dtype=dtype, count=len(values)))
 
 
 #: The one type a value of each scalar kind has when `_check_value` would
@@ -218,9 +213,9 @@ def _typed(spec: ColumnSpec, col):
     column of integers 0 and 1."""
     if isinstance(col, np.ndarray):
         if col.ndim == 1 and spec.kind == "numeric" and col.dtype == np.float64 and np.isfinite(col).all():
-            return _frozen(col.copy())
+            return read_only(col.copy())
         if col.ndim == 1 and spec.kind == "label" and col.dtype.kind in "iu" and ((col == 0) | (col == 1)).all():
-            return _frozen(col.astype(np.int8))
+            return read_only(col.astype(np.int8))
         return None
     allowed = {_STORED_TYPES[spec.kind], type(None)} if spec.nullable else {_STORED_TYPES[spec.kind]}
     if spec.kind == "categorical_text":
@@ -399,9 +394,9 @@ class DataTable:
         cols = {}
         for name, col in self._columns.items():
             if isinstance(col, _Text):
-                cols[name] = _Text(_frozen(col.codes[rows]), col.categories)
+                cols[name] = _Text(read_only(col.codes[rows]), col.categories)
             else:
-                cols[name] = _frozen(col[rows])
+                cols[name] = read_only(col[rows])
         return DataTable._trusted(self.schema, cols, len(rows) if cols else 0)
 
     # -- numeric views -----------------------------------------------------
@@ -460,27 +455,10 @@ class DataTable:
         return {s.name: _null_count(s, self._columns[s.name]) for s in self.schema}
 
     def __eq__(self, other) -> bool:
+        """Whether `other` is a table with the same `.tbl` bytes."""
         if not isinstance(other, DataTable):
             return NotImplemented
-        if self.schema != other.schema or self.row_count != other.row_count:
-            return False
-        for spec in self.schema:
-            a, b = self._columns[spec.name], other._columns[spec.name]
-            if spec.kind == "vector":
-                # A .tbl file cannot record the width of a 0-row vector column.
-                same = not a.shape[0] or np.array_equal(a, b)
-            elif spec.kind == "numeric":
-                same = np.array_equal(a, b, equal_nan=True)
-            elif spec.kind == "categorical_text" and a.categories != b.categories:
-                same = self.column(spec.name) == other.column(spec.name)
-            else:
-                same = np.array_equal(_codes(spec, a)[0], _codes(spec, b)[0])
-            if not same:
-                return False
-        return True
-
-    def __hash__(self):
-        raise TypeError("DataTable is not hashable")
+        return self.to_json_bytes() == other.to_json_bytes()
 
     def __repr__(self) -> str:
         return f"DataTable({self.row_count} rows x {len(self.schema)} columns)"

@@ -529,6 +529,31 @@ class TestMalformedInputFiles:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_failed_late_write_removes_earlier_outputs(self, small, capsys, command):
+        """`--out` names a directory, so the command fails after it wrote
+        `--test-out` or `--predictions`: that file is removed, stdout stays
+        empty, and a later output that was never opened keeps its bytes."""
+        folder = small / "folder"
+        folder.mkdir()
+        spec = {"stages": [{"type": "assemble", "inputs": ["a", "b"], "output": "features"}]}
+        (small / "spec.json").write_text(json.dumps(spec))
+        train = ["train", "--data", str(small / "data.tbl"), "--model", "lr", "--grid", str(small / "grid.json"),
+                 "--pipeline", str(small / "spec.json")]
+        (small / "roc.csv").write_text("kept\n")
+        if command == "train":
+            argv, early = [*train, "--test-out", str(small / "t.tbl"), "--out", str(folder)], small / "t.tbl"
+        else:
+            assert run(capsys, *train, "--out", str(small / "m.bin"))[0] == 0
+            argv = ["evaluate", "--model", str(small / "m.bin"), "--data", str(small / "data.tbl"),
+                    "--out", str(folder), "--predictions", str(small / "p.csv"), "--roc-csv", str(small / "roc.csv")]
+            early = small / "p.csv"
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not early.exists() and folder.is_dir() and not any(folder.iterdir())
+        assert (small / "roc.csv").read_text() == "kept\n"
+
 
 class TestBenchmark:
     def test_subset_order_and_agreement(self, workdir, capsys):

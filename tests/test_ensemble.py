@@ -14,12 +14,10 @@ from coverml.models.ensemble import (
     GbtParams,
     RandomForestModel,
     RandomForestParams,
-    train_gbt,
-    train_random_forest,
 )
 from coverml.models.importance import feature_importances, validate_importances
 from coverml.models.linear import train_logistic
-from coverml.models.tree import DecisionTreeParams, train_decision_tree
+from coverml.models.tree import DecisionTreeParams
 from coverml.rng import derived_rng
 
 from test_tree import reference_build_tree, subset_tree
@@ -37,34 +35,34 @@ class TestRandomForest:
         rng = np.random.default_rng(1)
         X = rng.random((120, 4))
         y = rng.integers(0, 2, size=120)
-        rf = train_random_forest(
+        rf = models.train("rf", 
             X, y, RandomForestParams(num_trees=1, feature_subset_rule="all", bootstrap=False)
         )
-        dt = train_decision_tree(X, y, DecisionTreeParams(max_depth=5))
+        dt = models.train("dt", X, y, DecisionTreeParams(max_depth=5))
         assert np.array_equal(rf.probabilities(X), dt.probabilities(X))
         assert np.array_equal(rf.predictions(X), dt.predictions(X))
 
     def test_different_seed_changes_forest(self):
         X, y = separable(150, seed=2)
-        a = train_random_forest(X, y, RandomForestParams(num_trees=5, seed=1))
-        b = train_random_forest(X, y, RandomForestParams(num_trees=5, seed=2))
+        a = models.train("rf", X, y, RandomForestParams(num_trees=5, seed=1))
+        b = models.train("rf", X, y, RandomForestParams(num_trees=5, seed=2))
         assert a.to_dict() != b.to_dict()
 
     def test_separable_accuracy(self):
         X, y = separable(300, seed=3)
-        model = train_random_forest(X, y, RandomForestParams(num_trees=25))
+        model = models.train("rf", X, y, RandomForestParams(num_trees=25))
         assert (model.predictions(X) == y).mean() >= 0.95
 
     def test_raw_score_is_mean_probability(self):
         X, y = separable(80, seed=4)
-        model = train_random_forest(X, y, RandomForestParams(num_trees=7))
+        model = models.train("rf", X, y, RandomForestParams(num_trees=7))
         assert np.array_equal(model.raw_scores(X), model.probabilities(X))
         probs = model.probabilities(X)
         assert ((probs >= 0) & (probs <= 1)).all()
 
     def test_serialization_roundtrip(self):
         X, y = separable(60, seed=5)
-        model = train_random_forest(X, y, RandomForestParams(num_trees=3))
+        model = models.train("rf", X, y, RandomForestParams(num_trees=3))
         back = RandomForestModel.from_dict(model.to_dict())
         assert np.array_equal(back.probabilities(X), model.probabilities(X))
 
@@ -84,18 +82,18 @@ class TestGbt:
     def test_constant_features_keep_base_rate(self):
         X = np.ones((40, 3))
         y = np.array([1] * 30 + [0] * 10)
-        model = train_gbt(X, y)
+        model = models.train("gbt", X, y)
         assert np.allclose(model.probabilities(X), 0.75, atol=1e-12)
 
     def test_separable_reaches_perfect_training_accuracy(self):
         X = np.array([[float(i)] for i in range(20)])
         y = (X[:, 0] >= 10).astype(int)
-        model = train_gbt(X, y, GbtParams(num_iterations=10))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=10))
         assert (model.predictions(X) == y).all()
 
     def test_zero_learning_rate_is_base_rate_classifier(self):
         X, y = separable(100, seed=6)
-        model = train_gbt(X, y, GbtParams(learning_rate=0.0))
+        model = models.train("gbt", X, y, GbtParams(learning_rate=0.0))
         p = y.mean()
         assert np.allclose(model.probabilities(X), p, atol=1e-12)
         expected = 1 if p > 0.5 else 0
@@ -104,24 +102,24 @@ class TestGbt:
     def test_single_class_rejected(self):
         X = np.zeros((5, 2))
         with pytest.raises(ModelError):
-            train_gbt(X, np.ones(5, dtype=int))
+            models.train("gbt", X, np.ones(5, dtype=int))
 
     def test_training_loss_non_increasing(self):
         X, y = separable(200, seed=7)
-        model = train_gbt(X, y, GbtParams(num_iterations=15, learning_rate=0.1))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=15, learning_rate=0.1))
         losses = model.train_losses
         assert len(losses) == 16
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_probability_is_sigmoid_of_twice_score(self):
         X, y = separable(50, seed=8)
-        model = train_gbt(X, y, GbtParams(num_iterations=3))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=3))
         F = model.raw_scores(X)
         assert np.allclose(model.probabilities(X), 1.0 / (1.0 + np.exp(-2.0 * F)), atol=1e-12)
 
     def test_serialization_roundtrip(self):
         X, y = separable(60, seed=9)
-        model = train_gbt(X, y, GbtParams(num_iterations=4))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=4))
         back = GbtModel.from_dict(model.to_dict())
         assert np.array_equal(back.raw_scores(X), model.raw_scores(X))
 
@@ -153,18 +151,18 @@ class TestPrefixes:
     def test_forest_prefix_equals_fresh_forest(self, bootstrap, rule):
         X, y = self.noisy(3)
         base = RandomForestParams(max_depth=4, bootstrap=bootstrap, feature_subset_rule=rule, seed=5)
-        forest = train_random_forest(X, y, replace(base, num_trees=6))
+        forest = models.train("rf", X, y, replace(base, num_trees=6))
         for k in range(1, 7):
-            fresh = train_random_forest(X, y, replace(base, num_trees=k))
+            fresh = models.train("rf", X, y, replace(base, num_trees=k))
             assert repr(forest.truncate(k).to_dict()) == repr(fresh.to_dict())
 
     @pytest.mark.parametrize("learning_rate", [0.1, 0.7])
     def test_boosting_prefix_equals_fresh_sequence(self, learning_rate):
         X, y = self.noisy(4)
         base = GbtParams(max_depth=3, learning_rate=learning_rate)
-        model = train_gbt(X, y, replace(base, num_iterations=6))
+        model = models.train("gbt", X, y, replace(base, num_iterations=6))
         for k in range(1, 7):
-            fresh = train_gbt(X, y, replace(base, num_iterations=k))
+            fresh = models.train("gbt", X, y, replace(base, num_iterations=k))
             assert repr(model.truncate(k).to_dict()) == repr(fresh.to_dict())
             assert np.array_equal(model.truncate(k).raw_scores(X), fresh.raw_scores(X))
 
@@ -238,7 +236,7 @@ class TestLockstep:
         )
         # Groups of `group` trees: 7 trees make groups of 1, of 2 (2+2+2+1) or one of all 7.
         monkeypatch.setattr(ensemble, "LOCKSTEP_CELLS", group * X.size)
-        forest = train_random_forest(X, y, params)
+        forest = models.train("rf", X, y, params)
         alone = self.alone(X, y, params, subset_tree)
         assert [repr(t.to_dict()) for t in forest.trees] == alone
         assert alone == self.alone(X, y, params, reference_build_tree)
@@ -262,7 +260,7 @@ class TestLockstep:
         got = models.train_batch("rf", samples, RandomForestParams(num_trees=20, max_depth=7))
         assert calls == [80]
         assert sum(n for n in (467, 467, 466, 700)) * 20 * 7 <= ensemble.LOCKSTEP_CELLS
-        alone = train_random_forest(X[:466], y[:466], RandomForestParams(num_trees=20, max_depth=7))
+        alone = models.train("rf", X[:466], y[:466], RandomForestParams(num_trees=20, max_depth=7))
         assert repr(got[2].to_dict()) == repr(alone.to_dict())
 
 
@@ -343,7 +341,7 @@ class TestBatch:
         assert str(got[1]) == "boosting requires both classes in the training data"
         assert str(got[2]) == "training data is empty"
         assert repr(got[0].to_dict()) == repr(got[3].to_dict())
-        assert repr(got[0].to_dict()) == repr(train_gbt(*good, GbtParams(num_iterations=2)).to_dict())
+        assert repr(got[0].to_dict()) == repr(models.train("gbt", *good, GbtParams(num_iterations=2)).to_dict())
 
     def test_params_of_another_family_fail_every_sample(self):
         X, y = separable(20, seed=1)
@@ -368,10 +366,10 @@ class TestKernelCallSize:
         X = rng.random((400, 6))
         y = (X[:, 0] + X[:, 1] * X[:, 2] + 0.2 * rng.normal(size=400) > 0.8).astype(int)
         for fit in (
-            lambda: train_decision_tree(X, y, DecisionTreeParams(max_depth=8)),
-            lambda: train_gbt(X, y, GbtParams(num_iterations=3, max_depth=6)),
-            lambda: train_random_forest(X, y, RandomForestParams(num_trees=12, max_depth=8)),
-            lambda: train_random_forest(X, y, RandomForestParams(num_trees=12, max_depth=8, feature_subset_rule="all")),
+            lambda: models.train("dt", X, y, DecisionTreeParams(max_depth=8)),
+            lambda: models.train("gbt", X, y, GbtParams(num_iterations=3, max_depth=6)),
+            lambda: models.train("rf", X, y, RandomForestParams(num_trees=12, max_depth=8)),
+            lambda: models.train("rf", X, y, RandomForestParams(num_trees=12, max_depth=8, feature_subset_rule="all")),
         ):
             largest.clear()
             fit()
@@ -384,7 +382,7 @@ class TestGoldenPrediction:
         rng = np.random.default_rng(123)
         X = rng.random((200, 5))
         y = ((X[:, 0] + 0.5 * X[:, 3]) > 0.75).astype(int)
-        model = train_gbt(X, y, GbtParams(num_iterations=8, seed=1))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=8, seed=1))
         raw, prob = model.scores(np.array([[0.9, 0.1, 0.5, 0.8, 0.2]]))
         assert raw.tolist() == [0.5848683502642308]
         assert prob.tolist() == [0.7630974198122307]
@@ -395,9 +393,9 @@ class TestImportances:
     def test_sums_to_one_tightly(self):
         X, y = separable(200, seed=10)
         for model in (
-            train_decision_tree(X, y),
-            train_random_forest(X, y, RandomForestParams(num_trees=10)),
-            train_gbt(X, y, GbtParams(num_iterations=5)),
+            models.train("dt", X, y),
+            models.train("rf", X, y, RandomForestParams(num_trees=10)),
+            models.train("gbt", X, y, GbtParams(num_iterations=5)),
         ):
             imp = feature_importances(model)
             assert abs(sum(imp.values) - 1.0) <= 1e-9
@@ -409,8 +407,8 @@ class TestImportances:
         X[:, 2] = 1.0
         y = (X[:, 0] > 0.5).astype(int)
         for model in (
-            train_random_forest(X, y, RandomForestParams(num_trees=10)),
-            train_gbt(X, y, GbtParams(num_iterations=5)),
+            models.train("rf", X, y, RandomForestParams(num_trees=10)),
+            models.train("gbt", X, y, GbtParams(num_iterations=5)),
         ):
             assert feature_importances(model).values[2] == 0.0
 
@@ -427,10 +425,12 @@ class TestImportances:
             validate_importances([-0.1, 1.1])
         with pytest.raises(ValueError):
             validate_importances([0.6, 0.6])
+        with pytest.raises(ValueError, match="finite"):
+            validate_importances([float("nan"), 1.0])
 
     def test_names_attach_and_rank(self):
         X, y = separable(100, seed=13)
-        model = train_gbt(X, y, GbtParams(num_iterations=5))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=5))
         imp = feature_importances(model, names=("alpha", "beta", "gamma"))
         rows = imp.ranked()
         assert rows[0][0] == 1

@@ -1,5 +1,4 @@
 import json
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from coverml.metrics import (
     pr_curve,
     roc_curve,
     scalar_metrics,
-    timed_fit,
 )
 
 from helpers import concordance_auc
@@ -225,26 +223,6 @@ class TestDuplicationInvariance:
         )
         for fieldname in ("precision", "recall", "f1", "accuracy", "auc_roc", "auc_pr"):
             assert getattr(single, fieldname) == pytest.approx(getattr(doubled, fieldname), abs=1e-12)
-
-
-class TestTimedFit:
-    def test_noop_duration(self):
-        value, minutes = timed_fit(lambda: "ok")
-        assert value == "ok"
-        assert 0.0 <= minutes < 0.01
-
-    def test_sleep_duration_within_bounds(self):
-        _, minutes = timed_fit(lambda: time.sleep(0.05))
-        assert 0.0008 <= minutes <= 0.01
-
-    def test_independent_measurements(self):
-        _, first = timed_fit(lambda: time.sleep(0.05))
-        _, second = timed_fit(lambda: None)
-        assert second < first
-
-    def test_errors_propagate(self):
-        with pytest.raises(RuntimeError):
-            timed_fit(lambda: (_ for _ in ()).throw(RuntimeError("fit failed")))
 
 
 class TestEvalReport:

@@ -76,6 +76,13 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+#: Stands in a mutated model document for the JSON number 1e400, which
+#: `json.dumps` cannot write and `json.loads` reads as inf.
+HUGE = "<1e400>"
+#: Numbers a model file can hold that are not finite floats.
+NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "1e400": HUGE}
+
+
 class TestCorruption:
     def save_one(self, tmp_path):
         _, trained = fixture_models(n=50)
@@ -126,6 +133,16 @@ class TestCorruption:
         path.write_bytes(
             MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes + body
         )
+
+    def craft(self, source, path, mutate):
+        """Write to `path` the model file `source` with `mutate` applied to
+        its payload, each HUGE written as 1e400, under a matching checksum."""
+        header = read_header(source)
+        doc = json.loads(source.read_bytes()[-header["body_len"] :])
+        mutate(doc["payload"])
+        body = json.dumps(doc).replace(json.dumps(HUGE), "1e400").encode()
+        header.update(body_len=len(body), body_sha256=hashlib.sha256(body).hexdigest())
+        self.write_container(path, header, body)
 
     @pytest.mark.parametrize("header", [[1], "text", None])
     def test_header_not_an_object(self, tmp_path, header):
@@ -213,25 +230,34 @@ class TestCorruption:
             lambda root: root.update(threshold="x"),
             lambda root: TestCorruption.first_leaf(root).pop("prob"),
             lambda root: root.pop("right"),
+            *(lambda root, f=f, v=v: root.update({f: v}) for f in ("threshold", "decrease") for v in NON_FINITE.values()),
         ],
-        ids=["feature-out-of-range", "threshold-not-a-number", "leaf-without-prob", "split-without-right-child"],
+        ids=["feature-out-of-range", "threshold-not-a-number", "leaf-without-prob", "split-without-right-child",
+             *(f"{f}-{v}" for f in ("threshold", "decrease") for v in NON_FINITE)],
     )
     def test_crafted_tree_rejected(self, dt_files, tmp_path, capsys, mutate):
         """A tree node the engine cannot have written, in a file whose checksum
-        matches, is a ModelFileError at load and an error line in the CLI."""
+        matches, is a ModelFileError at load and one error line in the CLI."""
         path = tmp_path / "crafted.bin"
-        header = read_header(dt_files / "dt.bin")
-        doc = json.loads((dt_files / "dt.bin").read_bytes()[-header["body_len"] :])
-        mutate(doc["payload"]["classifier"]["model"]["root"])
-        body = json.dumps(doc).encode()
-        header.update(body_len=len(body), body_sha256=hashlib.sha256(body).hexdigest())
-        self.write_container(path, header, body)
+        self.craft(dt_files / "dt.bin", path, lambda payload: mutate(payload["classifier"]["model"]["root"]))
         with pytest.raises(ModelFileError, match="corrupt pipeline payload"):
             load_model(path)
         for argv in (["evaluate", "--data", str(dt_files / "test.tbl")], ["importance"]):
             assert main([*argv, "--model", str(path)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "Traceback" not in err
+            assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_overflowing_importance_is_an_error_line(self, dt_files, tmp_path, capsys):
+        """A finite decrease whose product with the node's row count
+        overflows loads and scores, but its importance is not a finite
+        number: `importance` prints one error line and no table."""
+        path = tmp_path / "crafted.bin"
+        self.craft(dt_files / "dt.bin", path, lambda payload: payload["classifier"]["model"]["root"].update(decrease=1e308))
+        assert main(["evaluate", "--data", str(dt_files / "test.tbl"), "--model", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["importance", "--model", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: importances must be finite\n"
 
     @pytest.fixture(scope="class")
     def pipeline_files(self, tmp_path_factory):
@@ -295,6 +321,8 @@ class TestCorruption:
             ("lr", set_model("bias", 0.0)),
             ("gbt", lambda payload: payload["classifier"]["model"].pop("train_losses")),
             ("gbt", lambda payload: payload["classifier"]["model"]["train_losses"].pop()),
+            *(("gbt", lambda payload, v=v: payload["classifier"]["model"]["trees"][0].update(value=v))
+              for v in NON_FINITE.values()),
         ],
         ids=[
             "dt-threshold-text", "dt-no-features", "rf-features-bool", "rf-threshold-inf",
@@ -304,7 +332,7 @@ class TestCorruption:
             "minmax-min-text", "minmax-lo-text", "vector-index-dimension-past-size", "minmax-maxs-short",
             "vector-index-size-text", "vector-index-code-text", "index-policy-unknown",
             "lr-intercept-huge", "rf-threshold-above-one", "rf-no-trees", "gbt-losses-text", "lr-unknown-key",
-            "gbt-no-losses", "gbt-losses-short",
+            "gbt-no-losses", "gbt-losses-short", *(f"gbt-tree-value-{v}" for v in NON_FINITE),
         ],
     )
     def test_crafted_model_field_rejected(self, pipeline_files, tmp_path, capsys, family, mutate):
@@ -312,12 +340,7 @@ class TestCorruption:
         whose checksum matches, is a ModelFileError at load and an error
         line in the CLI."""
         path = tmp_path / "crafted.bin"
-        header = read_header(pipeline_files / f"{family}.bin")
-        doc = json.loads((pipeline_files / f"{family}.bin").read_bytes()[-header["body_len"] :])
-        mutate(doc["payload"])
-        body = json.dumps(doc).encode()
-        header.update(body_len=len(body), body_sha256=hashlib.sha256(body).hexdigest())
-        self.write_container(path, header, body)
+        self.craft(pipeline_files / f"{family}.bin", path, mutate)
         with pytest.raises(ModelFileError, match="corrupt pipeline payload"):
             load_model(path)
         assert main(["evaluate", "--data", str(pipeline_files / "data.tbl"), "--model", str(path)]) == 1

@@ -669,3 +669,8 @@ class TestCodedColumns:
         assert a == b and a.fingerprint() == b.fingerprint()
         assert a != DataTable(spec, {"c": ["x", "y", None, "y"]})
         assert a != DataTable(spec, {"c": ["x", "y", "x", "x"]})
+        # select_rows keeps the categories no selected row has.
+        kept = DataTable(spec, {"c": ["x", "z", "y"]}).select_rows([2, 0])
+        rebuilt = DataTable(spec, {"c": ["y", "x"]})
+        assert kept.codes("c")[1] == ("x", "z", "y") and rebuilt.codes("c")[1] == ("y", "x")
+        assert kept == rebuilt and kept.fingerprint() == rebuilt.fingerprint()

@@ -18,7 +18,6 @@ from coverml.models.tree import (
     build_tree,
     grow_trees,
     presort,
-    train_decision_tree,
     tree_outputs,
 )
 
@@ -36,18 +35,18 @@ class TestInduction:
     def test_separable_single_feature(self):
         X = np.array([[0.1], [0.2], [0.9], [1.0]])
         y = np.array([0, 0, 1, 1])
-        model = train_decision_tree(X, y)
+        model = models.train("dt", X, y)
         assert accuracy(model, X, y) == 1.0
         root = model.to_dict()["root"]
         assert "feature" in root and "feature" not in root["left"] and "feature" not in root["right"]
 
     def test_xor_depth1_is_chance(self):
-        model = train_decision_tree(XOR_X, XOR_Y, DecisionTreeParams(max_depth=1))
+        model = models.train("dt", XOR_X, XOR_Y, DecisionTreeParams(max_depth=1))
         # exhaustive enumeration: every depth-1 split leaves both leaves mixed
         assert accuracy(model, XOR_X, XOR_Y) == 0.5
 
     def test_xor_depth2_is_exact(self):
-        model = train_decision_tree(XOR_X, XOR_Y, DecisionTreeParams(max_depth=2))
+        model = models.train("dt", XOR_X, XOR_Y, DecisionTreeParams(max_depth=2))
         assert accuracy(model, XOR_X, XOR_Y) == 1.0
 
     def test_tie_break_prefers_lower_feature(self):
@@ -106,7 +105,7 @@ class TestInduction:
         rng = np.random.default_rng(4)
         X = rng.random((100, 3))
         y = rng.integers(0, 2, size=100)
-        model = train_decision_tree(X, y)
+        model = models.train("dt", X, y)
         probs = model.probabilities(X)
         assert ((probs >= 0) & (probs <= 1)).all()
 
@@ -327,9 +326,9 @@ class TestDepthCut:
             X = parity_case(rng, kind)
             y = rng.integers(0, 2, size=X.shape[0])
             min_instances = int(rng.integers(1, 4))
-            deep = train_decision_tree(X, y, DecisionTreeParams(max_depth=8, min_instances_per_node=min_instances))
+            deep = models.train("dt", X, y, DecisionTreeParams(max_depth=8, min_instances_per_node=min_instances))
             for k in range(1, 9):
-                fresh = train_decision_tree(X, y, DecisionTreeParams(max_depth=k, min_instances_per_node=min_instances))
+                fresh = models.train("dt", X, y, DecisionTreeParams(max_depth=k, min_instances_per_node=min_instances))
                 assert repr(deep.truncate(k).to_dict()) == repr(fresh.to_dict())
 
 
@@ -456,16 +455,19 @@ def random_trees(draw, d):
 
 
 def walked(trees, X, stops):
-    """Each stop's (trees, rows) outputs, the blocks of `tree_outputs` put
+    """Each stop's (trees, rows) outputs: the blocks of `tree_outputs` over
+    the trees cut at the stop (the trees themselves where it is None) put
     together; the blocks must cover X's rows in order."""
-    out = [np.empty((len(trees), X.shape[0])) for _ in stops]
-    at = 0
-    for rows, outputs in tree_outputs(trees, X, stops):
-        assert rows.start == at and rows.stop > at
-        at = rows.stop
-        for whole, block in zip(out, outputs):
-            whole[:, rows] = block
-    assert at == X.shape[0]
+    out = []
+    for stop in stops:
+        whole = np.empty((len(trees), X.shape[0]))
+        at = 0
+        for rows, outputs in tree_outputs([tree if stop is None else tree.cut(stop) for tree in trees], X):
+            assert rows.start == at and rows.stop > at
+            at = rows.stop
+            whole[:, rows] = outputs
+        assert at == X.shape[0]
+        out.append(whole)
     return out
 
 
@@ -501,7 +503,7 @@ class TestTreeWalk:
         rng = np.random.default_rng(n)
         X = np.round(rng.normal(size=(200, 3)), 1)
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        trees = [train_decision_tree(X, y, DecisionTreeParams(max_depth=k)).root for k in (2, 6)]
+        trees = [models.train("dt", X, y, DecisionTreeParams(max_depth=k)).root for k in (2, 6)]
         query = np.round(rng.normal(size=(n, 3)), 1)
         query[::3, 1] = np.nan
         with mock.patch.object(tree_module, "WALK_CELLS", budget):
@@ -523,7 +525,7 @@ class TestTreeWalk:
         ones, at every stop."""
         X = np.arange(400.0)[:, None] ** 1.5
         y = (np.arange(400) // 3 + np.arange(400) // 7) % 2
-        trees = [train_decision_tree(X, y, DecisionTreeParams(max_depth=k)).root for k in (MAX_DEPTH, 1, 9, 20)]
+        trees = [models.train("dt", X, y, DecisionTreeParams(max_depth=k)).root for k in (MAX_DEPTH, 1, 9, 20)]
         assert int(trees[0].depth.max()) >= 20
         query = np.concatenate([X, X + 0.5, [[np.nan], [-0.0]]])
         stops = [None, *range(1, MAX_DEPTH + 1)]
@@ -633,19 +635,19 @@ class TestParamsAndErrors:
         # the deepest allowed tree grows on data that splits one row per level
         X = np.arange(3000.0).reshape(-1, 1)
         y = np.arange(3000) % 2
-        model = train_decision_tree(X, y, DecisionTreeParams(max_depth=30))
+        model = models.train("dt", X, y, DecisionTreeParams(max_depth=30))
         assert model.probabilities(X).shape == (3000,)
 
     def test_empty_data(self):
         with pytest.raises(ModelError):
-            train_decision_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            models.train("dt", np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     def test_nonfinite_features(self):
         with pytest.raises(ModelError):
-            train_decision_tree(np.array([[np.inf]]), np.array([1]))
+            models.train("dt", np.array([[np.inf]]), np.array([1]))
 
     def test_dimension_mismatch_at_predict(self):
-        model = train_decision_tree(np.array([[0.0], [1.0]]), np.array([0, 1]))
+        model = models.train("dt", np.array([[0.0], [1.0]]), np.array([0, 1]))
         with pytest.raises(ModelError):
             model.predictions(np.zeros((2, 3)))
 
@@ -655,7 +657,7 @@ class TestImportance:
         X = np.zeros((4, 5))
         X[:, 3] = [0.0, 1.0, 2.0, 3.0]
         y = np.array([0, 0, 1, 1])
-        model = train_decision_tree(X, y, DecisionTreeParams(max_depth=1))
+        model = models.train("dt", X, y, DecisionTreeParams(max_depth=1))
         imp = model.feature_importances()
         assert imp[3] == 1.0 and imp.sum() == 1.0
 
@@ -664,7 +666,7 @@ class TestImportance:
         X = rng.random((60, 3))
         X[:, 1] = 7.7
         y = (X[:, 0] > 0.5).astype(int)
-        model = train_decision_tree(X, y)
+        model = models.train("dt", X, y)
         assert model.feature_importances()[1] == 0.0
 
     def test_unsplit_tree_all_zero(self):
@@ -678,7 +680,7 @@ class TestSerialization:
         rng = np.random.default_rng(6)
         X = rng.random((80, 4))
         y = rng.integers(0, 2, size=80)
-        model = train_decision_tree(X, y)
+        model = models.train("dt", X, y)
         back = DecisionTreeModel.from_dict(model.to_dict())
         assert np.array_equal(back.probabilities(X), model.probabilities(X))
         assert back.to_dict() == model.to_dict()
@@ -689,7 +691,7 @@ class TestSerialization:
         import gc
 
         rng = np.random.default_rng(6)
-        model = train_decision_tree(rng.random((80, 4)), rng.integers(0, 2, size=80))
+        model = models.train("dt", rng.random((80, 4)), rng.integers(0, 2, size=80))
         gc.collect()
         gc.disable()
         try:
