@@ -12,6 +12,16 @@ level of a tree that draws no feature subsets, or the next depth-first
 nodes of each tree of a random forest grown in lockstep, whose per-split
 draws must keep their depth-first order.
 
+The Gini kernel also takes row weights `w` in the layout of `x`: a row of
+weight c counts as c equal rows, as a random forest's bootstrap sample
+holds a drawn row as often as it was drawn, and `y` then holds each row's
+class-1 count, its label times c. The row and class-1 counts left of a cut
+are cumulative weights instead of positions. They are whole numbers below
+2**53, so each is the float64 that the positions of the c-fold rows give,
+and a split depends only on counts at cuts between distinct values: the
+weighted node and the node of repeated rows get the same split, bit for
+bit.
+
 A cut between sorted positions i and i + 1 is a candidate only where the
 two values differ, so never inside the padding. The cumulative sums run
 along the sorted axis of each column, padding included, and a node's
@@ -41,9 +51,10 @@ class _Cuts:
     """Where a call evaluates its decreases: the whole (K, M - 1) grid of
     cuts, masked afterwards, when at least half the cuts are candidates;
     otherwise only the candidates, gathered in row-major order of the grid
-    into 1-D arrays."""
+    into 1-D arrays. `nl` and `total` are the row counts left of each cut
+    and in its node: positions, or cumulative weights `w`."""
 
-    def __init__(self, x: np.ndarray, sizes) -> None:
+    def __init__(self, x: np.ndarray, sizes, w: np.ndarray | None = None) -> None:
         m, k_total = x.shape
         self.x = x.T
         self.sizes = np.asarray(sizes, dtype=np.intp)
@@ -51,8 +62,9 @@ class _Cuts:
         if self.k * self.sizes.size != k_total:
             raise ValueError(f"{k_total} columns do not split evenly over {self.sizes.size} nodes")
         last = (self.sizes - 1).repeat(self.k)  # each column's last row
-        self.totals = last + 1.0
         self._last = last + np.arange(0, k_total * m, m)  # flat, in a (K, M) array
+        cw = None if w is None else w.T.cumsum(axis=1)
+        self.totals = last + 1.0 if cw is None else self.at_last(cw)
         self.cut = self.x[:, :-1] != self.x[:, 1:]
         # A gathered cut costs more than a grid cell and holds more
         # temporaries (its indices). In timed calls of 60 to 100,000 rows the
@@ -61,14 +73,15 @@ class _Cuts:
         # largest calls cross over.
         self.dense = m > 1 and 2 * np.count_nonzero(self.cut) >= self.cut.size
         if self.dense:
-            padded = self.sizes.min() < m
-            self.total = self.totals[:, None] if padded else float(m)
-            self.nl = np.arange(1.0, m)
+            # Nodes of m rows each, unweighted, all hold m.
+            same = cw is None and self.sizes.min() == m
+            self.total = float(m) if same else self.totals[:, None]
+            self.nl = np.arange(1.0, m) if cw is None else self.at(cw)
         else:
             self.flat = self.cut.reshape(-1).nonzero()[0]
             self.col = self.flat // (m - 1)
             self.total = self.totals.take(self.col)
-            self.nl = (self.flat - self.col * (m - 1)) + 1.0
+            self.nl = (self.flat - self.col * (m - 1)) + 1.0 if cw is None else self.at(cw)
 
     def at(self, cumulative: np.ndarray) -> np.ndarray:
         """A (K, M) cumulative sum read at each cut: the sum of the rows up
@@ -117,9 +130,10 @@ _PADDED_LANES = np.errstate(divide="ignore", invalid="ignore")
 
 
 @_PADDED_LANES
-def best_split_gini(x: np.ndarray, y: np.ndarray, sizes):
-    """Best split of each node by Gini impurity decrease; `y` holds 0/1 labels."""
-    cuts = _Cuts(x, sizes)
+def best_split_gini(x: np.ndarray, y: np.ndarray, sizes, w: np.ndarray | None = None):
+    """Best split of each node by Gini impurity decrease; `y` holds 0/1
+    labels, or with row weights `w` each row's class-1 count."""
+    cuts = _Cuts(x, sizes, w)
     csum = y.T.cumsum(axis=1)
     c1 = cuts.at_last(csum)
     p1 = c1 / cuts.totals

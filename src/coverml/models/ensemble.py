@@ -26,8 +26,10 @@ from .tree import (
 #: Sample cells (rows × features) of the trees that grow in lockstep, of one
 #: forest or of the forests of a batch: trees of n rows and d features grow
 #: at most max(1, LOCKSTEP_CELLS // (n * d)) at a time, in groups of about
-#: equal size. A group holds about 12.5 bytes per cell (float64 values and
-#: int32 order rows), so at most about 26 MB whatever num_trees is.
+#: equal size. The trees share their samples' values and sort. A group
+#: holds, per row a tree drew (about 63% of its rows under bootstrap),
+#: int32 order rows and the row's column, weight, target and node: about 6
+#: bytes per cell at d = 7, so at most about 13 MB whatever num_trees is.
 LOCKSTEP_CELLS = 1 << 21
 
 
@@ -121,41 +123,99 @@ def train_random_forests(samples, params: RandomForestParams = RandomForestParam
     so grouping does not change any tree. The trees grow in groups of up to
     LOCKSTEP_CELLS sample cells (at least one tree), whether they come from
     one forest or several.
+
+    No tree copies its bootstrap sample, as in Spark MLlib's `BaggedPoint`:
+    each sample's values are laid out feature-major and presorted once, and
+    held from its first group to its last, and a tree holds each row it drew
+    once, as a slot weighted by how often it was drawn (`_bootstrap_slots`).
+    It is the tree grown on the copied sample.
     """
     out = per_sample(check_training_data, samples)
     ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
     trees: dict[int, list[Tree]] = {i: [] for i in ready}
     jobs = [(i, t) for i in ready for t in range(params.num_trees)]
-    for group in lockstep_groups([out[i][0].shape for i, _ in jobs], LOCKSTEP_CELLS):
+    groups = lockstep_groups([out[i][0].shape for i, _ in jobs], LOCKSTEP_CELLS)
+    last = {jobs[j][0]: g for g, group in enumerate(groups) for j in group}
+    held = {}  # a sample's feature-major values and presort, up to its last group
+    for g, group in enumerate(groups):
         members = [jobs[j] for j in group]
+        reads = list(dict.fromkeys(i for i, _ in members))
+        for i in reads:
+            if i not in held:
+                values = np.ascontiguousarray(out[i][0].T)
+                held[i] = values, presort(values, [values.shape[1]])
+        sizes = [out[i][0].shape[0] for i in reads]
+        values = held[reads[0]][0] if len(reads) == 1 else np.concatenate([held[i][0] for i in reads], axis=1)
+        start = dict(zip(reads, np.cumsum(sizes) - sizes))
         rngs = [derived_rng(params.seed, 23, t) for _, t in members]
-        sizes = [out[i][0].shape[0] for i, _ in members]
-        d = out[members[0][0]][0].shape[1]
-        values = np.empty((d, sum(sizes)))
-        targets = np.empty(sum(sizes))
-        at = 0
-        for (i, _), rng, n in zip(members, rngs, sizes):
-            X, y = out[i]
-            rows = rng.integers(0, n, size=n) if params.bootstrap else slice(None)
-            values[:, at : at + n] = X.T[:, rows]
-            targets[at : at + n] = y[rows]
-            at += n
+        slots, columns, weights, slot_sizes = _bootstrap_slots(
+            [held[i][1] for i, _ in members], [start[i] for i, _ in members], rngs, params.bootstrap
+        )
+        d = values.shape[0]
         subset = max(1, math.floor(math.sqrt(d))) if params.feature_subset_rule == "sqrt" else d
         grown, _ = grow_trees(
             values,
-            presort(values, sizes),
-            targets,
-            sizes,
+            slots,
+            np.concatenate([out[i][1] for i in reads]),
+            slot_sizes,
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
             task="gini",
             draws=FeatureDraws(rngs, d, subset) if subset < d else None,
+            columns=columns,
+            weights=weights,
         )
         for (i, _), tree in zip(members, grown):
             trees[i].append(tree)
+        for i in reads:
+            if last[i] == g:
+                del held[i]
     for i in ready:
         out[i] = RandomForestModel(tuple(trees[i]), out[i][0].shape[1], params.threshold)
     return out
+
+
+def _bootstrap_slots(orders: list[np.ndarray], starts: list, rngs: list, bootstrap: bool):
+    """The slots of trees that each draw rows of a sample: tree j draws its
+    bootstrap sample from `rngs[j]` (every row once without `bootstrap`).
+    `orders[j]` is its sample's order matrix from `presort`, and the
+    sample's rows are the columns from `starts[j]` on of the values the
+    trees read. A tree's slots are its drawn rows, ascending, and the
+    trees' slots follow one another.
+
+    Returns (slot order, columns, weights, sizes): the (d + 1, S) order
+    matrix of the slots that `grow_trees` takes, each slot's column and
+    draw count (None without `bootstrap`), and each tree's number of
+    slots. A tree's order row f is its sample's order row f with the
+    undrawn rows removed; the filter keeps the order of the rest, so it is
+    the stable sort of the tree's slots.
+    """
+    counts = [
+        np.bincount(rng.integers(0, n, size=n), minlength=n) if bootstrap else np.ones(n, dtype=np.intp)
+        for rng, n in zip(rngs, (order.shape[1] for order in orders))
+    ]
+    d = orders[0].shape[0] - 1
+    drawn = [c > 0 for c in counts]
+    sizes = np.array([np.count_nonzero(k) for k in drawn], dtype=np.intp)
+    total = int(sizes.sum())
+    out = np.empty((d + 1, total), dtype=np.int32 if total <= np.iinfo(np.int32).max else np.intp)
+    out[d] = np.arange(total)
+    columns = np.empty(total, dtype=np.intp)
+    at = 0
+    # Trees of one sample are consecutive; each run of them is filtered at once.
+    for run in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(starts)) + 1):
+        order = orders[run[0]]
+        keep = np.stack([drawn[j] for j in run])  # (trees, rows)
+        m = int(sizes[run].sum())
+        # Each drawn (tree, row) pair's slot, -1 where the tree did not draw the row.
+        slot = np.where(keep, keep.cumsum().reshape(keep.shape) - 1 + at, -1)
+        for f in range(d):
+            ranked = slot.take(order[f], axis=1).reshape(-1)
+            out[f, at : at + m] = ranked.compress(ranked >= 0)
+        columns[at : at + m] = keep.nonzero()[1] + starts[run[0]]
+        at += m
+    weights = np.concatenate([c.compress(k) for c, k in zip(counts, drawn)]).astype(np.float64) if bootstrap else None
+    return out, columns, weights, sizes
 
 
 @dataclass(frozen=True)

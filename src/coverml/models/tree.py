@@ -293,6 +293,8 @@ def grow_trees(
     min_instances: int = 1,
     task: str = "gini",
     draws: FeatureDraws | None = None,
+    columns: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[list[Tree], np.ndarray]:
     """Grow one tree on each of G samples: `values` (d, N) as `presort`
     takes them, `order` from `presort`, `targets` (N,), and `sizes` the
@@ -300,6 +302,17 @@ def grow_trees(
     the statistic of the leaf it falls in (the class-1 count for "gini", the
     mean for "sse"). With `draws` (a `FeatureDraws` of the G trees), each
     split considers a feature subset from it; without, every feature.
+
+    With `columns`, the S = sum(sizes) rows of the trees are slots that
+    read the values and targets of column `columns[s]`, so trees can share
+    a sample's values without copying them; `order` (d + 1, S) then lists
+    slots as `presort` lists rows, and the statistics returned are per
+    slot. `weights` (S,), whole numbers, make slot s count as `weights[s]`
+    equal rows, as a bootstrap sample holds a row drawn that often ("gini"
+    only): a node's n, class-1 count, min_instances and purity use the
+    weighted counts and the kernel reads the counts at its cuts as
+    cumulative weights, so each tree is, bit for bit, the one grown on the
+    sample with each slot's row repeated that often.
 
     A node is a segment of `order`'s columns: row f of the segment holds the
     node's rows sorted by feature f, and row d holds them ascending. Growth
@@ -338,20 +351,28 @@ def grow_trees(
         raise ValueError(f"unknown task {task!r}")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    if weights is not None and task != "gini":
+        raise ValueError("row weights apply to the gini task only")
     kernel = kernels.best_split_gini if task == "gini" else kernels.best_split_sse
     sizes = np.asarray(sizes, dtype=np.intp)
     g = sizes.size
     d, size = values.shape
-    X = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)  # X[f * size + row]
+    X = _Reader(np.ascontiguousarray(values, dtype=np.float64).reshape(-1), size, columns)
     y = np.ascontiguousarray(targets, dtype=np.float64)
+    if columns is not None:
+        y = y.take(columns)
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)
+    if w is not None:
+        y = y * w  # each slot's class-1 count
+    slots = order.shape[1]
     flat_order = order.reshape(-1)
-    goes_left = np.empty(size, dtype=bool)
+    goes_left = np.empty(slots, dtype=bool)
     cap = d * int(sizes.max())  # cells of the largest sample's root call
 
     nodes = _Nodes(8 * g, int(np.minimum(2 * sizes - 1, 2 ** (max_depth + 1) - 1).sum()))
     nodes.add(np.arange(g), sizes.cumsum() - sizes, sizes, np.zeros(g, dtype=np.intp))
     node_of_row = np.arange(g).repeat(sizes)
-    pool = nodes.open(0, y, task, max_depth, min_instances).nonzero()[0]
+    pool = nodes.open(0, y, w, task, max_depth, min_instances).nonzero()[0]
     while pool.size:
         if draws is not None:
             # A tree's stack is its entries of the pool in push order. A
@@ -372,7 +393,7 @@ def grow_trees(
         else:
             batch, pool = pool, pool[:0]
             feats = np.broadcast_to(np.arange(d), (batch.size, d))
-        pos, thr, dec = _score(kernel, X, y, flat_order, size, nodes, batch, feats, cap)
+        pos, thr, dec = _score(kernel, X, y, w, flat_order, slots, nodes, batch, feats, cap)
         split = pos >= 0
         parents, thr, dec = batch[split], thr[split], dec[split]
         feature = feats[split, pos[split]]
@@ -383,7 +404,7 @@ def grow_trees(
         start, count = nodes.start.take(parents), nodes.count.take(parents)
         cols = _ranges(start, count)
         rows = order[d].take(cols)
-        left = X.take(rows + (feature * size).repeat(count)) <= thr.repeat(count)
+        left = X.at(rows, feature.repeat(count)) <= thr.repeat(count)
         n_left = np.add.reduceat(left, count.cumsum() - count, dtype=np.intp) if rows.size else count
         tree, depth = nodes.tree.take(parents), nodes.depth.take(parents) + 1
         kid_count = np.concatenate([n_left, count - n_left])
@@ -397,7 +418,8 @@ def grow_trees(
         nodes.left[parents], nodes.right[parents] = kids.reshape(2, -1)
         kid_rows = np.concatenate([rows.compress(left), rows.compress(~left)])
         node_of_row[kid_rows] = kids.repeat(kid_count)
-        scorable = nodes.open(first, y.take(kid_rows), task, max_depth, min_instances).reshape(2, -1)
+        kid_weights = None if w is None else w.take(kid_rows)
+        scorable = nodes.open(first, y.take(kid_rows), kid_weights, task, max_depth, min_instances).reshape(2, -1)
 
         # Partition the segments of the nodes whose children will be scored.
         goes_left[rows] = left
@@ -414,18 +436,32 @@ def grow_trees(
     grown = []
     for ids in np.split(tree.argsort(kind="stable"), np.bincount(tree, minlength=g).cumsum()[:-1]):
         local[ids] = np.arange(ids.size)
-        stats = (a[ids] for a in (nodes.count, nodes.stat, nodes.feature, nodes.threshold, nodes.decrease))
+        stats = (a[ids] for a in (nodes.n, nodes.stat, nodes.feature, nodes.threshold, nodes.decrease))
         grown.append(Tree(task, *stats, local.take(nodes.left[ids]), local.take(nodes.right[ids]), nodes.depth[ids]))
     return grown, nodes.stat.take(node_of_row)
 
 
+class _Reader:
+    """Reads X[f * size + c] for column c of a slot: the slot itself, or
+    `columns[slot]` when slots read shared columns."""
+
+    def __init__(self, X: np.ndarray, size: int, columns: np.ndarray | None):
+        self.X, self.size, self.columns = X, size, columns
+
+    def at(self, slots: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Feature `features` of each of `slots` (broadcast together)."""
+        cols = slots if self.columns is None else self.columns.take(slots)
+        return self.X.take(cols + features * self.size)
+
+
 class _Nodes:
     """Flat node records of a group of trees; children get larger ids than
-    their parents, and tree t's root has id t. The arrays grow by doubling,
-    up to `most` nodes."""
+    their parents, and tree t's root has id t. A node's rows are `count`
+    slots from `start` on, of `n` weighted rows. The arrays grow by
+    doubling, up to `most` nodes."""
 
     #: Each record array and the value of a node that has not set it.
-    _FILL = {"tree": 0, "start": 0, "count": 0, "depth": 0, "stat": 0.0, "feature": -1,
+    _FILL = {"tree": 0, "start": 0, "count": 0, "n": 0, "depth": 0, "stat": 0.0, "feature": -1,
              "threshold": 0.0, "decrease": 0.0, "left": -1, "right": -1}
 
     def __init__(self, capacity: int, most: int):
@@ -449,17 +485,20 @@ class _Nodes:
         self.tree[new], self.start[new], self.count[new], self.depth[new] = tree, start, count, depth
         return first
 
-    def open(self, first: int, target: np.ndarray, task: str, max_depth: int, min_instances: int) -> np.ndarray:
+    def open(self, first: int, target: np.ndarray, weight, task: str, max_depth: int, min_instances: int):
         """Record the statistics of the nodes from id `first` on, whose
-        targets `target` holds node after node, each in ascending row order;
-        return which of them are to be scored: not at max_depth, not below
-        min_instances rows, not pure."""
+        slots' targets (class-1 counts for "gini") `target` holds node after
+        node, each in ascending slot order, and their weights `weight`
+        (None: 1 each) likewise; return which of them are to be scored: not
+        at max_depth, not below min_instances rows, not pure."""
         new = slice(first, self.used)
         count = self.count[new]
         offsets = count.cumsum() - count
+        n = count if weight is None else np.add.reduceat(weight, offsets).astype(np.intp)
+        self.n[new] = n
         if task == "gini":
             c1 = np.add.reduceat(target, offsets)
-            pure = (c1 == 0) | (c1 == count)
+            pure = (c1 == 0) | (c1 == n)
         else:
             # np.mean is np.add.reduce (a pairwise sum) divided by the count,
             # which a segmented sum does not reproduce; so it is per node.
@@ -467,7 +506,7 @@ class _Nodes:
             c1 /= count
             pure = np.minimum.reduceat(target, offsets) == np.maximum.reduceat(target, offsets)
         self.stat[new] = c1
-        return (self.depth[new] < max_depth) & (count >= min_instances) & ~pure
+        return (self.depth[new] < max_depth) & (n >= min_instances) & ~pure
 
 
 #: Padded cells that cost about as much to evaluate as a kernel call's fixed
@@ -475,7 +514,7 @@ class _Nodes:
 _PADDING_CELLS = 1 << 12
 
 
-def _score(kernel, X, y, flat_order, size, nodes, batch, feats, cap):
+def _score(kernel, X, y, w, flat_order, slots, nodes, batch, feats, cap):
     """(position in feats, threshold, decrease) of each node of `batch`, in
     kernel calls of at most `cap` cells. Nodes go largest first; a call pads
     every node to its longest with the node's last row."""
@@ -497,11 +536,12 @@ def _score(kernel, X, y, flat_order, size, nodes, batch, feats, cap):
         i += call.size
         c = count[call]
         cols = start[call, None] + np.minimum(np.arange(m), c[:, None] - 1)
-        f = feats[call, :, None] * size
-        rows = flat_order.take(f + cols[:, None, :])
-        xs = X.take(rows + f).reshape(-1, m)
+        f = feats[call, :, None]
+        rows = flat_order.take(f * slots + cols[:, None, :])
+        xs = X.at(rows, f).reshape(-1, m)
         ys = y.take(rows).reshape(-1, m)
-        pos[call], thr[call], dec[call] = kernel(xs.T, ys.T, c)
+        ws = () if w is None else (w.take(rows).reshape(-1, m).T,)
+        pos[call], thr[call], dec[call] = kernel(xs.T, ys.T, c, *ws)
     return pos, thr, dec
 
 

@@ -264,6 +264,128 @@ class TestLockstep:
         assert repr(got[2].to_dict()) == repr(alone.to_dict())
 
 
+def copied_forests(samples, params):
+    """The forests of checked (X, y) `samples` grown on copies: each tree's
+    bootstrap rows copied out of its sample and presorted on their own, the
+    trees of each LOCKSTEP_CELLS group in one `grow_trees` call. This is how
+    `train_random_forests` grew them before it weighted rows; a reference,
+    like `reference_apply`. Each forest is its trees' `repr(to_dict())`."""
+    forests = [[] for _ in samples]
+    jobs = [(i, t) for i in range(len(samples)) for t in range(params.num_trees)]
+    for group in tree.lockstep_groups([samples[i][0].shape for i, _ in jobs], ensemble.LOCKSTEP_CELLS):
+        members = [jobs[j] for j in group]
+        rngs = [derived_rng(params.seed, 23, t) for _, t in members]
+        copies = []
+        for (i, _), rng in zip(members, rngs):
+            X, y = samples[i]
+            rows = rng.integers(0, len(y), size=len(y)) if params.bootstrap else np.arange(len(y))
+            copies.append((X[rows], y[rows]))
+        d = copies[0][0].shape[1]
+        values = np.concatenate([X.T for X, _ in copies], axis=1)
+        sizes = [len(y) for _, y in copies]
+        subset = max(1, int(np.sqrt(d))) if params.feature_subset_rule == "sqrt" else d
+        grown, _ = tree.grow_trees(
+            values,
+            tree.presort(values, sizes),
+            np.concatenate([y for _, y in copies]),
+            sizes,
+            max_depth=params.max_depth,
+            min_instances=params.min_instances_per_node,
+            draws=tree.FeatureDraws(rngs, d, subset) if subset < d else None,
+        )
+        for (i, _), grown_tree in zip(members, grown):
+            forests[i].append(repr(grown_tree.to_dict()))
+    return forests
+
+
+#: Column values with ties, both zeros and the neighbours of 5e-324.
+EDGE_VALUES = [-1.0, -1e-323, -5e-324, -0.0, 0.0, 5e-324, 1e-323, 0.5, 2.0]
+
+
+@st.composite
+def edge_column(draw, n):
+    kind = draw(st.sampled_from(["ties", "constant", "signed-zero", "edge", "distinct"]))
+    if kind == "ties":
+        return draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.5]), min_size=n, max_size=n))
+    if kind == "constant":
+        return [2.5] * n
+    if kind == "signed-zero":
+        return draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]), min_size=n, max_size=n))
+    if kind == "edge":
+        return draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=n, max_size=n))
+    return draw(st.lists(st.floats(-3, 3, allow_subnormal=True), min_size=n, max_size=n))
+
+
+class TestBootstrapWeights:
+    """A forest's trees hold each drawn row once, weighted by its draw count,
+    and share their samples' values and sort: each tree is, bit for bit,
+    the tree grown on its copied bootstrap sample, and no tree copies its
+    sample."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_weighted_trees_equal_trees_of_copied_samples(self, data):
+        d = data.draw(st.integers(1, 5))
+        samples = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            n = data.draw(st.integers(1, 40))
+            X = np.array([data.draw(edge_column(n)) for _ in range(d)], dtype=np.float64).T.copy()
+            y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+            samples.append((X, y))
+        params = RandomForestParams(
+            num_trees=data.draw(st.integers(1, 6)),
+            max_depth=data.draw(st.integers(1, 8)),
+            min_instances_per_node=data.draw(st.integers(1, 4)),
+            feature_subset_rule=data.draw(st.sampled_from(["sqrt", "all"])),
+            bootstrap=data.draw(st.booleans()),
+            seed=data.draw(st.integers(0, 9)),
+        )
+        # Budgets that put every tree alone, some together, or all together.
+        budget = data.draw(st.sampled_from([1, 40 * d, 1 << 21]))
+        with mock.patch.object(ensemble, "LOCKSTEP_CELLS", budget):
+            got = models.train_batch("rf", samples, params)
+            want = copied_forests(samples, params)
+        assert [[repr(t.to_dict()) for t in forest.trees] for forest in got] == want
+
+    @pytest.mark.parametrize("budget", [1, 1 << 21])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_no_tree_copies_its_sample(self, monkeypatch, budget, bootstrap):
+        """Three folds and the refit of a 700-row, 7-feature table, 20 trees
+        each, grown alone or all in one group: `presort` sorts each of the
+        four samples once, and a growth call reads the values of its trees'
+        samples, 7 × 2,100 for the one group, not 20 times that. A bootstrap
+        tree's order holds its distinct rows only, about 63% of them."""
+        sorted_sizes, grown = [], []
+        presort, grow = ensemble.presort, ensemble.grow_trees
+
+        def sorting(values, sizes):
+            sorted_sizes.append(list(sizes))
+            return presort(values, sizes)
+
+        def growing(values, order, targets, sizes, **kwargs):
+            grown.append((values.shape, len(sizes), order.shape[1]))
+            return grow(values, order, targets, sizes, **kwargs)
+
+        monkeypatch.setattr(ensemble, "presort", sorting)
+        monkeypatch.setattr(ensemble, "grow_trees", growing)
+        monkeypatch.setattr(ensemble, "LOCKSTEP_CELLS", budget)
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(700, 7)), 2)
+        y = (X[:, 0] + rng.normal(size=700) > 0).astype(int)
+        rows = (467, 467, 466, 700)
+        models.train_batch("rf", [(X[:n], y[:n]) for n in rows], RandomForestParams(num_trees=20, bootstrap=bootstrap))
+        assert sorted_sizes == [[n] for n in rows]
+        if budget == 1:
+            assert [shape for shape, _, _ in grown] == [(7, n) for n in rows for _ in range(20)]
+        else:
+            assert [(shape, trees) for shape, trees, _ in grown] == [((7, sum(rows)), 80)]
+        slots = sum(s for _, _, s in grown)
+        if bootstrap:
+            assert 0.6 * 20 * sum(rows) < slots < 0.66 * 20 * sum(rows)
+        else:
+            assert slots == 20 * sum(rows)
+
+
 def batch_sample(rng, n, d, kind):
     """An (X, y) sample of n rows: tied values, a signed-zero column and a
     constant column, or one class only."""
@@ -357,9 +479,9 @@ class TestKernelCallSize:
         for name in ("best_split_gini", "best_split_sse"):
             kernel = getattr(kernels, name)
 
-            def recording(x, y, sizes, kernel=kernel):
-                largest.append(max(x.size, y.size))
-                return kernel(x, y, sizes)
+            def recording(x, y, sizes, *weights, kernel=kernel):
+                largest.append(max(x.size, y.size, *(w.size for w in weights)))
+                return kernel(x, y, sizes, *weights)
 
             monkeypatch.setattr(kernels, name, recording)
         rng = np.random.default_rng(18)

@@ -287,3 +287,33 @@ def test_batch_results_for_unsplittable_nodes(kernel):
     assert pos.tolist() == [-1, -1] and np.isnan(thr).all() and np.isneginf(dec).all()
     with pytest.raises(ValueError, match="split evenly"):
         kernel(np.zeros((3, 3)), np.zeros((3, 3)), np.array([3, 3]))
+
+
+def test_weights_count_as_repeated_rows():
+    """A row of weight c scores as c copies of it: a weighted call gives, bit
+    for bit, what a call on the same nodes with each row repeated c times
+    gives. Odd trials have mostly distinct values, so that the weighted call
+    evaluates its whole grid of cuts and the repeated call, with its equal
+    neighbours, may not; even trials draw tied values, signed zeros and the
+    neighbours of 5e-324."""
+    rng = np.random.default_rng(8)
+    tied = np.array([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-323, 0.5, 2.0])
+    for trial in range(200):
+        k = int(rng.integers(1, 4))
+        weighted, repeated = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            m = int(rng.integers(1, 25))
+            x = rng.random((m, k)) if trial % 2 else tied[rng.integers(0, tied.size, size=(m, k))]
+            y = rng.integers(0, 2, size=m).astype(np.float64)
+            c = rng.integers(1, 5, size=m)
+            order = np.argsort(x, axis=0, kind="stable")
+            weighted.append((np.take_along_axis(x, order, axis=0), (y * c)[order], c[order].astype(np.float64)))
+            xr, yr = np.repeat(x, c, axis=0), np.repeat(y, c)
+            order = np.argsort(xr, axis=0, kind="stable")
+            repeated.append((np.take_along_axis(xr, order, axis=0), yr[order]))
+        want = kernels.best_split_gini(*batch_of(repeated))
+        x, counts, sizes = batch_of([(x, y) for x, y, _ in weighted])
+        _, w, _ = batch_of([(x, c) for x, _, c in weighted])
+        got = kernels.best_split_gini(x, counts, sizes, w)
+        for j in range(len(weighted)):
+            assert bits((got[0][j], got[1][j], got[2][j])) == bits((want[0][j], want[1][j], want[2][j]))

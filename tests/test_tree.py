@@ -557,9 +557,9 @@ def reference_nested(model, X, k):
 
 
 class TestNestedScores:
-    """`nested_raw_scores` reads every truncation's raw scores from one walk
-    of a fit; each equals `truncate(k).raw_scores` and the tree-by-tree
-    reference bit for bit."""
+    """`nested_raw_scores` gives every truncation's raw scores, rf and gbt
+    from one walk of a fit, dt from one walk of each cut tree; each equals
+    `truncate(k).raw_scores` and the tree-by-tree reference bit for bit."""
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
