@@ -126,9 +126,9 @@ def train_random_forests(samples, params: RandomForestParams = RandomForestParam
 
     No tree copies its bootstrap sample, as in Spark MLlib's `BaggedPoint`:
     each sample's values are laid out feature-major and presorted once, and
-    held from its first group to its last, and a tree holds each row it drew
-    once, as a slot weighted by how often it was drawn (`_bootstrap_slots`).
-    It is the tree grown on the copied sample.
+    held from its first group to its last, and a tree passes how often it
+    drew each row (`grow_trees`' counts), so it is the tree grown on the
+    copied sample.
     """
     out = per_sample(check_training_data, samples)
     ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
@@ -143,27 +143,22 @@ def train_random_forests(samples, params: RandomForestParams = RandomForestParam
         for i in reads:
             if i not in held:
                 values = np.ascontiguousarray(out[i][0].T)
-                held[i] = values, presort(values, [values.shape[1]])
-        sizes = [out[i][0].shape[0] for i in reads]
+                held[i] = values, presort(values)
         values = held[reads[0]][0] if len(reads) == 1 else np.concatenate([held[i][0] for i in reads], axis=1)
-        start = dict(zip(reads, np.cumsum(sizes) - sizes))
         rngs = [derived_rng(params.seed, 23, t) for _, t in members]
-        slots, columns, weights, slot_sizes = _bootstrap_slots(
-            [held[i][1] for i, _ in members], [start[i] for i, _ in members], rngs, params.bootstrap
-        )
+        n = [out[i][0].shape[0] for i, _ in members]  # rows of each tree's sample
         d = values.shape[0]
         subset = max(1, math.floor(math.sqrt(d))) if params.feature_subset_rule == "sqrt" else d
         grown, _ = grow_trees(
             values,
-            slots,
+            [held[i][1] for i in reads],
             np.concatenate([out[i][1] for i in reads]),
-            slot_sizes,
+            [reads.index(i) for i, _ in members],
+            counts=[np.bincount(r.integers(0, m, size=m), minlength=m) for r, m in zip(rngs, n)]
+            if params.bootstrap else None,
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
-            task="gini",
             draws=FeatureDraws(rngs, d, subset) if subset < d else None,
-            columns=columns,
-            weights=weights,
         )
         for (i, _), tree in zip(members, grown):
             trees[i].append(tree)
@@ -173,49 +168,6 @@ def train_random_forests(samples, params: RandomForestParams = RandomForestParam
     for i in ready:
         out[i] = RandomForestModel(tuple(trees[i]), out[i][0].shape[1], params.threshold)
     return out
-
-
-def _bootstrap_slots(orders: list[np.ndarray], starts: list, rngs: list, bootstrap: bool):
-    """The slots of trees that each draw rows of a sample: tree j draws its
-    bootstrap sample from `rngs[j]` (every row once without `bootstrap`).
-    `orders[j]` is its sample's order matrix from `presort`, and the
-    sample's rows are the columns from `starts[j]` on of the values the
-    trees read. A tree's slots are its drawn rows, ascending, and the
-    trees' slots follow one another.
-
-    Returns (slot order, columns, weights, sizes): the (d + 1, S) order
-    matrix of the slots that `grow_trees` takes, each slot's column and
-    draw count (None without `bootstrap`), and each tree's number of
-    slots. A tree's order row f is its sample's order row f with the
-    undrawn rows removed; the filter keeps the order of the rest, so it is
-    the stable sort of the tree's slots.
-    """
-    counts = [
-        np.bincount(rng.integers(0, n, size=n), minlength=n) if bootstrap else np.ones(n, dtype=np.intp)
-        for rng, n in zip(rngs, (order.shape[1] for order in orders))
-    ]
-    d = orders[0].shape[0] - 1
-    drawn = [c > 0 for c in counts]
-    sizes = np.array([np.count_nonzero(k) for k in drawn], dtype=np.intp)
-    total = int(sizes.sum())
-    out = np.empty((d + 1, total), dtype=np.int32 if total <= np.iinfo(np.int32).max else np.intp)
-    out[d] = np.arange(total)
-    columns = np.empty(total, dtype=np.intp)
-    at = 0
-    # Trees of one sample are consecutive; each run of them is filtered at once.
-    for run in np.split(np.arange(len(starts)), np.flatnonzero(np.diff(starts)) + 1):
-        order = orders[run[0]]
-        keep = np.stack([drawn[j] for j in run])  # (trees, rows)
-        m = int(sizes[run].sum())
-        # Each drawn (tree, row) pair's slot, -1 where the tree did not draw the row.
-        slot = np.where(keep, keep.cumsum().reshape(keep.shape) - 1 + at, -1)
-        for f in range(d):
-            ranked = slot.take(order[f], axis=1).reshape(-1)
-            out[f, at : at + m] = ranked.compress(ranked >= 0)
-        columns[at : at + m] = keep.nonzero()[1] + starts[run[0]]
-        at += m
-    weights = np.concatenate([c.compress(k) for c, k in zip(counts, drawn)]).astype(np.float64) if bootstrap else None
-    return out, columns, weights, sizes
 
 
 @dataclass(frozen=True)
@@ -307,27 +259,31 @@ def train_gbts(samples, params: GbtParams = GbtParams()) -> list:
 
         # X does not change between stages, so its columns are sorted once.
         values = np.concatenate([out[i][0].T for i in members], axis=1)
-        order = presort(values, sizes)
+        orders = [presort(out[i][0].T) for i in members]
         trees: list[list[Tree]] = [[] for _ in members]
         losses = [_mean_losses(ys, F, rows)]  # per stage, each sample's
-        for _ in range(params.num_iterations):
-            residuals = 2.0 * ys * sigmoid(-2.0 * ys * F)
-            grown, fitted = grow_trees(
-                values,
-                order.copy(),
-                residuals,
-                sizes,
-                max_depth=params.max_depth,
-                min_instances=params.min_instances_per_node,
-                task="sse",
-            )
-            for sample_trees, tree in zip(trees, grown):
-                sample_trees.append(tree)
-            # The leaf values of the training rows: the tree's outputs on X.
-            F += params.learning_rate * fitted
-            losses.append(_mean_losses(ys, F, rows))
+        with np.errstate(over="ignore", invalid="ignore"):  # a large learning_rate overflows; checked below
+            for _ in range(params.num_iterations):
+                residuals = 2.0 * ys * sigmoid(-2.0 * ys * F)
+                grown, fitted = grow_trees(
+                    values,
+                    orders,
+                    residuals,
+                    range(len(members)),
+                    max_depth=params.max_depth,
+                    min_instances=params.min_instances_per_node,
+                    task="sse",
+                )
+                for sample_trees, tree in zip(trees, grown):
+                    sample_trees.append(tree)
+                # The leaf values of the training rows: the tree's outputs on X.
+                F += params.learning_rate * fitted
+                losses.append(_mean_losses(ys, F, rows))
         for j, i in enumerate(members):
             sample_losses = tuple(stage[j] for stage in losses)
+            if not (np.isfinite(F[rows[j]]).all() and np.isfinite(sample_losses).all()):
+                out[i] = ModelError(f"gbt margins are not finite; lower learning_rate ({params.learning_rate!r})")
+                continue
             out[i] = GbtModel(
                 f0[j], float(params.learning_rate), tuple(trees[j]), out[i][0].shape[1], params.threshold, sample_losses
             )

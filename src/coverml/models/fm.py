@@ -95,14 +95,18 @@ def train_fm(X, y, params: FMParams = FMParams()) -> FMModel:
     V = rng.normal(0.0, params.init_std, size=(d, params.factor_dim)) if params.init_std > 0 else np.zeros((d, params.factor_dim))
 
     step = params.step_size
-    for _ in range(params.max_iter):
-        order = rng.permutation(n)
-        for start in range(0, n, params.batch_size):
-            batch = order[start : start + params.batch_size]
-            _, g_w0, g_w, g_V = _fm_grad(X[batch], ys[batch], w0, w, V)
-            w0 -= step * g_w0
-            g_w *= step
-            w -= g_w
-            g_V *= step
-            V -= g_V
+    # A step too large overflows; the check after the loop reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(params.max_iter):
+            order = rng.permutation(n)
+            for start in range(0, n, params.batch_size):
+                batch = order[start : start + params.batch_size]
+                _, g_w0, g_w, g_V = _fm_grad(X[batch], ys[batch], w0, w, V)
+                w0 -= step * g_w0
+                g_w *= step
+                w -= g_w
+                g_V *= step
+                V -= g_V
+    if not (np.isfinite(w0) and np.isfinite(w).all() and np.isfinite(V).all()):
+        raise ModelError(f"fm weights are not finite; lower step_size ({step!r})")
     return FMModel(w0, w, V, params.threshold)

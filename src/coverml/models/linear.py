@@ -9,7 +9,7 @@ from typing import Annotated
 import numpy as np
 
 from ..fields import Vector
-from .base import Count, Params, Probability, TrainedClassifier, check_training_data
+from .base import Count, ModelError, Params, Probability, TrainedClassifier, check_training_data
 
 #: Step size for SVM subgradient descent when reg_param is zero (the 1/(reg*t)
 #: schedule is undefined there).
@@ -192,15 +192,20 @@ def train_linear_svm(X, y, params: LinearSvmParams = LinearSvmParams()) -> Linea
 
     w, b = np.zeros(X.shape[1]), 0.0
     slack, gw = np.empty(X.shape[0]), np.empty(X.shape[1])
-    for t in range(1, params.max_iter + 1):
-        gb = _hinge_grad(w, b, X, ys, params.reg_param, params.fit_intercept, slack, gw)
-        if math.sqrt(float(gw @ gw) + gb * gb) < params.tol:
-            break
-        step = 1.0 / (params.reg_param * t) if params.reg_param > 0 else SVM_FIXED_STEP
-        gw *= step
-        w -= gw
-        if params.fit_intercept:
-            b = b - step * gb
+    # A reg_param near zero makes the 1/(reg*t) step overflow; the check
+    # after the loop reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, params.max_iter + 1):
+            gb = _hinge_grad(w, b, X, ys, params.reg_param, params.fit_intercept, slack, gw)
+            if math.sqrt(float(gw @ gw) + gb * gb) < params.tol:
+                break
+            step = 1.0 / (params.reg_param * t) if params.reg_param > 0 else SVM_FIXED_STEP
+            gw *= step
+            w -= gw
+            if params.fit_intercept:
+                b = b - step * gb
+    if not (math.isfinite(b) and np.isfinite(w).all()):
+        raise ModelError(f"svm weights are not finite; raise reg_param ({params.reg_param!r})")
     if params.standardization:
         w, b = _destandardize(w, b, mu, sd)
     return LinearSvmModel(w, b)

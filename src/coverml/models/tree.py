@@ -243,12 +243,11 @@ def build_tree(
     `Tree.to_dict` form; `task` is "gini" (y in {0,1}) or "sse" (real y).
     `grow_trees` has the method."""
     values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-    n = values.shape[1]
     (tree,), _ = grow_trees(
         values,
-        presort(values, [n]),
+        [presort(values)],
         np.asarray(y),
-        [n],
+        [0],
         max_depth=max_depth,
         min_instances=min_instances,
         task=task,
@@ -256,77 +255,58 @@ def build_tree(
     return tree.to_dict()
 
 
-def presort(values: np.ndarray, sizes) -> np.ndarray:
-    """The order matrix of G samples, given their feature-major values:
-    `values[f, r]` is feature f of row r, and sample t holds the `sizes[t]`
-    rows from `sum(sizes[:t])` on.
-
-    The (d + 1, N) result holds row indices: row f lists each sample's rows
-    sorted stably by feature f (ties in row order), sample after sample, and
-    row d lists them in row order. These are the presorted attribute lists
-    of SLIQ and SPRINT, with one more list that keeps each node's rows
-    ascending.
-    """
-    d, size = values.shape
-    sizes = np.asarray(sizes, dtype=np.intp)
-    index_type = np.int32 if size <= np.iinfo(np.int32).max else np.intp
-    order = np.empty((d + 1, size), dtype=index_type)
-    starts = sizes.cumsum() - sizes
-    # Consecutive samples of one size sort together, one call per feature.
-    for run in np.split(np.arange(sizes.size), np.flatnonzero(np.diff(sizes)) + 1):
-        n, a = int(sizes[run[0]]), int(starts[run[0]])
-        b = a + n * run.size
-        first = np.arange(a, b, n)[:, None]
-        for f in range(d):
-            order[f, a:b] = (values[f, a:b].reshape(run.size, n).argsort(axis=1, kind="stable") + first).reshape(-1)
-    order[d] = np.arange(size)
-    return order
+def presort(values: np.ndarray) -> np.ndarray:
+    """The presorted attribute lists of SLIQ and SPRINT for one sample's
+    feature-major values (`values[f, r]` is feature f of row r): row f of
+    the (d, n) result lists the rows sorted stably by feature f, ties in
+    row order."""
+    index_type = np.int32 if values.shape[1] <= np.iinfo(np.int32).max else np.intp
+    return values.argsort(axis=1, kind="stable").astype(index_type, copy=False)
 
 
 def grow_trees(
     values: np.ndarray,
-    order: np.ndarray,
+    orders: list[np.ndarray],
     targets: np.ndarray,
-    sizes,
+    tree_samples,
     *,
+    counts: list[np.ndarray] | None = None,
     max_depth: int,
     min_instances: int = 1,
     task: str = "gini",
     draws: FeatureDraws | None = None,
-    columns: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
 ) -> tuple[list[Tree], np.ndarray]:
-    """Grow one tree on each of G samples: `values` (d, N) as `presort`
-    takes them, `order` from `presort`, `targets` (N,), and `sizes` the
-    samples' row counts. Returns the G trees and, for each of the N rows,
-    the statistic of the leaf it falls in (the class-1 count for "gini", the
-    mean for "sse"). With `draws` (a `FeatureDraws` of the G trees), each
-    split considers a feature subset from it; without, every feature.
+    """Grow T trees on S samples: `values` (d, N) holds the samples' rows
+    one after another as `presort` takes them, `orders` their S presorts and
+    `targets` (N,) their targets, and tree t grows on sample
+    `tree_samples[t]`. Returns the T trees and each slot's (below) leaf
+    statistic: the class-1 count for "gini", the mean for "sse". With
+    `draws` (a `FeatureDraws` of the T trees), each split considers a
+    feature subset from it; without, every feature.
 
-    With `columns`, the S = sum(sizes) rows of the trees are slots that
-    read the values and targets of column `columns[s]`, so trees can share
-    a sample's values without copying them; `order` (d + 1, S) then lists
-    slots as `presort` lists rows, and the statistics returned are per
-    slot. `weights` (S,), whole numbers, make slot s count as `weights[s]`
-    equal rows, as a bootstrap sample holds a row drawn that often ("gini"
-    only): a node's n, class-1 count, min_instances and purity use the
-    weighted counts and the kernel reads the counts at its cuts as
-    cumulative weights, so each tree is, bit for bit, the one grown on the
-    sample with each slot's row repeated that often.
+    `counts` (None: every row once) gives, per tree, how often it takes each
+    row of its sample, whole numbers, as a bootstrap sample holds a row
+    drawn that often ("gini" only). A tree's slots are the rows it takes,
+    ascending, and a slot of count c counts as c equal rows: a node's n,
+    class-1 count, min_instances and purity use the weighted counts and the
+    kernel reads the counts at its cuts as cumulative weights, so each tree
+    is, bit for bit, the one grown on the sample with each row repeated
+    that often. The trees share their samples' values and presorts
+    (`_layout`).
 
-    A node is a segment of `order`'s columns: row f of the segment holds the
-    node's rows sorted by feature f, and row d holds them ascending. Growth
-    runs in steps. A step scores a batch of open nodes with the batch
-    kernels, then sends the rows of each split node left or right, records
-    the children and their statistics, and partitions the segment of each
-    node whose children will be scored in place into the two children's
-    segments. Every part of a step (the gather into the kernel input, the
-    split choice, the children's statistics and stopping checks, the
-    partition, the feature draws) is a fixed number of numpy calls over the
-    concatenated segments, repeated only when a batch exceeds the cell caps
-    below, so the number of calls does not grow with the number of nodes or
-    samples. Only a regression node's mean (np.mean, whose pairwise sum a
-    segmented sum does not reproduce) is per node.
+    A node is a segment of a working order matrix's columns: row f of the
+    segment holds the node's slots sorted by feature f, and row d holds them
+    ascending. Growth runs in steps. A step scores a batch of open nodes
+    with the batch kernels, then sends the slots of each split node left or
+    right, records the children and their statistics, and partitions the
+    segment of each node whose children will be scored into the two
+    children's segments. Every part of a step (the gather into the kernel
+    input, the split choice, the children's statistics and stopping checks,
+    the partition, the feature draws) is a fixed number of numpy calls over
+    the concatenated segments, repeated only when a batch exceeds the cell
+    caps below, so the number of calls does not grow with the number of
+    nodes or trees. Only a regression node's mean (np.mean, whose pairwise
+    sum a segmented sum does not reproduce) is per node.
 
     Two schedules choose a step's batch. Trees that draw nothing take every
     open node, so a tree grows one depth level per step. Trees that draw a
@@ -338,36 +318,34 @@ def grow_trees(
     (A tree's subsets cannot be taken level by level: which node gets the
     next subset depends on the splits before it.)
 
-    No kernel call holds more than d × n cells, n the largest sample's size:
-    the root call of its tree. A larger batch is split into several calls,
+    No kernel call holds more than d × n cells, n the largest tree's slots:
+    the root call of that tree. A larger batch is split into several calls,
     largest nodes first, and a call pads each node to its longest (a node
     that would add more than _PADDING_CELLS of padding starts the next
     call). A partition copies at most 4 × d × n order cells at a time, as
-    many bytes as a kernel call's two inputs.
-
-    The growth partitions `order` in place.
+    many bytes as a kernel call's two inputs. No input is written.
     """
     if task not in ("gini", "sse"):
         raise ValueError(f"unknown task {task!r}")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    if weights is not None and task != "gini":
-        raise ValueError("row weights apply to the gini task only")
+    if counts is not None and task != "gini":
+        raise ValueError("row counts apply to the gini task only")
     kernel = kernels.best_split_gini if task == "gini" else kernels.best_split_sse
-    sizes = np.asarray(sizes, dtype=np.intp)
-    g = sizes.size
     d, size = values.shape
+    order, columns, w, sizes = _layout(orders, tree_samples, counts)
+    del counts  # growth reads `w`; counts a caller passes inline are freed here
+    g = sizes.size
     X = _Reader(np.ascontiguousarray(values, dtype=np.float64).reshape(-1), size, columns)
     y = np.ascontiguousarray(targets, dtype=np.float64)
     if columns is not None:
         y = y.take(columns)
-    w = None if weights is None else np.asarray(weights, dtype=np.float64)
     if w is not None:
         y = y * w  # each slot's class-1 count
     slots = order.shape[1]
     flat_order = order.reshape(-1)
     goes_left = np.empty(slots, dtype=bool)
-    cap = d * int(sizes.max())  # cells of the largest sample's root call
+    cap = d * int(sizes.max())  # cells of the largest tree's root call
 
     nodes = _Nodes(8 * g, int(np.minimum(2 * sizes - 1, 2 ** (max_depth + 1) - 1).sum()))
     nodes.add(np.arange(g), sizes.cumsum() - sizes, sizes, np.zeros(g, dtype=np.intp))
@@ -439,6 +417,49 @@ def grow_trees(
         stats = (a[ids] for a in (nodes.n, nodes.stat, nodes.feature, nodes.threshold, nodes.decrease))
         grown.append(Tree(task, *stats, local.take(nodes.left[ids]), local.take(nodes.right[ids]), nodes.depth[ids]))
     return grown, nodes.stat.take(node_of_row)
+
+
+def _layout(orders: list[np.ndarray], tree_samples, counts):
+    """The working order of `grow_trees`: (order, columns, weights, sizes).
+    A tree's slots are the rows of its sample it takes, ascending; the
+    trees' slots follow one another, `sizes` of each. Row f of the (d + 1,
+    slots) order lists each tree's slots sorted stably by feature f (its
+    sample's presort row f with the rows it does not take removed; the
+    filter keeps the order of the rest), and row d lists them ascending.
+    `columns` maps a slot to its column of the values, None where slots are
+    those columns (each sample has one tree and takes every row);
+    `weights` holds each slot's count, None without `counts`."""
+    n = np.array([o.shape[1] for o in orders], dtype=np.intp)
+    starts = n.cumsum() - n
+    samples = np.asarray(tree_samples, dtype=np.intp)
+    taken = None if counts is None else [c > 0 for c in counts]
+    sizes = n[samples] if taken is None else np.array([np.count_nonzero(k) for k in taken], dtype=np.intp)
+    d, total = orders[0].shape[0], int(sizes.sum())
+    order = np.empty((d + 1, total), dtype=np.int32 if total <= np.iinfo(np.int32).max else np.intp)
+    order[d] = np.arange(total)
+    direct = taken is None and np.array_equal(samples, np.arange(len(orders)))
+    columns = None if direct else np.empty(total, dtype=np.intp)
+    at = 0
+    # Consecutive trees of one sample are laid out at once.
+    for run in np.split(np.arange(samples.size), np.flatnonzero(np.diff(samples)) + 1):
+        s, m = samples[run[0]], int(sizes[run].sum())
+        if taken is None:  # tree j's slots are its sample's rows, from at + j * n on
+            shift = (at + n[s] * np.arange(run.size))[:, None]
+            for f in range(d):
+                np.add(orders[s][f], shift, out=order[f, at : at + m].reshape(run.size, n[s]))
+            if not direct:
+                columns[at : at + m] = np.tile(np.arange(starts[s], starts[s] + n[s]), run.size)
+        else:
+            keep = np.stack([taken[j] for j in run])  # (trees, rows)
+            # Each taken (tree, row) pair's slot, -1 where the tree does not take the row.
+            slot = np.where(keep, keep.cumsum().reshape(keep.shape) - 1 + at, -1)
+            for f in range(d):
+                ranked = slot.take(orders[s][f], axis=1).reshape(-1)
+                order[f, at : at + m] = ranked.compress(ranked >= 0)
+            columns[at : at + m] = keep.nonzero()[1] + starts[s]
+        at += m
+    weights = None if taken is None else np.concatenate([c.compress(k) for c, k in zip(counts, taken)]).astype(float)
+    return order, columns, weights, sizes
 
 
 class _Reader:
@@ -730,16 +751,13 @@ def train_decision_trees(samples, params: DecisionTreeParams = DecisionTreeParam
     ready = [i for i, sample in enumerate(out) if not isinstance(sample, ModelError)]
     for group in lockstep_groups([out[i][0].shape for i in ready], BATCH_CELLS):
         members = [ready[j] for j in group]
-        sizes = [out[i][0].shape[0] for i in members]
-        values = np.concatenate([out[i][0].T for i in members], axis=1)
         trees, _ = grow_trees(
-            values,
-            presort(values, sizes),
+            np.concatenate([out[i][0].T for i in members], axis=1),
+            [presort(out[i][0].T) for i in members],
             np.concatenate([out[i][1] for i in members]),
-            sizes,
+            range(len(members)),
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
-            task="gini",
         )
         for i, tree in zip(members, trees):
             out[i] = DecisionTreeModel(tree, out[i][0].shape[1], params.threshold)

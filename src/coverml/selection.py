@@ -17,8 +17,8 @@ value: smaller values score a truncation of the largest fit, which equals a
 fresh fit with that value; rf and gbt score them all from one walk of the
 fit's trees.
 The folds' models of one such group train as one batch, and when the grid
-is one group (every default grid is), the refit on the full table trains
-in the same batch.
+is one group (the default dt, rf and gbt grids are; the lr, fm and svm
+ones are two), the refit on the full table trains in the same batch.
 
 Reported fit_minutes cover the full cross-validation sweep including the
 final refit, not a single model fit.

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import warnings
 
 import pytest
 
@@ -242,6 +243,33 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error: ") and "stage 1 (MinMaxScaler) failed" in err
         assert "Traceback" not in err
+
+
+class TestDivergingTraining:
+    """A finite, in-bound grid value that makes training diverge ends the
+    command with one `error:` line naming the parameter and no model file,
+    and no numpy warning, which a terminal would print before that line."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("diverging")
+        table = derive_label(generate_synthetic(SynthSpec(row_count=600, seed=1)))
+        (tmp / "data.tbl").write_bytes(table.to_json_bytes())
+        return tmp / "data.tbl"
+
+    @pytest.mark.parametrize(
+        "family, axis, value", [("gbt", "learning_rate", 1e308), ("fm", "step_size", 1000.0), ("svm", "reg_param", 1e-320)]
+    )
+    def test_one_error_line_names_the_parameter(self, data, tmp_path, capsys, family, axis, value):
+        (tmp_path / "grid.json").write_text(json.dumps({"axes": {axis: [value]}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "train", "--data", str(data), "--model", family,
+                               "--grid", str(tmp_path / "grid.json"), "--out", str(tmp_path / "m.bin"))
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and axis in err
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestEvaluate:

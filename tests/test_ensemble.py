@@ -248,9 +248,9 @@ class TestLockstep:
         calls = []
         grow = ensemble.grow_trees
 
-        def counting(values, order, targets, sizes, **kwargs):
-            calls.append(len(sizes))
-            return grow(values, order, targets, sizes, **kwargs)
+        def counting(values, orders, targets, tree_samples, **kwargs):
+            calls.append(len(tree_samples))
+            return grow(values, orders, targets, tree_samples, **kwargs)
 
         monkeypatch.setattr(ensemble, "grow_trees", counting)
         rng = np.random.default_rng(8)
@@ -282,13 +282,12 @@ def copied_forests(samples, params):
             copies.append((X[rows], y[rows]))
         d = copies[0][0].shape[1]
         values = np.concatenate([X.T for X, _ in copies], axis=1)
-        sizes = [len(y) for _, y in copies]
         subset = max(1, int(np.sqrt(d))) if params.feature_subset_rule == "sqrt" else d
         grown, _ = tree.grow_trees(
             values,
-            tree.presort(values, sizes),
+            [tree.presort(X.T) for X, _ in copies],
             np.concatenate([y for _, y in copies]),
-            sizes,
+            range(len(copies)),
             max_depth=params.max_depth,
             min_instances=params.min_instances_per_node,
             draws=tree.FeatureDraws(rngs, d, subset) if subset < d else None,
@@ -358,13 +357,14 @@ class TestBootstrapWeights:
         sorted_sizes, grown = [], []
         presort, grow = ensemble.presort, ensemble.grow_trees
 
-        def sorting(values, sizes):
-            sorted_sizes.append(list(sizes))
-            return presort(values, sizes)
+        def sorting(values):
+            sorted_sizes.append([values.shape[1]])
+            return presort(values)
 
-        def growing(values, order, targets, sizes, **kwargs):
-            grown.append((values.shape, len(sizes), order.shape[1]))
-            return grow(values, order, targets, sizes, **kwargs)
+        def growing(values, orders, targets, tree_samples, counts=None, **kwargs):
+            slots = tree._layout(orders, tree_samples, counts)[0].shape[1]
+            grown.append((values.shape, len(tree_samples), slots))
+            return grow(values, orders, targets, tree_samples, counts=counts, **kwargs)
 
         monkeypatch.setattr(ensemble, "presort", sorting)
         monkeypatch.setattr(ensemble, "grow_trees", growing)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverml import kernels, models
+from coverml.models import ensemble
 from coverml.models import tree as tree_module
 from coverml.models.base import ModelError
+from coverml.models.ensemble import GbtParams, RandomForestParams
 from coverml.models.tree import (
     _DRAW_BLOCK,
     MAX_DEPTH,
@@ -207,10 +209,10 @@ def subset_tree(X, y, *, n_subset_features, rng, **kwargs):
     `FeatureDraws` on `rng` (every feature when None or d or more), in the
     nested form `reference_build_tree` returns."""
     values = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
-    d, n = values.shape
+    d = values.shape[0]
     k = n_subset_features or d
     draws = FeatureDraws([rng], d, k) if k < d else None
-    (tree,), _ = grow_trees(values, presort(values, [n]), np.asarray(y), [n], draws=draws, **kwargs)
+    (tree,), _ = grow_trees(values, [presort(values)], np.asarray(y), [0], draws=draws, **kwargs)
     return tree.to_dict()
 
 
@@ -749,3 +751,97 @@ class TestDrawParity:
                 got[t].append(subset)
         for s, subsets in zip(seeds, got):
             assert subsets == choice_subsets(np.random.default_rng(s), d, k, len(subsets))
+
+
+@st.composite
+def layout_case(draw):
+    """Samples of tied values and the trees that grow on them: (values,
+    orders, tree_samples, each sample's rows), 1-4 trees per sample."""
+    d = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    values = np.array(
+        draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=d * sum(sizes), max_size=d * sum(sizes)))
+    ).reshape(d, sum(sizes))
+    starts = np.cumsum(sizes) - sizes
+    orders = [presort(values[:, a : a + n]) for a, n in zip(starts, sizes)]
+    trees = [draw(st.integers(1, 4)) for _ in sizes]
+    return values, orders, np.repeat(np.arange(len(sizes)), trees), sizes
+
+
+class TestLayout:
+    """`grow_trees` lays out its trees' slots itself (`_layout`) from the
+    samples' presorts and the trees' draw counts, and writes none of its
+    inputs."""
+
+    @given(case=layout_case(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_order_is_each_trees_stable_sort(self, case, data):
+        """Row f of a tree's slots is the stable sort by feature f of the
+        rows it takes, with or without counts."""
+        values, orders, tree_samples, sizes = case
+        starts = np.cumsum(sizes) - sizes
+        counts = data.draw(st.sampled_from([None, "drawn"]))
+        if counts:
+            counts = [np.array(data.draw(st.lists(st.integers(0, 3), min_size=sizes[s], max_size=sizes[s])))
+                      for s in tree_samples]
+        order, columns, weights, slots = tree_module._layout(orders, tree_samples, counts)
+        d = values.shape[0]
+        at = 0
+        for t, s in enumerate(tree_samples):
+            rows = np.arange(sizes[s]) if counts is None else counts[t].nonzero()[0]
+            assert slots[t] == rows.size
+            own = slice(at, at + rows.size)
+            cols = np.arange(at, at + rows.size) if columns is None else columns[own]
+            assert cols.tolist() == (starts[s] + rows).tolist()
+            assert order[d, own].tolist() == list(range(at, at + rows.size))
+            for f in range(d):
+                want = at + np.argsort(values[f, starts[s] + rows], kind="stable")
+                assert order[f, own].tolist() == want.tolist()
+            if counts is not None:
+                assert weights[own].tolist() == counts[t][rows].tolist()
+            at += rows.size
+        assert order.shape[1] == at and (weights is None) == (counts is None)
+
+    @given(case=layout_case())
+    @settings(max_examples=150, deadline=None)
+    def test_no_counts_equal_counts_of_one(self, case):
+        """Trees that take every row lay out as trees that take each row
+        once; where slots are rows, the slot of column c is c."""
+        _, orders, tree_samples, sizes = case
+        order, columns, weights, slots = tree_module._layout(orders, tree_samples, None)
+        ones = [np.ones(sizes[s], dtype=np.intp) for s in tree_samples]
+        order_1, columns_1, weights_1, slots_1 = tree_module._layout(orders, tree_samples, ones)
+        assert np.array_equal(order, order_1) and order.dtype == order_1.dtype
+        assert np.array_equal(slots, slots_1) and weights is None and (weights_1 == 1.0).all()
+        one_each = len(tree_samples) == len(sizes)
+        assert (columns is None) == one_each
+        assert np.array_equal(np.arange(order.shape[1]) if one_each else columns, columns_1)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("dt", DecisionTreeParams(max_depth=6)),
+            ("gbt", GbtParams(num_iterations=4, max_depth=4)),
+            ("rf", RandomForestParams(num_trees=6, max_depth=6, bootstrap=True)),
+            ("rf", RandomForestParams(num_trees=6, max_depth=6, bootstrap=False)),
+        ],
+    )
+    def test_no_input_is_written(self, monkeypatch, family, params):
+        """Every sample's values and presort, the targets and the counts
+        are marked read-only before growth; the trees are those of an
+        ordinary run."""
+        rng = np.random.default_rng(4)
+        X = np.round(rng.normal(size=(300, 5)), 1)
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=300) > 0).astype(int)
+        samples = [(X[:n], y[:n]) for n in (200, 200, 300)]
+        want = [repr(model.to_dict()) for model in models.train_batch(family, samples, params)]
+        grow = tree_module.grow_trees
+
+        def read_only(values, orders, targets, tree_samples, counts=None, **kwargs):
+            for a in (values, *orders, targets, *(counts or ())):
+                a.flags.writeable = False
+            return grow(values, orders, targets, tree_samples, counts=counts, **kwargs)
+
+        monkeypatch.setattr(tree_module, "grow_trees", read_only)
+        monkeypatch.setattr(ensemble, "grow_trees", read_only)
+        assert [repr(model.to_dict()) for model in models.train_batch(family, samples, params)] == want
