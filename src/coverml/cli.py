@@ -311,10 +311,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    table = _load_table(args.data)
     families = tuple(f for f in args.models.split(",") if f)
+    if not families:
+        raise CliError(f"--models names no family, got {args.models!r}")
     for f in families:
         models.check_family(f)
+    table = _load_table(args.data)
     train_part, test_part, spec, config = _split_spec_config(args, table)
     grids = _load(args.grids, "grids", _grids) if args.grids else None
     report = benchmark(train_part, test_part, spec, families, config, grids)

@@ -22,6 +22,12 @@ and a split depends only on counts at cuts between distinct values: the
 weighted node and the node of repeated rows get the same split, bit for
 bit.
 
+Both kernels run one scan. A criterion is its impurity as a function of a
+row count and the criterion's cumulative sums over those rows: Gini
+impurity of the class-1 count, or variance of the sums of the targets and
+of their squares. The scan evaluates it for each node and for the rows
+left and right of each cut, and weighs the three into the decrease.
+
 A cut between sorted positions i and i + 1 is a candidate only where the
 two values differ, so never inside the padding. The cumulative sums run
 along the sorted axis of each column, padding included, and a node's
@@ -124,82 +130,60 @@ class _Cuts:
         return f, thr, gain
 
 
+def _gini(n, c1):
+    """Gini impurity 1 - p1*p1 - p0*p0 of n rows of which c1 are class 1,
+    with p1 = c1/n and p0 = (n - c1)/n; evaluated in place, in that order,
+    over c1."""
+    p1 = c1 / n
+    p0 = np.subtract(n, c1, out=c1)
+    p0 /= n
+    p1 *= p1
+    np.subtract(1.0, p1, out=p1)
+    p0 *= p0
+    p1 -= p0
+    return p1
+
+
+def _variance(n, s, ss):
+    """Variance ss/n - m*m of n targets summing to s, whose squares sum to
+    ss, with m = s/n; evaluated in place, in that order, over s and ss."""
+    m = np.divide(s, n, out=s)
+    v = np.divide(ss, n, out=ss)
+    m *= m
+    v -= m
+    return v
+
+
 # A whole-grid call evaluates the padded lanes of its shorter nodes too: they
 # can divide by zero, and best() masks them, so the warnings are silenced.
-_PADDED_LANES = np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore")
+def _scan(cuts: _Cuts, sums: list, impurity):
+    """Best split of each node by the decrease of `impurity(n, *sums)`,
+    which may overwrite the sums it is given, from the criterion's (K, M)
+    cumulative sums: parent - (nl/total)*left - (nr/total)*right."""
+    # Every side's sums are read before impurity() overwrites their sources.
+    last = [cuts.at_last(s) for s in sums]
+    left = [cuts.at(s) for s in sums]
+    right = [cuts.of_column(a) - b for a, b in zip(last, left)]
+    parent = cuts.of_column(impurity(cuts.totals, *last))
+    total, nl = cuts.total, cuts.nl
+    nr = total - nl
+    dec = impurity(nl, *left)
+    dec *= nl / total
+    np.subtract(parent, dec, out=dec)
+    right = impurity(nr, *right)
+    right *= np.divide(nr, total, out=nr)
+    # Into the right side's array, which is contiguous: best() reshapes it.
+    return cuts.best(np.subtract(dec, right, out=right))
 
 
-@_PADDED_LANES
 def best_split_gini(x: np.ndarray, y: np.ndarray, sizes, w: np.ndarray | None = None):
     """Best split of each node by Gini impurity decrease; `y` holds 0/1
     labels, or with row weights `w` each row's class-1 count."""
-    cuts = _Cuts(x, sizes, w)
-    csum = y.T.cumsum(axis=1)
-    c1 = cuts.at_last(csum)
-    p1 = c1 / cuts.totals
-    p0 = (cuts.totals - c1) / cuts.totals
-    g_parent = cuts.of_column(1.0 - p1 * p1 - p0 * p0)
-
-    total, nl = cuts.total, cuts.nl
-    nr = total - nl
-    cl = cuts.at(csum)
-    cr = cuts.of_column(c1) - cl
-    # gl = 1 - pl1*pl1 - pl0*pl0 with pl1 = cl/nl, pl0 = (nl - cl)/nl, and
-    # gr likewise on the right; evaluated in place, in that order.
-    gl = cl / nl
-    pl0 = np.subtract(nl, cl, out=cl)
-    pl0 /= nl
-    gl *= gl
-    np.subtract(1.0, gl, out=gl)
-    pl0 *= pl0
-    gl -= pl0
-    gr = cr / nr
-    pr0 = np.subtract(nr, cr, out=cr)
-    pr0 /= nr
-    gr *= gr
-    np.subtract(1.0, gr, out=gr)
-    pr0 *= pr0
-    gr -= pr0
-    # dec = g_parent - (nl/total)*gl - (nr/total)*gr
-    dec = gl
-    dec *= nl / total
-    np.subtract(g_parent, dec, out=dec)
-    gr *= np.divide(nr, total, out=nr)
-    dec -= gr
-    return cuts.best(dec)
+    return _scan(_Cuts(x, sizes, w), [y.T.cumsum(axis=1)], _gini)
 
 
-@_PADDED_LANES
 def best_split_sse(x: np.ndarray, y: np.ndarray, sizes):
     """Best split of each node by weighted variance decrease (squared-error
     impurity); `y` is a real-valued target."""
-    cuts = _Cuts(x, sizes)
-    y = y.T
-    s = y.cumsum(axis=1)
-    ss = (y * y).cumsum(axis=1)
-    s_all, ss_all = cuts.at_last(s), cuts.at_last(ss)
-    m = s_all / cuts.totals
-    imp = cuts.of_column(ss_all / cuts.totals - m * m)
-
-    total, nl = cuts.total, cuts.nl
-    nr = total - nl
-    s, ss = cuts.at(s), cuts.at(ss)
-    # il = ss/nl - ml*ml with ml = s/nl, ir = (ss_all - ss)/nr - mr*mr with
-    # mr = (s_all - s)/nr; evaluated in place, in that order.
-    ml = s / nl
-    il = ss / nl
-    ml *= ml
-    il -= ml
-    mr = np.subtract(cuts.of_column(s_all), s, out=s)
-    mr /= nr
-    ir = np.subtract(cuts.of_column(ss_all), ss, out=ss)
-    ir /= nr
-    mr *= mr
-    ir -= mr
-    # dec = imp - (nl/total)*il - (nr/total)*ir
-    dec = il
-    dec *= nl / total
-    np.subtract(imp, dec, out=dec)
-    ir *= np.divide(nr, total, out=nr)
-    dec -= ir
-    return cuts.best(dec)
+    return _scan(_Cuts(x, sizes), [y.T.cumsum(axis=1), (y.T * y.T).cumsum(axis=1)], _variance)

@@ -176,7 +176,6 @@ class GbtParams(Params):
     learning_rate: Annotated[float, "[0, inf)"] = 0.1
     max_depth: Depth = 5
     min_instances_per_node: Count = 1
-    seed: int = 1
     threshold: Probability = 0.5
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .fields import check_types, field_checkers, read_fields
+from .fields import check_types, field_checkers, finite, read_fields
 from .metrics import float_reprs, read_only
 
 #: Column kinds accepted in external schemas. "vector" additionally exists as
@@ -94,6 +94,10 @@ def _check_value(spec: ColumnSpec, value, row: int):
     if kind == "numeric":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TableError(f"column {spec.name!r} expects a number, got {value!r} at row {row}")
+        if isinstance(value, int) and not finite(int(value)):
+            raise TableError(
+                f"column {spec.name!r} expects finite numbers, got an integer too large for a float at row {row}"
+            )
         value = float(value)
         if not math.isfinite(value):
             raise TableError(f"column {spec.name!r} expects finite numbers, got {value!r} at row {row}")
@@ -504,6 +508,10 @@ def _vector_entry(name: str, entry, row: int) -> list:
         # not a number.
         if type(value) not in (int, float):
             raise TableError(f"vector column {name!r} expects numbers, got {value!r} at row {row}")
+        if type(value) is int and not finite(value):
+            raise TableError(
+                f"vector column {name!r} expects finite numbers, got an integer too large for a float at row {row}"
+            )
     return entry["values"]
 
 

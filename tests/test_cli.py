@@ -506,6 +506,20 @@ class TestMalformedInputFiles:
         self.check(capsys, small / "s.tbl", "sample", "--data", str(small / "bad.tbl"),
                    "--fraction", "0.5", "--out", str(small / "s.tbl"))
 
+    @pytest.mark.parametrize("kind", ["numeric", "vector"])
+    def test_integer_too_large_for_a_float(self, small, capsys, kind):
+        """A JSON integer beyond the largest float, in a numeric cell or a
+        vector entry, is one `error:` line naming the column and the row."""
+        cells = [1.0, 10**400, 3.0] if kind == "numeric" else [
+            {"size": 2, "values": [1.0, 2.0]}, {"size": 2, "values": [3.0, -(10**400)]}, {"size": 2, "values": [5, 6]}
+        ]
+        doc = {**TBL_HEAD, "schema": [{"name": "c", "kind": kind, "nullable": True}], "columns": {"c": cells}}
+        (small / "big.tbl").write_text(json.dumps(doc))
+        err = self.check(capsys, small / "o.tbl", "sample", "--data", str(small / "big.tbl"),
+                         "--fraction", "0.5", "--out", str(small / "o.tbl"))
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "'c'" in err and "at row 1" in err
+
     def test_nesting_past_the_recursion_limit(self, small, capsys):
         (small / "schema.json").write_text("[" * 100_000 + "]" * 100_000)
         self.check(capsys, small / "out.tbl", "ingest", "--input", str(small / "data.csv"),
@@ -691,6 +705,14 @@ class TestBenchmark:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         assert not (workdir / "bench.json").exists()
+
+    @pytest.mark.parametrize("names", [",", ""])
+    def test_no_family_is_an_error_line(self, workdir, capsys, names):
+        code, out, err = run(capsys, "benchmark", "--data", str(workdir / "data.tbl"), "--models", names,
+                             "--out-json", str(workdir / "bench.json"), "--out-text", str(workdir / "bench.txt"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "bench.json").exists() and not (workdir / "bench.txt").exists()
 
     def test_unknown_family_rejected(self, workdir, capsys):
         code, _, err = run(

@@ -504,7 +504,7 @@ class TestGoldenPrediction:
         rng = np.random.default_rng(123)
         X = rng.random((200, 5))
         y = ((X[:, 0] + 0.5 * X[:, 3]) > 0.75).astype(int)
-        model = models.train("gbt", X, y, GbtParams(num_iterations=8, seed=1))
+        model = models.train("gbt", X, y, GbtParams(num_iterations=8))
         raw, prob = model.scores(np.array([[0.9, 0.1, 0.5, 0.8, 0.2]]))
         assert raw.tolist() == [0.5848683502642308]
         assert prob.tolist() == [0.7630974198122307]

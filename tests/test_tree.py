@@ -1,3 +1,4 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -845,3 +846,41 @@ class TestLayout:
         monkeypatch.setattr(tree_module, "grow_trees", read_only)
         monkeypatch.setattr(ensemble, "grow_trees", read_only)
         assert [repr(model.to_dict()) for model in models.train_batch(family, samples, params)] == want
+
+
+class TestDenseGridBytes:
+    """Trees grown on continuous, all-distinct columns, where nearly every
+    cut is a candidate, so the split kernels evaluate more than nine in ten
+    of their cuts over the whole grid (`kernels._Cuts.dense`). The digests
+    were recorded before the Gini and squared-error kernels shared one scan;
+    any change to a split, threshold or decrease changes them."""
+
+    PARAMS = {
+        "dt": DecisionTreeParams(max_depth=4),
+        "rf": RandomForestParams(num_trees=8, max_depth=4, feature_subset_rule="sqrt", bootstrap=True),
+        "gbt": GbtParams(num_iterations=4, max_depth=4),
+    }
+    DIGESTS = {
+        "dt": "5e7d97efbb65f5e461cf68967aae8b82045e627736969425af697c0d8826652c",
+        "rf": "36f6302210d8b627751061267c6ca56b722dd016d2bb2b9a2a1454a5cb67d950",
+        "gbt": "9bd7a86d4367c0afa2dcd1969869ae4f673079171cec4853994d6176709fcfbf",
+    }
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_models_keep_their_bits(self, monkeypatch, family):
+        cells = {True: 0, False: 0}
+        init = kernels._Cuts.__init__
+
+        def counting(cuts, *args):
+            init(cuts, *args)
+            cells[cuts.dense] += cuts.cut.size
+
+        monkeypatch.setattr(kernels._Cuts, "__init__", counting)
+        rng = np.random.default_rng(11)
+        X = rng.random((3000, 6))
+        y = (X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.random(3000) > 0.9).astype(np.float64)
+        trained = models.train_batch(family, [(X, y), (X[:2000], y[:2000])], self.PARAMS[family])
+        assert len(np.unique(X)) == X.size
+        assert cells[True] > 9 * cells[False]
+        digest = hashlib.sha256(repr([m.to_dict() for m in trained]).encode()).hexdigest()
+        assert digest == self.DIGESTS[family]
